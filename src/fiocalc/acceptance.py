@@ -26,7 +26,14 @@ from .fio import (
     wf_propagation_check,
 )
 from .gabor import wavefront_estimate
-from .grids import GridFunction, GridSpec, gaussian_window, hermite_values, identity_operator
+from .grids import (
+    GridFunction,
+    GridSpec,
+    gaussian_window,
+    gaussian_window_at,
+    hermite_values,
+    identity_operator,
+)
 from .lagdist import LagrangianDistSpec, kernel_equals_lagrangian_check, lagrangian_synthesize
 from .metaplectic import (
     egorov_residual,
@@ -77,10 +84,6 @@ class CheckResult:
 
 def _status(ok: bool) -> str:
     return "pass" if ok else "fail"
-
-
-def _gauss_window_callable():
-    return lambda t: np.pi ** -0.25 * np.exp(-0.5 * np.asarray(t) ** 2)
 
 
 def _delta(grid: GridSpec) -> GridFunction:
@@ -286,11 +289,11 @@ def check_fbi_covariance(seed: int = 0, quick: bool = False) -> CheckResult:
     if quick:
         signals = {"gaussian": signals["gaussian"]}
     tol = 1e-4
-    gc = _gauss_window_callable()
     residuals = {}
     for sn, u in signals.items():
         for cn, chi in mats.items():
-            residuals[f"{sn}|{cn}"] = float(fbi_covariance_residual(chi, u, gc, grid))
+            residuals[f"{sn}|{cn}"] = float(
+                fbi_covariance_residual(chi, u, gaussian_window_at, grid))
     worst = max(residuals.values())
     return CheckResult("fbi_covariance", _status(worst < tol), {
         "grid": grid.to_dict(), "tolerance": tol, "residuals": residuals,
@@ -396,7 +399,6 @@ def check_composition_adjoint(seed: int = 0, quick: bool = False) -> CheckResult
 def check_kernel_characterization(seed: int = 0, quick: bool = False) -> CheckResult:
     grid = GridSpec(1, 128, 10.0)
     J = standard_j(1)
-    gc = _gauss_window_callable()
     cases = [("mu_fourier", constant_symbol(2), 0.0),
              ("ho_mu_fourier", harmonic_oscillator_symbol(2), 2.0)]
     if quick:
@@ -406,7 +408,7 @@ def check_kernel_characterization(seed: int = 0, quick: bool = False) -> CheckRe
     for name, sym, m in cases:
         spec = FioSpec("factored", m, 1.0, b=sym, chi=J)
         K, _ = fio_kernel(spec, grid)
-        rep = kernel_characterization_check(K, J, m, 1.0, gc)
+        rep = kernel_characterization_check(K, J, m, 1.0, gaussian_window_at)
         reports[name] = rep.to_dict()
         ok = ok and rep.status == "pass"
     return CheckResult("kernel_characterization", _status(ok), {
@@ -424,11 +426,11 @@ def check_wavefront_sets(seed: int = 0, quick: bool = False) -> CheckResult:
     rep = wavefront_estimate(delta, gw, N_max=4.0)
     expected = [14, 15, 16, 17, 46, 47, 48, 49]
     sectors_ok = rep.nondecaying == expected
-    gc = _gauss_window_callable()
     spec = FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=standard_j(1))
     K, _ = fio_kernel(spec, grid)
-    cone = wf_kernel_check(K, standard_j(1), gc)
-    cone_neg = wf_kernel_check(K, SymplecticMatrix(1, np.eye(2)), gc)
+    cone = wf_kernel_check(K, standard_j(1), gaussian_window_at)
+    cone_neg = wf_kernel_check(K, SymplecticMatrix(1, np.eye(2)),
+                               gaussian_window_at)
     prop = wf_propagation_check(spec, delta, gw, grid)
     ok = sectors_ok and cone["status"] == "pass" \
         and cone_neg["status"] == "fail" and prop["status"] == "pass"
@@ -456,7 +458,6 @@ def check_lagrangian_equivalence(seed: int = 0, quick: bool = False) -> CheckRes
     J = standard_j(1)
     ch = chirp_matrix(np.array([[0.8]]))
     eye = SymplecticMatrix(1, np.eye(2))
-    gc = _gauss_window_callable()
 
     def kernel_of(sym, m, chi):
         spec = FioSpec("factored", m, 1.0, b=sym, chi=chi)
@@ -476,11 +477,11 @@ def check_lagrangian_equivalence(seed: int = 0, quick: bool = False) -> CheckRes
     results = {}
     ok = True
     for name, K, chi, m in positives:
-        rep = kernel_equals_lagrangian_check(K, chi, m, gc)
+        rep = kernel_equals_lagrangian_check(K, chi, m, gaussian_window_at)
         results[name] = {"agree": rep["agree"], "status": rep["status"]}
         ok = ok and rep["agree"] and rep["status"] == "pass"
     for name, K, chi, m in negatives:
-        rep = kernel_equals_lagrangian_check(K, chi, m, gc)
+        rep = kernel_equals_lagrangian_check(K, chi, m, gaussian_window_at)
         results[name] = {"agree": rep["agree"], "status": rep["status"]}
         ok = ok and rep["agree"] and rep["status"] == "fail"
     return CheckResult("lagrangian_equivalence", _status(ok), {

@@ -5,7 +5,8 @@ writes CSV/PGM/JSON artifacts plus a short human-readable summary.  Every
 artifact embeds the run configuration, and the output directory gets a
 manifest.json listing every file with its SHA-256.
 
-Exit codes: 0 pass, 1 fail, 2 inconclusive, 3 input error.
+Exit codes: 0 pass, 1 fail, 2 inconclusive, 3 input error (unreadable or
+malformed input, a size-guard refusal, or a usage error).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .fio import (
     kernel_characterization_check,
 )
 from .gabor import Field4D, gabor_transform, kernel_fbi_field, wavefront_estimate
-from .grids import GridFunction, GridSpec, gaussian_window
+from .grids import GridFunction, GridSpec, gaussian_window, gaussian_window_at
 from .lagdist import lagrangian_membership_test, lagrangian_param
 from .metaplectic import mu_general
 from .phases import (
@@ -51,7 +52,7 @@ from .serialize import (
 )
 from .symbols import ShubinSymbol
 from .symplectic import lagrangian_with_param
-from .weyl import symbol_callable, weyl_kernel
+from .weyl import SizeGuardError, symbol_callable, weyl_kernel
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -60,10 +61,6 @@ EXIT_INPUT_ERROR = 3
 
 _STATUS_EXIT = {"pass": EXIT_PASS, "fail": EXIT_FAIL,
                 "inconclusive": EXIT_INCONCLUSIVE}
-
-
-def _window_callable():
-    return lambda t: np.pi ** -0.25 * np.exp(-0.5 * np.asarray(t) ** 2)
 
 
 def _load_chi(path: str):
@@ -75,7 +72,7 @@ def _load_chi(path: str):
 
 def _config(args) -> dict:
     cfg = {"command": args.command, "inputs": list(getattr(args, "inputs", []))}
-    for key in ("grid_n", "grid_R", "stride", "tol", "seed", "phase_fix",
+    for key in ("grid_n", "grid_R", "stride", "seed", "phase_fix",
                 "order", "rho", "quick"):
         if hasattr(args, key):
             cfg[key] = getattr(args, key)
@@ -267,7 +264,7 @@ def cmd_fbi_map(args) -> int:
             "kind": "function", "grid": u.spec.to_dict(), "stride": args.stride,
         })
     elif u.spec.d == 2:
-        field = kernel_fbi_field(u, _window_callable(), stride=args.stride)
+        field = kernel_fbi_field(u, gaussian_window_at, stride=args.stride)
         heat = _kernel_heatmap(field)
         _emit_pgm(args, "fbi_map.pgm", heat)
         _emit_json(args, "fbi_map.json", {
@@ -288,7 +285,7 @@ def cmd_char_check(args) -> int:
     K = grid_function_from_csv(args.inputs[0])
     chi = _load_chi(args.inputs[1])
     rep = kernel_characterization_check(K, chi, args.order, args.rho,
-                                        _window_callable(), stride=args.stride)
+                                        gaussian_window_at, stride=args.stride)
     _emit_json(args, "char_check.json", rep.to_dict())
     print(f"kernel characterization: {rep.status}")
     return _STATUS_EXIT[rep.status]
@@ -313,7 +310,7 @@ def cmd_lag_test(args) -> int:
     lam = lagrangian_with_param(np.asarray(data["Y"], dtype=float),
                                 np.asarray(data["F"], dtype=float),
                                 int(data["n"]))
-    rep = lagrangian_membership_test(u, lam, args.order, _window_callable(),
+    rep = lagrangian_membership_test(u, lam, args.order, gaussian_window_at,
                                      rho=args.rho)
     _emit_json(args, "lag_test.json", rep.to_dict())
     print(f"membership: {rep.status}")
@@ -360,8 +357,17 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with the input-error code: argparse's own code 2
+    would read as an inconclusive verdict.  Subcommand parsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fiocalc",
         description="Fourier integral operator toolkit: phase reduction, "
                     "metaplectic operators, Weyl quantization, phase-space "
@@ -376,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-n", type=int, default=128, dest="grid_n")
         p.add_argument("--grid-R", type=float, default=10.0, dest="grid_R")
         p.add_argument("--stride", type=int, default=2)
-        p.add_argument("--tol", type=float, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="fiocalc-out")
         p.add_argument("--phase-fix", choices=["gaussian", "none"],
@@ -393,7 +398,8 @@ def main(argv=None) -> int:
     func, _ = _COMMANDS[args.command]
     try:
         code = func(args)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError, json.JSONDecodeError,
+            SizeGuardError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     write_manifest(args.out)

@@ -11,15 +11,18 @@ the module converts between them numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, factorial
 
 import numpy as np
 
 from .gabor import (
+    N_SECTORS,
+    ProfileReport,
     chi_twist_field,
     decay_profile,
     kernel_fbi_field,
+    profile_report,
     wavefront_estimate,
-    N_SECTORS,
 )
 from .grids import GridFunction, GridSpec, OperatorMatrix, hermite_grid_function
 from .metaplectic import mu_general
@@ -30,7 +33,13 @@ from .symplectic import (
     symplectic_inverse,
     twisted_graph_lagrangian,
 )
-from .weyl import SampledSymbol, symbol_callable, symbol_from_kernel, weyl_kernel
+from .weyl import (
+    SampledSymbol,
+    symbol_callable,
+    symbol_from_kernel,
+    weyl_kernel,
+    weyl_product,
+)
 
 
 @dataclass(frozen=True)
@@ -289,8 +298,6 @@ def _poly_terms(sym):
 
 def _transform_terms(terms, M: np.ndarray):
     """Terms of z -> p(M z) for a polynomial p given by terms."""
-    from math import comb
-
     out = {}
     for c, (p, q) in terms:
         for i in range(p + 1):
@@ -339,74 +346,50 @@ def _fd_partial(func, i: int, j: int, z: np.ndarray, step: float = 0.05) -> np.n
     return out / step ** (i + j) if (i or j) else out
 
 
+def _moyal_partial(sym, terms):
+    """Derivative oracle (i, j, z) -> d_x^i d_xi^j sym(z): analytic when the
+    symbol has polynomial terms, 4th-order central differences otherwise."""
+    if terms is None:
+        func = symbol_callable(sym)
+        return lambda i, j, z: _fd_partial(func, i, j, z)
+
+    def partial(i, j, z):
+        t = terms
+        for _ in range(i):
+            t = _diff_terms(t, 0)
+        for _ in range(j):
+            t = _diff_terms(t, 1)
+        return _eval_terms(t, z)
+
+    return partial
+
+
 def _weyl_product_callable(b1, terms1, b2, terms2):
     """Callable for b1 # b2 when at least one factor is polynomial, so the
     Moyal series (i/2)^k/k! (d_x d_eta - d_xi d_y)^k terminates at the
-    polynomial degree.  Derivatives of the polynomial factor are analytic;
-    derivatives of the other factor use high-order central differences,
-    which limits the usable degree to 2 on the mixed path.  Returns None
-    when neither factor qualifies."""
-    from math import comb, factorial
+    smallest polynomial degree.  The central differences of a non-polynomial
+    factor reach second derivatives only, so a lone polynomial factor may
+    have degree at most 2.  Returns None when neither factor qualifies."""
+    degs = [max((sum(e) for _, e in t), default=0)
+            for t in (terms1, terms2) if t is not None]
+    if not degs or (len(degs) == 1 and degs[0] > 2):
+        return None
+    deg = min(degs)
+    p1 = _moyal_partial(b1, terms1)
+    p2 = _moyal_partial(b2, terms2)
 
-    if terms1 is not None and terms2 is not None:
-        deg = min(max((sum(e) for _, e in t), default=0)
-                  for t in (terms1, terms2))
+    def product(z):
+        z = np.asarray(z, dtype=float)
+        out = np.zeros(z.shape[:-1], dtype=complex)
+        for k in range(deg + 1):
+            ck = (0.5j) ** k / factorial(k)
+            for j in range(k + 1):
+                a = p1(k - j, j, z)
+                b = p2(j, k - j, z)
+                out = out + ck * comb(k, j) * (-1) ** j * a * b
+        return out
 
-        def partial(terms, i, j):
-            t = terms
-            for _ in range(i):
-                t = _diff_terms(t, 0)
-            for _ in range(j):
-                t = _diff_terms(t, 1)
-            return t
-
-        def product(z):
-            z = np.asarray(z, dtype=float)
-            out = np.zeros(z.shape[:-1], dtype=complex)
-            for k in range(deg + 1):
-                ck = (0.5j) ** k / factorial(k)
-                for j in range(k + 1):
-                    a = _eval_terms(partial(terms1, k - j, j), z)
-                    b = _eval_terms(partial(terms2, j, k - j), z)
-                    out = out + ck * comb(k, j) * (-1) ** j * a * b
-            return out
-
-        return product
-
-    for terms, other, poly_first in ((terms1, b2, True), (terms2, b1, False)):
-        if terms is None:
-            continue
-        deg = max((sum(e) for _, e in terms), default=0)
-        if deg > 2:
-            continue
-
-        def product(z, terms=terms, other=other, poly_first=poly_first, deg=deg):
-            z = np.asarray(z, dtype=float)
-            out = np.zeros(z.shape[:-1], dtype=complex)
-            for k in range(deg + 1):
-                ck = (0.5j) ** k / factorial(k)
-                for j in range(k + 1):
-                    t = terms
-                    if poly_first:
-                        # d_x^{k-j} d_xi^j on the polynomial (left) factor
-                        for _ in range(k - j):
-                            t = _diff_terms(t, 0)
-                        for _ in range(j):
-                            t = _diff_terms(t, 1)
-                        a = _eval_terms(t, z)
-                        b = _fd_partial(other, j, k - j, z)
-                    else:
-                        for _ in range(j):
-                            t = _diff_terms(t, 0)
-                        for _ in range(k - j):
-                            t = _diff_terms(t, 1)
-                        b = _eval_terms(t, z)
-                        a = _fd_partial(other, k - j, j, z)
-                    out = out + ck * comb(k, j) * (-1) ** j * a * b
-            return out
-
-        return product
-    return None
+    return product
 
 
 def fio_compose(s1: FioSpec, s2: FioSpec, grid: GridSpec,
@@ -435,9 +418,7 @@ def fio_compose(s1: FioSpec, s2: FioSpec, grid: GridSpec,
         t2 = _transform_terms(t2, chi1_inv.entries)
     b_new = _weyl_product_callable(f1.b, t1, b2_pulled, t2)
     if b_new is None:
-        b_new = symbol_from_kernel(
-            weyl_kernel(symbol_callable(f1.b), grid).compose(
-                weyl_kernel(b2_pulled, grid))).as_callable()
+        b_new = weyl_product(symbol_callable(f1.b), b2_pulled, grid).as_callable()
     chi_new = f1.chi @ f2.chi
     new = FioSpec("factored", f1.order + f2.order, min(f1.rho, f2.rho),
                   b=b_new, chi=chi_new)
@@ -475,28 +456,11 @@ def fio_adjoint(spec: FioSpec) -> FioSpec:
 # -- phase space characterization ------------------------------------------
 
 
-@dataclass(frozen=True)
-class CharacterizationReport:
-    profile: object
-    off_bound: float
-    along_bounds: dict
-    status: str
-
-    def to_dict(self) -> dict:
-        return {
-            "off_slope": self.profile.off_slope,
-            "off_bound": self.off_bound,
-            "along_slopes": {str(k): v for k, v in self.profile.along_slopes.items()},
-            "along_bounds": {str(k): v for k, v in self.along_bounds.items()},
-            "status": self.status,
-        }
-
-
 def kernel_characterization_check(K: GridFunction, chi: SymplecticMatrix,
                                   m: float, rho: float, g_callable,
                                   k_max: int = 1, N_max: float = 4.0,
                                   stride: int = 2,
-                                  margin: float = 0.5) -> CharacterizationReport:
+                                  margin: float = 0.5) -> ProfileReport:
     """Twisted phase-space test of kernel membership: rapid decay off the
     twisted graph subspace of chi and controlled growth along it, including
     directional derivatives up to order k_max."""
@@ -504,15 +468,7 @@ def kernel_characterization_check(K: GridFunction, chi: SymplecticMatrix,
     vlam = twisted_graph_lagrangian(SymplecticMatrix(chi.d, -chi.entries))
     field = chi_twist_field(kernel_fbi_field(K, g_callable, stride), chi)
     prof = decay_profile(field, lam, vlam, k_max=k_max)
-    along_bounds = {k: m - rho * k + margin for k in range(k_max + 1)}
-    if prof.status == "inconclusive":
-        status = "inconclusive"
-    else:
-        ok = prof.off_slope <= -N_max and all(
-            prof.along_slopes[k] <= along_bounds[k] for k in range(k_max + 1)
-        )
-        status = "pass" if ok else "fail"
-    return CharacterizationReport(prof, -N_max, along_bounds, status)
+    return profile_report(prof, m, rho, k_max, N_max, margin)
 
 
 def wf_kernel_check(K: GridFunction, chi: SymplecticMatrix, g_callable,

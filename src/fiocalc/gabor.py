@@ -1,9 +1,9 @@
-"""FBI-type transforms, twisted variants, wavefront estimation, and decay
-profiling against Lagrangian subspaces.
+"""FBI-type transforms, wavefront estimation, the chi-twisted kernel field,
+and decay profiling against Lagrangian subspaces with its verdict.
 
 T_g u(x, xi) = (2 pi)^{-d/2} (u, T_x M_xi g); the magnitude equals that of the
-short-time Fourier transform, and all twisted variants multiply by unimodular
-factors only.
+short-time Fourier transform, and the chi twist multiplies by a unimodular
+factor only.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridFunction, GridSpec
+from .symbols import _derivative, shell_slope
 from .symplectic import LagrangianSubspace, SymplecticMatrix
 
 
@@ -199,38 +200,6 @@ def schwartz_decay_check(u: GridFunction, g: GridFunction,
     }
 
 
-# -- twisted transforms ---------------------------------------------------
-
-
-def _proj_complement(Y: np.ndarray, d: int) -> np.ndarray:
-    if Y is None or Y.size == 0:
-        return np.eye(d)
-    Y = np.asarray(Y, dtype=float).reshape(d, -1)
-    return np.eye(d) - Y @ Y.T
-
-
-def twisted_y(u: GridFunction, g: GridFunction, Y) -> PhaseSpaceField:
-    """T_g u multiplied by e^{-i <pi_{Y-perp} x, xi>} (conormal twist)."""
-    field = gabor_transform(u, g)
-    d = u.spec.d
-    P = _proj_complement(Y, d)
-    X, XI = np.meshgrid(field.x, field.xi, indexing="ij")
-    phase = np.exp(-1j * (P[0, 0] * X * XI))
-    return PhaseSpaceField(field.spec, field.x, field.xi, field.values * phase)
-
-
-def twisted_lambda(u: GridFunction, g: GridFunction, Y, F) -> PhaseSpaceField:
-    """Twist adapted to the Lagrangian {(X, FX + Z): X in Y, Z in Y-perp}:
-    factor e^{-i(<pi_{Y-perp} x, xi> + <x, Fx>/2)}."""
-    field = gabor_transform(u, g)
-    d = u.spec.d
-    P = _proj_complement(Y, d)
-    F = np.asarray(F, dtype=float).reshape(d, d)
-    X, XI = np.meshgrid(field.x, field.xi, indexing="ij")
-    phase = np.exp(-1j * (P[0, 0] * X * XI + 0.5 * F[0, 0] * X**2))
-    return PhaseSpaceField(field.spec, field.x, field.xi, field.values * phase)
-
-
 @dataclass(frozen=True)
 class Field4D:
     """Phase-space field of a kernel on R^2: axes (z1, z2, zeta1, zeta2)."""
@@ -290,33 +259,14 @@ class DecayProfile:
     status: str
 
 
-def _axis_derivative(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    out = (-np.roll(values, -2, axis) + 8 * np.roll(values, -1, axis)
-           - 8 * np.roll(values, 1, axis) + np.roll(values, 2, axis)) / (12 * h)
-    sl = [slice(None)] * values.ndim
-    for edge in (slice(0, 2), slice(-2, None)):
-        sl[axis] = edge
-        out[tuple(sl)] = np.nan
-    sl[axis] = slice(None)
-    return out
-
-
 def directional_derivative(field: Field4D, direction: np.ndarray) -> Field4D:
     direction = np.asarray(direction, dtype=float)
     steps = field.steps()
     out = np.zeros_like(field.values)
     for axis, c in enumerate(direction):
         if abs(c) > 1e-14:
-            out = out + c * _axis_derivative(field.values, axis, steps[axis])
+            out = out + c * _derivative(field.values, axis, steps[axis])
     return Field4D(field.axes, out)
-
-
-def _fit(radii, maxima, min_shells=4):
-    mask = maxima > 0
-    if mask.sum() < min_shells:
-        return None
-    return float(np.polyfit(np.log(np.hypot(1.0, radii[mask])),
-                            np.log(maxima[mask]), 1)[0])
 
 
 def decay_profile(field: Field4D, lam: LagrangianSubspace,
@@ -352,7 +302,7 @@ def decay_profile(field: Field4D, lam: LagrangianSubspace,
     okk = (idx >= 0) & (idx < n_shells)
     maxima = np.zeros(n_shells)
     np.maximum.at(maxima, idx[okk], mag0[sel][okk])
-    off_slope = _fit(radii, maxima)
+    off_slope = shell_slope(radii, maxima)
     off_shells = [(float(r), float(v)) for r, v in zip(radii, maxima)]
 
     r_along = float(np.max(dist_v[interior]))
@@ -360,7 +310,6 @@ def decay_profile(field: Field4D, lam: LagrangianSubspace,
     radii_a = np.sqrt(edges_a[:-1] * edges_a[1:])
     strip = (dist_l <= along_cap) & interior
     along = {}
-    current = field
     for k in range(k_max + 1):
         if k == 0:
             mags = [np.abs(field.values).reshape(-1)]
@@ -385,7 +334,7 @@ def decay_profile(field: Field4D, lam: LagrangianSubspace,
             okk = (idx >= 0) & (idx < n_shells)
             mx = np.zeros(n_shells)
             np.maximum.at(mx, idx[okk], mag[good][okk])
-            slope = _fit(radii_a, mx)
+            slope = shell_slope(radii_a, mx)
             if slope is None:
                 worst = None
                 break
@@ -397,3 +346,47 @@ def decay_profile(field: Field4D, lam: LagrangianSubspace,
         status = "inconclusive"
     return DecayProfile(off_slope if off_slope is not None else np.nan,
                         along, off_shells, status)
+
+
+@dataclass(frozen=True)
+class ProfileReport:
+    """A decay profile judged against the bounds of a class of order m.
+
+    projected_F is set by the subspace-membership test only (whether the
+    parametrizing F had to be projected onto Y) and is left out of the JSON
+    form otherwise."""
+
+    profile: DecayProfile
+    off_bound: float
+    along_bounds: dict
+    status: str
+    projected_F: bool | None = None
+
+    def to_dict(self) -> dict:
+        out = {
+            "off_slope": self.profile.off_slope,
+            "off_bound": self.off_bound,
+            "along_slopes": {str(k): v for k, v in self.profile.along_slopes.items()},
+            "along_bounds": {str(k): v for k, v in self.along_bounds.items()},
+            "status": self.status,
+        }
+        if self.projected_F is not None:
+            out["projected_F"] = self.projected_F
+        return out
+
+
+def profile_report(prof: DecayProfile, m: float, rho: float, k_max: int,
+                   N_max: float, margin: float,
+                   projected_F: bool | None = None) -> ProfileReport:
+    """Pass iff the off-subspace slope is at most -N_max and the slope of
+    the order-k derivatives along the subspace is at most m - rho k + margin
+    for every k <= k_max; an inconclusive profile stays inconclusive."""
+    along_bounds = {k: m - rho * k + margin for k in range(k_max + 1)}
+    if prof.status == "inconclusive":
+        status = "inconclusive"
+    else:
+        ok = prof.off_slope <= -N_max and all(
+            prof.along_slopes[k] <= along_bounds[k] for k in range(k_max + 1)
+        )
+        status = "pass" if ok else "fail"
+    return ProfileReport(prof, -N_max, along_bounds, status, projected_F)

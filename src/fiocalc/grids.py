@@ -103,18 +103,6 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    def boundary_mass(self) -> float:
-        """Largest magnitude on the outermost grid layer, relative to the max."""
-        arr = np.abs(self.reshaped())
-        peak = arr.max()
-        if peak == 0:
-            return 0.0
-        edge = 0.0
-        for axis in range(self.spec.d):
-            edge = max(edge, np.take(arr, 0, axis=axis).max(),
-                       np.take(arr, -1, axis=axis).max())
-        return float(edge / peak)
-
 
 @dataclass(frozen=True)
 class OperatorMatrix:
@@ -147,19 +135,10 @@ class OperatorMatrix:
             raise DimensionError("grid specs differ")
         return OperatorMatrix(self.spec, self.weight * (self.entries @ other.entries))
 
-    def adjoint(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.spec, self.entries.conj().T)
-
     def weighted(self) -> np.ndarray:
         """Matrix of the operator on the weighted l2 space (unitary iff the
         operator is an l2 isometry on the grid)."""
         return self.weight * self.entries
-
-    def operator_norm(self) -> float:
-        return float(np.linalg.norm(self.weighted(), 2))
-
-    def eigenvalues_hermitian(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.weighted())
 
 
 def identity_operator(spec: GridSpec) -> OperatorMatrix:
@@ -172,26 +151,6 @@ def operator_distance(K1: OperatorMatrix, K2: OperatorMatrix, relative: bool = T
         return float(diff)
     scale = max(np.linalg.norm(K1.weighted(), 2), np.linalg.norm(K2.weighted(), 2), 1e-300)
     return float(diff / scale)
-
-
-def fourier_matrix(spec: GridSpec, sign: float = -1.0) -> np.ndarray:
-    """Dense matrix of (2 pi)^{-d/2} int e^{sign i <x, y>} f(y) dy sampled on
-    the same grid (trapezoid weight h^d included)."""
-    pts = spec.points()
-    if spec.d == 1:
-        return (2 * np.pi) ** (-0.5) * spec.h * np.exp(sign * 1j * np.outer(pts, pts))
-    axes = [pts] * spec.d
-    X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.d)
-    phase = X @ X.T
-    return (2 * np.pi) ** (-spec.d / 2) * spec.h**spec.d * np.exp(sign * 1j * phase)
-
-
-def dual_fourier_matrix(spec: GridSpec, stride: int = 1, sign: float = -1.0) -> np.ndarray:
-    """Matrix mapping axis samples to dual-grid samples of the 1D transform
-    (2 pi)^{-1/2} int e^{sign i xi y} f(y) dy."""
-    xi = spec.dual_points(stride)
-    y = spec.points()
-    return (2 * np.pi) ** (-0.5) * spec.h * np.exp(sign * 1j * np.outer(xi, y))
 
 
 def hermite_values(k: int, x: np.ndarray) -> np.ndarray:
@@ -223,3 +182,9 @@ def hermite_grid_function(spec: GridSpec, ks) -> GridFunction:
 def gaussian_window(spec: GridSpec) -> GridFunction:
     """psi_0 = pi^{-d/4} e^{-|x|^2 / 2}."""
     return hermite_grid_function(spec, 0)
+
+
+def gaussian_window_at(t) -> np.ndarray:
+    """psi_0 = pi^{-1/4} e^{-t^2 / 2} at arbitrary points: the d = 1 window
+    for transforms that take their window as a callable."""
+    return np.pi ** -0.25 * np.exp(-0.5 * np.asarray(t) ** 2)

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fio import FioSpec, fio_operator, kernel_characterization_check
-from .gabor import Field4D, decay_profile, gabor_transform, kernel_fbi_field
+from .gabor import (
+    Field4D,
+    ProfileReport,
+    decay_profile,
+    gabor_transform,
+    kernel_fbi_field,
+    profile_report,
+)
 from .grids import GridFunction, GridSpec
 from .metaplectic import mu_general
 from .symbols import ShubinSymbol
@@ -26,6 +33,7 @@ from .symplectic import (
     SymplecticMatrix,
     chirp_matrix,
     j2_inverse,
+    orthogonal_complement,
     orthonormal_basis,
     principal_angles,
     rotation_embedding,
@@ -68,11 +76,7 @@ def synthesis_matrix(lam: LagrangianSubspace) -> SymplecticMatrix:
     d = lam.n
     Y, F = lagrangian_param(lam)
     ny = Y.shape[1]
-    if ny < d:
-        M2 = orthonormal_basis(np.eye(d) - Y @ Y.T)
-    else:
-        M2 = np.zeros((d, 0))
-    U = np.hstack([Y, M2])
+    U = np.hstack([Y, orthogonal_complement(Y)])
     chi = chirp_matrix(F) @ rotation_embedding(U) @ j2_inverse(d, ny)
     image = orthonormal_basis(chi.entries[:, :d])
     defect = principal_angles(image, lam.basis).max(initial=0.0)
@@ -138,21 +142,13 @@ def _lambda_twist(field: Field4D, Y: np.ndarray, F: np.ndarray) -> Field4D:
     return Field4D(field.axes, field.values * np.exp(-1j * (inner + quad)))
 
 
-def _transversal(Y: np.ndarray, d: int) -> LagrangianSubspace:
-    """The subspace Y-perp x Y, transversal to {(X, FX + Z)} once F kills
-    Y-perp."""
-    if Y.size:
-        Yperp = (orthonormal_basis(np.eye(d) - Y @ Y.T)
-                 if Y.shape[1] < d else np.zeros((d, 0)))
-    else:
-        Y = np.zeros((d, 0))
-        Yperp = np.eye(d)
-    cols = []
-    for z in Yperp.T:
-        cols.append(np.concatenate([z, np.zeros(d)]))
-    for y in Y.T:
-        cols.append(np.concatenate([np.zeros(d), y]))
-    return LagrangianSubspace.from_span(np.array(cols).T)
+def _product_subspace(P: np.ndarray, Q: np.ndarray, param=None) -> LagrangianSubspace:
+    """span(P) x span(Q): positions in span(P), frequencies in span(Q).  It
+    is Lagrangian when Q spans the orthogonal complement of span(P)."""
+    d = P.shape[0]
+    span = np.block([[P, np.zeros((d, Q.shape[1]))],
+                     [np.zeros((d, P.shape[1])), Q]])
+    return LagrangianSubspace.from_span(span, param=param)
 
 
 def _membership_field(u: GridFunction, g_callable, stride: int) -> Field4D:
@@ -171,30 +167,11 @@ def _membership_field(u: GridFunction, g_callable, stride: int) -> Field4D:
     raise ValueError("membership fields are implemented for d <= 2")
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    profile: object
-    off_bound: float
-    along_bounds: dict
-    projected_F: bool
-    status: str
-
-    def to_dict(self) -> dict:
-        return {
-            "off_slope": self.profile.off_slope,
-            "off_bound": self.off_bound,
-            "along_slopes": {str(k): v for k, v in self.profile.along_slopes.items()},
-            "along_bounds": {str(k): v for k, v in self.along_bounds.items()},
-            "projected_F": self.projected_F,
-            "status": self.status,
-        }
-
-
 def lagrangian_membership_test(u: GridFunction, lam: LagrangianSubspace,
                                m: float, g_callable, rho: float = 1.0,
                                k_max: int = 1, N_max: float = 4.0,
                                stride: int | None = None,
-                               margin: float = 0.5) -> MembershipReport:
+                               margin: float = 0.5) -> ProfileReport:
     """Twisted phase-space test of membership: rapid decay off the subspace
     and growth at most like order m (minus rho per derivative) along it.
 
@@ -215,17 +192,10 @@ def lagrangian_membership_test(u: GridFunction, lam: LagrangianSubspace,
     F_proj = piY @ F @ piY
     projected = bool(np.max(np.abs(F_proj - F), initial=0.0) > 1e-12)
     field = _lambda_twist(_membership_field(u, g_callable, stride), Y, F_proj)
-    vlam = _transversal(Y, d)
+    # Y-perp x Y is transversal to {(X, FX + Z)} once F kills Y-perp
+    vlam = _product_subspace(orthogonal_complement(Y), Y)
     prof = decay_profile(field, lam, vlam, k_max=k_max)
-    along_bounds = {k: m - rho * k + margin for k in range(k_max + 1)}
-    if prof.status == "inconclusive":
-        status = "inconclusive"
-    else:
-        ok = prof.off_slope <= -N_max and all(
-            prof.along_slopes[k] <= along_bounds[k] for k in range(k_max + 1)
-        )
-        status = "pass" if ok else "fail"
-    return MembershipReport(prof, -N_max, along_bounds, projected, status)
+    return profile_report(prof, m, rho, k_max, N_max, margin, projected_F=projected)
 
 
 def chirp_invariance_check(u: GridFunction, Y: np.ndarray, F: np.ndarray,
@@ -238,7 +208,7 @@ def chirp_invariance_check(u: GridFunction, Y: np.ndarray, F: np.ndarray,
     F = np.asarray(F, dtype=float)
     if Y.size and np.max(np.abs(F @ Y)) > 1e-10 * max(1.0, np.abs(F).max()):
         raise ValueError("chirp invariance needs Y inside the kernel of F")
-    lam = _conormal_subspace(Y, d)
+    lam = _product_subspace(Y, orthogonal_complement(Y), param=(Y, np.zeros((d, d))))
     before = lagrangian_membership_test(u, lam, m, g_callable,
                                         k_max=k_max, N_max=N_max)
     v = mu_general(chirp_matrix(F), u.spec).apply(u)
@@ -250,20 +220,6 @@ def chirp_invariance_check(u: GridFunction, Y: np.ndarray, F: np.ndarray,
         "before": before.status,
         "after": after.status,
     }
-
-
-def _conormal_subspace(Y: np.ndarray, d: int) -> LagrangianSubspace:
-    """Y x Y-perp with the trivial parametrization."""
-    cols = []
-    Y = np.asarray(Y, dtype=float).reshape(d, -1)
-    for x in Y.T:
-        cols.append(np.concatenate([x, np.zeros(d)]))
-    Yperp = (orthonormal_basis(np.eye(d) - Y @ Y.T)
-             if Y.shape[1] < d else np.zeros((d, 0)))
-    for z in Yperp.T:
-        cols.append(np.concatenate([np.zeros(d), z]))
-    return LagrangianSubspace.from_span(np.array(cols).T,
-                                        param=(Y, np.zeros((d, d))))
 
 
 def kernel_equals_lagrangian_check(K: GridFunction, chi: SymplecticMatrix,

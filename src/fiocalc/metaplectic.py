@@ -333,12 +333,6 @@ def mu_linear(A: np.ndarray, spec: GridSpec) -> MetaplecticOperator:
     )
 
 
-def mu_free(chi: SymplecticMatrix, spec: GridSpec) -> MetaplecticOperator:
-    return MetaplecticOperator(
-        spec, MetaplecticFactorization(chi, (FreeKernelFactor(chi),), 1.0 + 0j)
-    )
-
-
 def homomorphism_residual(chi1: SymplecticMatrix, chi2: SymplecticMatrix,
                           spec: GridSpec, f: GridFunction) -> float:
     """min over unit scalars c of ||mu(chi1) mu(chi2) f - c mu(chi1 chi2) f|| / ||f||."""

@@ -17,7 +17,6 @@ from .symplectic import (
     DimensionError,
     LagrangianSubspace,
     SymplecticMatrix,
-    orthonormal_basis,
     subspace_equal,
     twisted_graph_lagrangian,
 )
@@ -70,27 +69,11 @@ class QuadraticPhase:
         theta = np.asarray(theta, dtype=float).reshape(self.N)
         return self.F @ X + self.L @ theta
 
-    def gradient_theta(self, X, theta) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        theta = np.asarray(theta, dtype=float).reshape(self.N)
-        return self.L.T @ X + self.Q @ theta
-
 
 def pseudodifferential_phase(d: int = 1) -> QuadraticPhase:
     """phi(x, y, theta) = <x - y, theta>, the Kohn-Nirenberg kernel phase."""
     L = np.vstack([np.eye(d), -np.eye(d)])
     return QuadraticPhase.from_matrices(d, np.zeros((2 * d, 2 * d)), L)
-
-
-def phase_eval(phi: QuadraticPhase, X, theta=None) -> float:
-    X = np.asarray(X, dtype=float)
-    if X.shape != (2 * phi.d,):
-        raise DimensionError(f"X has shape {X.shape}, expected {(2 * phi.d,)}")
-    theta = np.zeros(phi.N) if theta is None else np.asarray(theta, dtype=float).reshape(-1)
-    if theta.shape != (phi.N,):
-        raise DimensionError(f"theta has shape {theta.shape}, expected {(phi.N,)}")
-    val = 0.5 * X @ (phi.F @ X) + X @ (phi.L @ theta) + 0.5 * theta @ (phi.Q @ theta)
-    return float(val)
 
 
 def check_nondegeneracy(phi: QuadraticPhase) -> bool:
@@ -100,16 +83,6 @@ def check_nondegeneracy(phi: QuadraticPhase) -> bool:
     stacked = np.vstack([phi.L, phi.Q])
     s = scipy.linalg.svdvals(stacked)
     return bool(s[-1] > 1e-10 * s[0])
-
-
-def cone_test(phi: QuadraticPhase, eps: float, point: np.ndarray) -> bool:
-    """Membership in the open conic neighborhood |phi'_theta| < eps |(X, theta)|."""
-    point = np.asarray(point, dtype=float)
-    if point.shape != (2 * phi.d + phi.N,):
-        raise DimensionError(f"point has shape {point.shape}, expected {(2 * phi.d + phi.N,)}")
-    X, theta = point[: 2 * phi.d], point[2 * phi.d :]
-    grad = phi.gradient_theta(X, theta)
-    return bool(np.linalg.norm(grad) < eps * np.linalg.norm(point))
 
 
 def critical_set(phi: QuadraticPhase) -> np.ndarray:

@@ -72,13 +72,6 @@ class SymplecticMatrix:
         if not is_symplectic(entries, TOL_FLOAT * scale):
             raise NotSymplecticError("matrix fails the symplectic identity")
 
-    @classmethod
-    def from_entries(cls, entries) -> "SymplecticMatrix":
-        entries = np.asarray(entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] % 2:
-            raise DimensionError(f"expected square even-dimension matrix, got {entries.shape}")
-        return cls(entries.shape[0] // 2, entries)
-
     @property
     def A(self) -> np.ndarray:
         return self.entries[: self.d, : self.d]
@@ -102,9 +95,6 @@ class SymplecticMatrix:
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         return self.entries @ np.asarray(z, dtype=float)
-
-    def det(self) -> float:
-        return float(np.linalg.det(self.entries))
 
 
 def standard_j(d: int) -> SymplecticMatrix:
@@ -148,6 +138,12 @@ def orthonormal_basis(vectors: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
         return np.zeros((vectors.shape[0], 0))
     rank = int(np.sum(s > rtol * s[0]))
     return U[:, :rank]
+
+
+def orthogonal_complement(Y: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of span(Y)-perp for orthonormal columns Y."""
+    d, k = Y.shape
+    return orthonormal_basis(np.eye(d) - Y @ Y.T) if k < d else np.zeros((d, 0))
 
 
 @dataclass(frozen=True)
@@ -206,10 +202,6 @@ class LagrangianSubspace:
     def project(self, p: np.ndarray) -> np.ndarray:
         return self.basis @ (self.basis.T @ np.asarray(p, dtype=float))
 
-    def contains(self, p: np.ndarray, tol: float = 1e-9) -> bool:
-        p = np.asarray(p, dtype=float)
-        return float(np.linalg.norm(p - self.project(p))) <= tol * max(1.0, np.linalg.norm(p))
-
 
 def _span_equal(B1: np.ndarray, B2: np.ndarray, tol: float = 1e-8) -> bool:
     if B1.shape != B2.shape:
@@ -221,7 +213,7 @@ def lagrangian_from_yf(Y: np.ndarray, F: np.ndarray, n: int, form=None) -> Lagra
     """Lagrangian {(X, FX + Z): X in span(Y), Z in span(Y)-perp} in T*R^n."""
     Y = np.asarray(Y, dtype=float).reshape(n, -1)
     F = np.asarray(F, dtype=float)
-    Yperp = orthonormal_basis(np.eye(n) - Y @ Y.T) if Y.shape[1] < n else np.zeros((n, 0))
+    Yperp = orthogonal_complement(Y)
     cols = []
     for x in Y.T:
         cols.append(np.concatenate([x, F @ x]))

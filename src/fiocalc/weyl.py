@@ -1,5 +1,5 @@
 """Weyl quantization on the grid: kernel assembly, symbol recovery, Wigner
-distributions, localization operators, and quantization conversion.
+distributions, and the Weyl product of two symbols through their kernels.
 
 The kernel of a^w is K(x, y) = (2 pi)^{-d} int e^{i <x - y, xi>} a((x+y)/2, xi) d xi,
 discretized with the symbol sampled on the dual grid.  Symbol recovery
@@ -93,12 +93,6 @@ class SampledSymbol:
         X, XI = np.meshgrid(self.x, self.xi, indexing="ij")
         bound = frac * self.spec.R
         return (np.abs(X) <= bound) & (np.abs(XI) <= bound)
-
-    def max_interior_error(self, reference, frac: float = 0.5) -> float:
-        X, XI = np.meshgrid(self.x, self.xi, indexing="ij")
-        ref = np.asarray(reference(np.stack([X, XI], axis=-1)), dtype=complex)
-        mask = self.interior_mask(frac)
-        return float(np.max(np.abs(self.values - ref)[mask]))
 
     def decay_report(self, m: float, rho: float, **kw):
         return shubin_decay_test(self.values, [self.x, self.xi], m, rho, **kw)
@@ -202,46 +196,6 @@ def weyl_pairing_residual(a, f: GridFunction, g: GridFunction) -> float:
     weight = spec.h * spec.dual_h
     rhs = (2 * np.pi) ** (-0.5) * np.sum(avals * np.conj(W.values)) * weight
     return float(abs(lhs - rhs))
-
-
-def localization_operator(a, spec: GridSpec, n_nodes: int = 30) -> OperatorMatrix:
-    """Anti-Wick operator with phase-space weight a, realized as b^w with
-    b = pi^{-d} e^{-|.|^2} * a (Gauss-Hermite quadrature of the convolution)."""
-    _check_d1(spec)
-    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
-
-    def b(z):
-        z = np.asarray(z, dtype=float)
-        out = np.zeros(z.shape[:-1], dtype=complex)
-        for ui, wi in zip(nodes, weights):
-            for uj, wj in zip(nodes, weights):
-                shifted = z - np.array([ui, uj])
-                out = out + wi * wj * np.asarray(a(shifted), dtype=complex)
-        return out / np.pi
-
-    return weyl_kernel(b, spec)
-
-
-def kn_kernel(a, spec: GridSpec, cap: int = MEMORY_CAP_ENTRIES) -> OperatorMatrix:
-    """Kernel of the Kohn-Nirenberg quantization a(x, D): symbol evaluated at
-    the left variable instead of the midpoint."""
-    _check_d1(spec)
-    if spec.size() ** 2 > cap:
-        raise SizeGuardError(spec.size() ** 2, cap)
-    x = spec.points()
-    xi = spec.dual_points()
-    pts = np.stack(np.meshgrid(x, xi, indexing="ij"), axis=-1)
-    A = np.asarray(a(pts), dtype=complex)  # (n, n_xi)
-    E = np.exp(1j * np.outer(x, xi))  # e^{i x xi}
-    # K[k, l] = (1/2pi) sum_m a(x_k, xi_m) e^{i (x_k - x_l) xi_m} h_xi
-    K = (spec.dual_h / (2 * np.pi)) * ((A * E) @ E.conj().T)
-    return OperatorMatrix(spec, K)
-
-
-def kn_to_weyl(a, spec: GridSpec) -> SampledSymbol:
-    """Quantization change: Weyl symbol of the operator with Kohn-Nirenberg
-    symbol a."""
-    return symbol_from_kernel(kn_kernel(a, spec))
 
 
 def weyl_product(a, b, spec: GridSpec) -> SampledSymbol:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from fiocalc import cli
 from fiocalc.grids import GridFunction, GridSpec, hermite_grid_function
@@ -174,3 +175,37 @@ def test_every_artifact_embeds_the_configuration(tmp_path):
     assert "# config" in text and '"seed": 7' in text
     rec = read_json(str(out / "factorization.json"))
     assert rec["config"]["seed"] == 7
+
+
+@pytest.mark.parametrize("indices", [
+    [*range(128), 128],  # one index past the last sample
+    [0, *range(128)],  # sample 0 twice
+    [0, 1, 2],  # samples 3..127 missing
+], ids=["out-of-range", "duplicate", "missing"])
+def test_bad_csv_rows_are_an_input_error(tmp_path, indices):
+    bad = tmp_path / "bad.csv"
+    rows = [f"{i},1.0,0.0" for i in indices]
+    bad.write_text("\n".join(["1,128,10.0", *rows]) + "\n")
+    assert cli.main(["wf", str(bad), "--out", str(tmp_path / "out")]) == 3
+
+
+def test_size_guard_refusal_is_an_input_error(tmp_path, capsys):
+    symbol = tmp_path / "ho.json"
+    write_json(harmonic_oscillator_symbol(2).to_dict(), str(symbol))
+    out = tmp_path / "out"
+    assert cli.main(["weyl-quantize", str(symbol), "--grid-n", "16384",
+                     "--out", str(out)]) == 3
+    assert "GiB" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["wf", "x.csv", "--bogus"], 3),
+    (["wf", "x.csv", "--tol", "1e-3"], 3),
+    (["no-such-command"], 3),
+    (["wf", "--help"], 0),
+])
+def test_usage_errors_are_input_errors(argv, code):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == code

@@ -23,7 +23,7 @@ from fiocalc.symbols import (
     polynomial_symbol,
 )
 from fiocalc.symplectic import SymplecticMatrix, chirp_matrix, standard_j
-from fiocalc.weyl import symbol_callable
+from fiocalc.weyl import symbol_callable, symbol_from_kernel, weyl_kernel
 
 GC = lambda t: np.pi ** -0.25 * np.exp(-0.5 * np.asarray(t) ** 2)
 
@@ -121,6 +121,18 @@ def test_product_rule_for_coordinate_symbols():
     Z = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
     ref = Z[..., 0] * Z[..., 1] + 0.5j
     assert np.abs(rep.spec.b(Z) - ref).max() < 1e-10
+
+
+def test_composition_with_sampled_left_symbol():
+    # a SampledSymbol is a valid factored-form symbol on either side of the
+    # Moyal sum, not only on the right
+    g = GridSpec(1, 64, 8.0)
+    J = standard_j(1)
+    sampled = symbol_from_kernel(weyl_kernel(gaussian_symbol(2), g))
+    s1 = FioSpec("factored", 0.0, 1.0, b=sampled, chi=J)
+    s2 = FioSpec("factored", 1.0, 1.0, b=polynomial_symbol(2, [(1.0, (1, 0))]), chi=J)
+    rep = fio_compose(s1, s2, g)
+    assert rep.status == "pass" and rep.residual < 1e-4
 
 
 def test_adjoint_kernel_is_conjugate_transpose():
