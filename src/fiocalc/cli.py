@@ -5,8 +5,9 @@ writes CSV/PGM/JSON artifacts plus a short human-readable summary.  Every
 artifact embeds the run configuration, and the output directory gets a
 manifest.json listing every file with its SHA-256.
 
-Exit codes: 0 pass, 1 fail, 2 inconclusive, 3 input error (unreadable or
-malformed input, a size-guard refusal, or a usage error).
+Exit codes: 0 pass, 1 fail, 2 inconclusive (including a theta quadrature
+that did not converge), 3 input error (unreadable or malformed input, a
+size-guard refusal, or a usage error).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import acceptance
 from .fio import (
+    QuadratureError,
     fio_adjoint,
     fio_compose,
     fio_factorize,
@@ -27,7 +29,8 @@ from .fio import (
     kernel_characterization_check,
 )
 from .gabor import Field4D, gabor_transform, kernel_fbi_field, wavefront_estimate
-from .grids import GridFunction, GridSpec, gaussian_window, gaussian_window_at
+from .grids import (GridFunction, GridSpec, SizeGuardError, gaussian_window,
+                    gaussian_window_at)
 from .lagdist import lagrangian_membership_test, lagrangian_param
 from .metaplectic import mu_general
 from .phases import (
@@ -52,7 +55,7 @@ from .serialize import (
 )
 from .symbols import ShubinSymbol
 from .symplectic import lagrangian_with_param
-from .weyl import SizeGuardError, symbol_callable, weyl_kernel
+from .weyl import symbol_callable, weyl_kernel
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -402,6 +405,9 @@ def main(argv=None) -> int:
             SizeGuardError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except QuadratureError as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     write_manifest(args.out)
     return code
 

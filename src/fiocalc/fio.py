@@ -16,6 +16,7 @@ from math import comb, factorial
 import numpy as np
 
 from .gabor import (
+    KERNEL_STRIDE,
     N_SECTORS,
     ProfileReport,
     chi_twist_field,
@@ -87,9 +88,12 @@ class QuadratureError(RuntimeError):
     pass
 
 
-def _theta_quadrature(phase: QuadraticPhase, amplitude, X: np.ndarray,
-                      tol: float = 1e-6, T0: float = 8.0,
-                      max_doublings: int = 3) -> tuple:
+QUAD_T0 = 8.0  # first half-width of the theta interval, doubled until converged
+QUAD_TOL = 1e-6  # relative change between doublings that counts as converged
+QUAD_MAX_DOUBLINGS = 3  # doublings before the quadrature gives up
+
+
+def _theta_quadrature(phase: QuadraticPhase, amplitude, X: np.ndarray) -> tuple:
     """int e^{i phi(X, theta)} a(X, theta) d theta over X rows, with a smooth
     cutoff e^{-(eps theta)^4} and T doubled until the result stabilizes.
 
@@ -102,10 +106,10 @@ def _theta_quadrature(phase: QuadraticPhase, amplitude, X: np.ndarray,
     FX = 0.5 * np.einsum("pi,ij,pj->p", X, phase.F, X)
     LX = X @ phase.L  # (P, N)
     prev = None
-    T = T0
+    T = QUAD_T0
     quad = None
     node_cap = 1600 if N == 1 else 400
-    for doubling in range(max_doublings + 1):
+    for doubling in range(QUAD_MAX_DOUBLINGS + 1):
         rate = np.linalg.norm(phase.Q, 2) * T + np.abs(LX).max() + 1.0
         n_nodes = min(int(0.7 * rate * T) + 32, node_cap)
         nodes, wts = np.polynomial.legendre.leggauss(n_nodes)
@@ -139,12 +143,12 @@ def _theta_quadrature(phase: QuadraticPhase, amplitude, X: np.ndarray,
             scale = max(np.linalg.norm(prev), 1e-300)
             diff = np.linalg.norm(out - prev) / scale
             quad = OscQuadrature(T, eps, n_nodes, float(diff), doubling)
-            if diff < tol:
+            if diff < QUAD_TOL:
                 return out, quad
         prev = out
         T *= 2.0
     raise QuadratureError(
-        f"theta quadrature did not converge after {max_doublings} doublings "
+        f"theta quadrature did not converge after {QUAD_MAX_DOUBLINGS} doublings "
         f"(last relative change {quad.convergence if quad else float('nan'):.2e})"
     )
 
@@ -225,6 +229,9 @@ class FactorizationReport:
         }
 
 
+RESIDUAL_CAP = 0.1  # largest test-vector residual of a factorization or composition
+
+
 def _domain_taper(grid: GridSpec, frac: float = 0.7) -> np.ndarray:
     """Smooth window equal to 1 on |x| <= frac R, decaying to ~0 at the edge."""
     x = grid.points()
@@ -236,8 +243,7 @@ def _domain_taper(grid: GridSpec, frac: float = 0.7) -> np.ndarray:
 
 
 def fio_factorize(K: GridFunction, chi: SymplecticMatrix, grid: GridSpec,
-                  m: float = 0.0, rho: float = 1.0,
-                  residual_cap: float = 0.1) -> FactorizationReport:
+                  m: float = 0.0, rho: float = 1.0) -> FactorizationReport:
     """Extract the Weyl symbol b with K = kernel of b^w mu(chi).
 
     Composes the operator of K with mu(chi)^{-1} on the right and reads off
@@ -261,7 +267,7 @@ def fio_factorize(K: GridFunction, chi: SymplecticMatrix, grid: GridSpec,
     residual = _vector_residual(Kop, rebuilt, grid)
     scale = float(np.abs(b.values[b.interior_mask(0.5)]).max())
     decay = b.decay_report(m, rho, noise=residual * scale)
-    status = "pass" if residual <= residual_cap and decay.status == "pass" \
+    status = "pass" if residual <= RESIDUAL_CAP and decay.status == "pass" \
         else "not-in-class"
     return FactorizationReport(b, chi, decay, float(residual), status)
 
@@ -392,8 +398,7 @@ def _weyl_product_callable(b1, terms1, b2, terms2):
     return product
 
 
-def fio_compose(s1: FioSpec, s2: FioSpec, grid: GridSpec,
-                residual_cap: float = 0.1) -> CompositionReport:
+def fio_compose(s1: FioSpec, s2: FioSpec, grid: GridSpec) -> CompositionReport:
     """Composition at the spec level: (b1 # (b2 o chi1^{-1}), chi1 chi2).
 
     The Weyl product is evaluated through the finite Moyal sum whenever one
@@ -425,7 +430,7 @@ def fio_compose(s1: FioSpec, s2: FioSpec, grid: GridSpec,
     product = fio_operator(s1, grid).compose(fio_operator(s2, grid))
     residual = _vector_residual(fio_operator(new, grid), product, grid,
                                 scalar_free=True)
-    status = "pass" if residual <= residual_cap else "grid-too-coarse"
+    status = "pass" if residual <= RESIDUAL_CAP else "grid-too-coarse"
     return CompositionReport(new, float(residual), status)
 
 
@@ -458,45 +463,45 @@ def fio_adjoint(spec: FioSpec) -> FioSpec:
 
 def kernel_characterization_check(K: GridFunction, chi: SymplecticMatrix,
                                   m: float, rho: float, g_callable,
-                                  k_max: int = 1, N_max: float = 4.0,
-                                  stride: int = 2,
-                                  margin: float = 0.5) -> ProfileReport:
+                                  stride: int = KERNEL_STRIDE) -> ProfileReport:
     """Twisted phase-space test of kernel membership: rapid decay off the
     twisted graph subspace of chi and controlled growth along it, including
-    directional derivatives up to order k_max."""
+    directional derivatives up to order gabor.K_MAX."""
     lam = twisted_graph_lagrangian(chi)
     vlam = twisted_graph_lagrangian(SymplecticMatrix(chi.d, -chi.entries))
     field = chi_twist_field(kernel_fbi_field(K, g_callable, stride), chi)
-    prof = decay_profile(field, lam, vlam, k_max=k_max)
-    return profile_report(prof, m, rho, k_max, N_max, margin)
+    return profile_report(decay_profile(field, lam, vlam), m, rho)
 
 
-def wf_kernel_check(K: GridFunction, chi: SymplecticMatrix, g_callable,
-                    stride: int = 2, r_min: float = 4.0,
-                    rel_threshold: float = 1e-3,
-                    angle_tol: float = 0.35, collar: float = 4.0) -> dict:
+CONE_R_MIN = 4.0  # the kernel cone is tested beyond this phase-space radius
+CONE_REL_THRESHOLD = 1e-3  # on points above this fraction of the field peak
+CONE_ANGLE = 0.35  # cone aperture around the twisted graph subspace
+CONE_COLLAR = 4.0  # transverse collar for the window's own width
+
+
+def wf_kernel_check(K: GridFunction, chi: SymplecticMatrix, g_callable) -> dict:
     """All phase-space points where the kernel field is non-negligible at
-    radius > r_min lie in a cone around the twisted graph subspace.
+    radius > CONE_R_MIN lie in a cone around the twisted graph subspace.
 
-    The cone has aperture angle_tol plus a fixed transverse collar: the
+    The cone has aperture CONE_ANGLE plus a fixed transverse collar: the
     window gives the field a transverse profile of width about one, so even
     a field supported exactly on the subspace spills over a few units at any
     finite radius before the conic picture takes over.
     """
     lam = twisted_graph_lagrangian(chi)
-    field = kernel_fbi_field(K, g_callable, stride)
+    field = kernel_fbi_field(K, g_callable, KERNEL_STRIDE)
     pts = field.points()
     mag = np.abs(field.values).reshape(-1)
     peak = mag.max() or 1.0
     caps = [0.7 * np.abs(ax).max() for ax in field.axes]
     interior = np.all(np.abs(pts) <= np.array(caps), axis=1)
     r = np.linalg.norm(pts, axis=1)
-    sel = (r > r_min) & (mag > rel_threshold * peak) & interior
+    sel = (r > CONE_R_MIN) & (mag > CONE_REL_THRESHOLD * peak) & interior
     if not np.any(sel):
         return {"status": "pass", "worst_excess": 0.0, "points": 0}
     p = pts[sel]
     dist = np.linalg.norm(p - p @ lam.basis @ lam.basis.T, axis=1)
-    allowed = collar + np.sin(angle_tol) * r[sel]
+    allowed = CONE_COLLAR + np.sin(CONE_ANGLE) * r[sel]
     worst = float((dist - allowed).max())
     return {
         "status": "pass" if worst <= 0.0 else "fail",
@@ -510,13 +515,19 @@ def _sector_directions(sectors) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
+WF_TOL_BINS = 3  # angular bins allowed between output and mapped input sectors
+# non-decaying sectors here have decay exponents above -6.0; the `wf` command
+# and the wave front acceptance check use 4.0
+WF_PROPAGATION_N_MAX = 6.0
+
+
 def wf_propagation_check(spec: FioSpec, u: GridFunction, g: GridFunction,
-                         grid: GridSpec, tol_bins: int = 3) -> dict:
-    """Wave front sectors of the operator output lie within tol_bins of the
-    chi-image of the input wave front sectors."""
+                         grid: GridSpec) -> dict:
+    """Wave front sectors of the operator output lie within WF_TOL_BINS of
+    the chi-image of the input wave front sectors."""
     out = fio_operator(spec, grid).apply(u)
-    rep_in = wavefront_estimate(u, g)
-    rep_out = wavefront_estimate(out, g)
+    rep_in = wavefront_estimate(u, g, WF_PROPAGATION_N_MAX)
+    rep_out = wavefront_estimate(out, g, WF_PROPAGATION_N_MAX)
     if not rep_in.nondecaying:
         ok = not rep_out.nondecaying
         return {"status": "pass" if ok else "fail",
@@ -524,13 +535,9 @@ def wf_propagation_check(spec: FioSpec, u: GridFunction, g: GridFunction,
     dirs = _sector_directions(rep_in.nondecaying) @ spec.chi.entries.T
     mapped = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2 * np.pi)
     mapped_bins = np.floor(mapped / (2 * np.pi) * N_SECTORS).astype(int)
-    ok = True
-    for sct in rep_out.nondecaying:
-        dist = np.min(np.abs((sct - mapped_bins + N_SECTORS // 2)
-                             % N_SECTORS - N_SECTORS // 2))
-        if dist > tol_bins:
-            ok = False
-            break
+    ok = all(np.min(np.abs((sct - mapped_bins + N_SECTORS // 2)
+                           % N_SECTORS - N_SECTORS // 2)) <= WF_TOL_BINS
+             for sct in rep_out.nondecaying)
     return {
         "status": "pass" if ok else "fail",
         "in_sectors": rep_in.nondecaying,

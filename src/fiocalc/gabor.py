@@ -12,9 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridFunction, GridSpec
+from .grids import MEMORY_CAP_ENTRIES, GridFunction, GridSpec, SizeGuardError
 from .symbols import _derivative, shell_slope
 from .symplectic import LagrangianSubspace, SymplecticMatrix
+
+POINT_CHUNK = 2048  # phase-space points per block of the point evaluator
+KERNEL_STRIDE = 2  # decimation of the 4-D kernel field: (n / stride)^4 entries
 
 
 @dataclass(frozen=True)
@@ -67,8 +70,7 @@ def gabor_transform(u: GridFunction, g: GridFunction, stride: int = 1) -> PhaseS
     return PhaseSpaceField(spec, x, xi, vals)
 
 
-def gabor_transform_points(u: GridFunction, g_callable, points: np.ndarray,
-                           chunk: int = 2048) -> np.ndarray:
+def gabor_transform_points(u: GridFunction, g_callable, points: np.ndarray) -> np.ndarray:
     """T_g u at arbitrary phase-space points; the window is a callable so no
     interpolation enters."""
     spec = u.spec
@@ -77,12 +79,12 @@ def gabor_transform_points(u: GridFunction, g_callable, points: np.ndarray,
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     xl = spec.points()
     out = np.empty(len(points), dtype=complex)
-    for s in range(0, len(points), chunk):
-        px = points[s : s + chunk, 0]
-        pxi = points[s : s + chunk, 1]
+    for s in range(0, len(points), POINT_CHUNK):
+        px = points[s : s + POINT_CHUNK, 0]
+        pxi = points[s : s + POINT_CHUNK, 1]
         win = np.conj(g_callable(xl[None, :] - px[:, None]))
         phase = np.exp(-1j * pxi[:, None] * xl[None, :])
-        out[s : s + chunk] = (2 * np.pi) ** (-0.5) * spec.h * \
+        out[s : s + POINT_CHUNK] = (2 * np.pi) ** (-0.5) * spec.h * \
             np.exp(1j * px * pxi) * ((win * phase) @ u.values)
     return out
 
@@ -125,6 +127,8 @@ def qs_norm(u: GridFunction, s: float, g: GridFunction) -> float:
 # -- wavefront estimation -------------------------------------------------
 
 N_SECTORS = 64  # angular bins of pi/32
+WF_R_MIN = 2.0  # sector fits start here; inside, the window's width sets |T_g u|
+N_SHELLS = 6  # geometric shells per log-log decay fit
 
 
 @dataclass(frozen=True)
@@ -137,8 +141,7 @@ class SectorReport:
     extrapolated: bool = True  # cone behavior beyond 0.8 R is extrapolated
 
 
-def sector_decay_slopes(field: PhaseSpaceField, r_min: float = 2.0,
-                        n_shells: int = 6) -> tuple:
+def sector_decay_slopes(field: PhaseSpaceField) -> tuple:
     """Per-sector log-log decay exponents of the shell maxima of |field|.
 
     Each sector uses its own radial range: the largest radius at which its
@@ -160,14 +163,14 @@ def sector_decay_slopes(field: PhaseSpaceField, r_min: float = 2.0,
     for sct in range(N_SECTORS):
         c, s = np.cos(angles[sct]), np.sin(angles[sct])
         reach = 0.8 * min(Rx / max(abs(c), 1e-12), Rxi / max(abs(s), 1e-12))
-        lo = max(r_min, 0.4 * reach)
+        lo = max(WF_R_MIN, 0.4 * reach)
         if reach <= lo * 1.2:
             continue
-        edges = np.geomspace(lo, reach, n_shells + 1)
+        edges = np.geomspace(lo, reach, N_SHELLS + 1)
         in_sector = sector == sct
         idx = np.digitize(r[in_sector], edges) - 1
-        ok = (idx >= 0) & (idx < n_shells)
-        maxima = np.zeros(n_shells)
+        ok = (idx >= 0) & (idx < N_SHELLS)
+        maxima = np.zeros(N_SHELLS)
         np.maximum.at(maxima, idx[ok], mag[in_sector][ok])
         mask = maxima > 1e-14 * peak
         if mask.sum() < 4:
@@ -177,14 +180,13 @@ def sector_decay_slopes(field: PhaseSpaceField, r_min: float = 2.0,
     return slopes, angles
 
 
-def wavefront_estimate(u: GridFunction, g: GridFunction, N_max: float = 6.0,
-                       r_min: float = 2.0) -> SectorReport:
+def wavefront_estimate(u: GridFunction, g: GridFunction, N_max: float) -> SectorReport:
     """Sectors where T_g u is not rapidly decaying (decay exponent < N_max)."""
     field = gabor_transform(u, g)
     if np.abs(field.values).max() < 1e-250:
         return SectorReport(np.full(N_SECTORS, -np.inf), np.zeros(N_SECTORS),
                             [], -N_max, "inconclusive")
-    slopes, angles = sector_decay_slopes(field, r_min=r_min)
+    slopes, angles = sector_decay_slopes(field)
     bad = [int(i) for i in np.nonzero(slopes > -N_max)[0]]
     return SectorReport(slopes, angles, bad, -N_max, "pass")
 
@@ -215,13 +217,17 @@ class Field4D:
         return [float(a[1] - a[0]) for a in self.axes]
 
 
-def kernel_fbi_field(K: GridFunction, g_callable, stride: int = 2) -> Field4D:
-    """T_{g tensor g} K on a decimated 4D grid; K lives on a d = 2 grid."""
+def kernel_fbi_field(K: GridFunction, g_callable, stride: int = KERNEL_STRIDE) -> Field4D:
+    """T_{g tensor g} K on a decimated 4D grid; K lives on a d = 2 grid.
+    Refuses with SizeGuardError past MEMORY_CAP_ENTRIES field entries."""
     spec = K.spec
     if spec.d != 2:
         raise ValueError("kernel field needs a d = 2 grid function")
     z = spec.points()[::stride]
     zeta = spec.dual_points(stride)
+    entries = (len(z) * len(zeta)) ** 2
+    if entries > MEMORY_CAP_ENTRIES:
+        raise SizeGuardError(entries, MEMORY_CAP_ENTRIES)
     xl = spec.points()
     win = np.conj(g_callable(xl[None, :] - z[:, None]))  # (nz, n)
     mod = np.exp(-1j * np.outer(zeta, xl))  # (nzeta, n)
@@ -251,6 +257,13 @@ def chi_twist_field(field: Field4D, chi: SymplecticMatrix) -> Field4D:
     return Field4D(field.axes, field.values * phase)
 
 
+OFF_RANGE = (2.0, 8.0)  # distances to the subspace that the off-subspace shells span
+OFF_CAP = 3.0  # off-subspace shells count points this close to the transversal
+ALONG_CAP = 1.5  # along-subspace shells count points this close to the subspace
+INTERIOR_FRAC = 0.7  # points past this fraction of an axis see truncation or aliasing
+REL_FLOOR = 2e-2  # derivatives below this fraction of the peak count as decaying
+
+
 @dataclass(frozen=True)
 class DecayProfile:
     off_slope: float
@@ -270,18 +283,14 @@ def directional_derivative(field: Field4D, direction: np.ndarray) -> Field4D:
 
 
 def decay_profile(field: Field4D, lam: LagrangianSubspace,
-                  vlam: LagrangianSubspace, k_max: int = 1,
-                  off_range=(2.0, 8.0), n_shells: int = 6,
-                  along_cap: float = 1.5, off_cap: float = 3.0,
-                  interior_frac: float = 0.7,
-                  rel_floor: float = 2e-2) -> DecayProfile:
+                  vlam: LagrangianSubspace) -> DecayProfile:
     """Off-subspace decay and along-subspace growth of a 4D field.
 
     Off: shell maxima of |field| binned by distance to lam, restricted to
-    points near the origin of lam (distance to vlam below off_cap).
-    Along: per derivative order k, shell maxima of |L^k field| along
+    points near the origin of lam (distance to vlam below OFF_CAP).
+    Along: per derivative order k <= K_MAX, shell maxima of |L^k field| along
     directions in lam, restricted to a strip around lam, binned by the
-    distance to the transversal vlam.  Points beyond interior_frac of any
+    distance to the transversal vlam.  Points beyond INTERIOR_FRAC of any
     axis extent are excluded: near the position boundary the field sees
     truncation of the sampled kernel, and near the frequency boundary it
     sees quadrature aliasing, neither of which reflects the kernel itself.
@@ -289,28 +298,27 @@ def decay_profile(field: Field4D, lam: LagrangianSubspace,
     pts = field.points()
     dist_l = np.linalg.norm(pts - pts @ lam.basis @ lam.basis.T, axis=1)
     dist_v = np.linalg.norm(pts - pts @ vlam.basis @ vlam.basis.T, axis=1)
-    caps = [interior_frac * np.abs(ax).max() for ax in field.axes]
+    caps = [INTERIOR_FRAC * np.abs(ax).max() for ax in field.axes]
     interior = np.all(np.abs(pts) <= np.array(caps), axis=1)
     mag0 = np.abs(field.values).reshape(-1)
     peak = mag0.max() or 1.0
 
-    lo, hi = off_range
-    edges = np.geomspace(lo, hi, n_shells + 1)
+    edges = np.geomspace(*OFF_RANGE, N_SHELLS + 1)
     radii = np.sqrt(edges[:-1] * edges[1:])
-    sel = (dist_v <= off_cap) & interior
+    sel = (dist_v <= OFF_CAP) & interior
     idx = np.digitize(dist_l[sel], edges) - 1
-    okk = (idx >= 0) & (idx < n_shells)
-    maxima = np.zeros(n_shells)
+    okk = (idx >= 0) & (idx < N_SHELLS)
+    maxima = np.zeros(N_SHELLS)
     np.maximum.at(maxima, idx[okk], mag0[sel][okk])
     off_slope = shell_slope(radii, maxima)
     off_shells = [(float(r), float(v)) for r, v in zip(radii, maxima)]
 
     r_along = float(np.max(dist_v[interior]))
-    edges_a = np.geomspace(2.0, 0.8 * r_along, n_shells + 1)
+    edges_a = np.geomspace(2.0, 0.8 * r_along, N_SHELLS + 1)
     radii_a = np.sqrt(edges_a[:-1] * edges_a[1:])
-    strip = (dist_l <= along_cap) & interior
+    strip = (dist_l <= ALONG_CAP) & interior
     along = {}
-    for k in range(k_max + 1):
+    for k in range(K_MAX + 1):
         if k == 0:
             mags = [np.abs(field.values).reshape(-1)]
         else:
@@ -323,7 +331,7 @@ def decay_profile(field: Field4D, lam: LagrangianSubspace,
         worst = None
         for mag in mags:
             good = strip & np.isfinite(mag)
-            if mag[good].max(initial=0.0) <= rel_floor * peak:
+            if mag[good].max(initial=0.0) <= REL_FLOOR * peak:
                 # derivative sits at the discretization noise floor: the
                 # finite differences cannot resolve anything this small,
                 # so it decays faster than measurable
@@ -331,8 +339,8 @@ def decay_profile(field: Field4D, lam: LagrangianSubspace,
                     worst = -np.inf
                 continue
             idx = np.digitize(dist_v[good], edges_a) - 1
-            okk = (idx >= 0) & (idx < n_shells)
-            mx = np.zeros(n_shells)
+            okk = (idx >= 0) & (idx < N_SHELLS)
+            mx = np.zeros(N_SHELLS)
             np.maximum.at(mx, idx[okk], mag[good][okk])
             slope = shell_slope(radii_a, mx)
             if slope is None:
@@ -346,6 +354,16 @@ def decay_profile(field: Field4D, lam: LagrangianSubspace,
         status = "inconclusive"
     return DecayProfile(off_slope if off_slope is not None else np.nan,
                         along, off_shells, status)
+
+
+# Profile thresholds, shared by the kernel characterization and the
+# Lagrangian membership test so that both sides of their equivalence read
+# the same values: derivatives along the subspace up to order K_MAX are
+# profiled, and a profile passes when its off-subspace slope is at most
+# -N_MAX and each along-subspace slope at most m - rho k + MARGIN.
+K_MAX = 1
+N_MAX = 4.0
+MARGIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -375,18 +393,17 @@ class ProfileReport:
         return out
 
 
-def profile_report(prof: DecayProfile, m: float, rho: float, k_max: int,
-                   N_max: float, margin: float,
+def profile_report(prof: DecayProfile, m: float, rho: float,
                    projected_F: bool | None = None) -> ProfileReport:
-    """Pass iff the off-subspace slope is at most -N_max and the slope of
-    the order-k derivatives along the subspace is at most m - rho k + margin
-    for every k <= k_max; an inconclusive profile stays inconclusive."""
-    along_bounds = {k: m - rho * k + margin for k in range(k_max + 1)}
+    """Pass iff the off-subspace slope is at most -N_MAX and the slope of
+    the order-k derivatives along the subspace is at most m - rho k + MARGIN
+    for every k <= K_MAX; an inconclusive profile stays inconclusive."""
+    along_bounds = {k: m - rho * k + MARGIN for k in range(K_MAX + 1)}
     if prof.status == "inconclusive":
         status = "inconclusive"
     else:
-        ok = prof.off_slope <= -N_max and all(
-            prof.along_slopes[k] <= along_bounds[k] for k in range(k_max + 1)
+        ok = prof.off_slope <= -N_MAX and all(
+            prof.along_slopes[k] <= along_bounds[k] for k in range(K_MAX + 1)
         )
         status = "pass" if ok else "fail"
-    return ProfileReport(prof, -N_max, along_bounds, status, projected_F)
+    return ProfileReport(prof, -N_MAX, along_bounds, status, projected_F)

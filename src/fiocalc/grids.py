@@ -14,6 +14,18 @@ import numpy as np
 
 from .symplectic import DimensionError
 
+MEMORY_CAP_ENTRIES = 2**26  # largest complex array (1 GiB) a guarded allocation makes
+
+
+class SizeGuardError(MemoryError):
+    def __init__(self, entries, cap):
+        super().__init__(
+            f"array would need {entries} complex entries "
+            f"({16 * entries / 2**30:.2f} GiB), cap is {cap}"
+        )
+        self.entries = entries
+        self.cap = cap
+
 
 @dataclass(frozen=True)
 class GridSpec:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .fio import FioSpec, fio_operator, kernel_characterization_check
 from .gabor import (
+    KERNEL_STRIDE,
     Field4D,
     ProfileReport,
     decay_profile,
@@ -151,56 +152,52 @@ def _product_subspace(P: np.ndarray, Q: np.ndarray, param=None) -> LagrangianSub
     return LagrangianSubspace.from_span(span, param=param)
 
 
-def _membership_field(u: GridFunction, g_callable, stride: int) -> Field4D:
+def _membership_field(u: GridFunction, g_callable) -> Field4D:
+    """Phase-space field of u at stride 1 for d = 1 (the finer steps keep the
+    directional-difference floor below the vanishing threshold) and at
+    KERNEL_STRIDE for d = 2, where the field is four-dimensional and
+    memory-bound."""
     spec = u.spec
     if spec.d == 1:
         gvals = np.asarray(g_callable(spec.points()), dtype=complex)
         g = GridFunction(spec, gvals)
-        ps = gabor_transform(u, g, stride=stride)
+        ps = gabor_transform(u, g, stride=1)
         # profile only over frequencies up to the position box half-width:
         # synthesized inputs carry no genuine content beyond it, so the outer
         # dual band would contribute a spurious edge to the along-axis fit
         keep = np.abs(ps.xi) <= spec.R + 1e-9
         return Field4D((ps.x, ps.xi[keep]), ps.values[:, keep])
     if spec.d == 2:
-        return kernel_fbi_field(u, g_callable, stride)
+        return kernel_fbi_field(u, g_callable, KERNEL_STRIDE)
     raise ValueError("membership fields are implemented for d <= 2")
 
 
 def lagrangian_membership_test(u: GridFunction, lam: LagrangianSubspace,
-                               m: float, g_callable, rho: float = 1.0,
-                               k_max: int = 1, N_max: float = 4.0,
-                               stride: int | None = None,
-                               margin: float = 0.5) -> ProfileReport:
+                               m: float, g_callable,
+                               rho: float = 1.0) -> ProfileReport:
     """Twisted phase-space test of membership: rapid decay off the subspace
     and growth at most like order m (minus rho per derivative) along it.
 
     The parametrizing matrix F is projected onto Y on both sides first, so
-    the twist never sees the irrelevant action of F on Y-perp.  The default
-    stride is 1 for one-dimensional inputs (the finer steps keep the
-    directional-difference floor below the vanishing threshold) and 2 for
-    kernels, where the field is four-dimensional and memory-bound.
+    the twist never sees the irrelevant action of F on Y-perp.
     """
     d = lam.n
     if u.spec.d != d:
         raise ValueError(f"grid dimension {u.spec.d} differs from subspace "
                          f"dimension {d}")
-    if stride is None:
-        stride = 1 if u.spec.d == 1 else 2
     Y, F = lagrangian_param(lam)
     piY = Y @ Y.T if Y.size else np.zeros((d, d))
     F_proj = piY @ F @ piY
     projected = bool(np.max(np.abs(F_proj - F), initial=0.0) > 1e-12)
-    field = _lambda_twist(_membership_field(u, g_callable, stride), Y, F_proj)
+    field = _lambda_twist(_membership_field(u, g_callable), Y, F_proj)
     # Y-perp x Y is transversal to {(X, FX + Z)} once F kills Y-perp
     vlam = _product_subspace(orthogonal_complement(Y), Y)
-    prof = decay_profile(field, lam, vlam, k_max=k_max)
-    return profile_report(prof, m, rho, k_max, N_max, margin, projected_F=projected)
+    return profile_report(decay_profile(field, lam, vlam), m, rho,
+                          projected_F=projected)
 
 
 def chirp_invariance_check(u: GridFunction, Y: np.ndarray, F: np.ndarray,
-                           m: float, g_callable, k_max: int = 1,
-                           N_max: float = 4.0) -> dict:
+                           m: float, g_callable) -> dict:
     """Multiplying by the chirp e^{i<Fx,x>/2} with Y inside the kernel of F
     must not change the membership verdict relative to Y x Y-perp."""
     d = u.spec.d
@@ -209,11 +206,9 @@ def chirp_invariance_check(u: GridFunction, Y: np.ndarray, F: np.ndarray,
     if Y.size and np.max(np.abs(F @ Y)) > 1e-10 * max(1.0, np.abs(F).max()):
         raise ValueError("chirp invariance needs Y inside the kernel of F")
     lam = _product_subspace(Y, orthogonal_complement(Y), param=(Y, np.zeros((d, d))))
-    before = lagrangian_membership_test(u, lam, m, g_callable,
-                                        k_max=k_max, N_max=N_max)
+    before = lagrangian_membership_test(u, lam, m, g_callable)
     v = mu_general(chirp_matrix(F), u.spec).apply(u)
-    after = lagrangian_membership_test(v, lam, m, g_callable,
-                                       k_max=k_max, N_max=N_max)
+    after = lagrangian_membership_test(v, lam, m, g_callable)
     agree = before.status == after.status
     return {
         "status": "pass" if agree else "fail",
@@ -223,44 +218,33 @@ def chirp_invariance_check(u: GridFunction, Y: np.ndarray, F: np.ndarray,
 
 
 def kernel_equals_lagrangian_check(K: GridFunction, chi: SymplecticMatrix,
-                                   m: float, g_callable, rho: float = 1.0,
-                                   k_max: int = 1, N_max: float = 4.0,
-                                   stride: int = 2) -> dict:
+                                   m: float, g_callable,
+                                   rho: float = 1.0) -> dict:
     """The operator-kernel test and the subspace-membership test applied to
     one kernel must return the same verdict: the kernel belongs to the class
     over chi exactly when it is adapted to the twisted graph subspace."""
-    kernel_rep = kernel_characterization_check(K, chi, m, rho, g_callable,
-                                               k_max=k_max, N_max=N_max,
-                                               stride=stride)
+    kernel_rep = kernel_characterization_check(K, chi, m, rho, g_callable)
     lam = twisted_graph_lagrangian(chi)
-    member_rep = lagrangian_membership_test(K, lam, m, g_callable, rho=rho,
-                                            k_max=k_max, N_max=N_max,
-                                            stride=stride)
-    if "inconclusive" in (kernel_rep.status, member_rep.status):
-        status = "inconclusive"
-    elif kernel_rep.status == member_rep.status:
-        status = kernel_rep.status
-    else:
-        status = "inconclusive"
+    member_rep = lagrangian_membership_test(K, lam, m, g_callable, rho=rho)
+    agree = kernel_rep.status == member_rep.status
+    status = kernel_rep.status if agree else "inconclusive"
     return {
         "status": status,
-        "agree": kernel_rep.status == member_rep.status,
+        "agree": agree,
         "kernel_check": kernel_rep.to_dict(),
         "membership_check": member_rep.to_dict(),
     }
 
 
 def fio_on_lagrangian_check(op_spec: FioSpec, dist: LagrangianDistSpec,
-                            grid: GridSpec, g_callable,
-                            k_max: int = 1, N_max: float = 4.0) -> dict:
+                            grid: GridSpec, g_callable) -> dict:
     """Applying the operator to a synthesized distribution must land in the
     class of order (operator order + symbol order) on the mapped subspace."""
     u = lagrangian_synthesize(dist, grid)
     v = fio_operator(op_spec, grid).apply(u)
     mapped = LagrangianSubspace.from_span(op_spec.chi.entries @ dist.lam.basis)
     m_out = op_spec.order + dist.symbol.order
-    rep = lagrangian_membership_test(v, mapped, m_out, g_callable,
-                                     k_max=k_max, N_max=N_max)
+    rep = lagrangian_membership_test(v, mapped, m_out, g_callable)
     return {
         "status": rep.status,
         "order": m_out,

@@ -3,16 +3,19 @@
 Each symplectic matrix chi gets a unitary mu(chi), unique up to a unit
 scalar.  The scalar is fixed so that the inner product of mu(chi) psi_0 with
 the analytically known Gaussian image of psi_0 under chi is real positive.
+Each factor's `act` maps samples with one row per grid point (and optional
+trailing columns); the dense matrix is the factor chain applied to the identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .grids import GridFunction, GridSpec, OperatorMatrix, gaussian_window
+from .grids import (MEMORY_CAP_ENTRIES, GridFunction, GridSpec, OperatorMatrix,
+                    SizeGuardError, gaussian_window)
 from .symplectic import (
     SymplecticMatrix,
     chirp_matrix,
@@ -24,23 +27,27 @@ from .symplectic import (
 )
 from .weyl import weyl_kernel
 
-
-def _grid_points(spec: GridSpec) -> np.ndarray:
-    axes = [spec.points()] * spec.d
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.d)
-
-
-def _dual_points(spec: GridSpec) -> np.ndarray:
-    axes = [spec.dual_points()] * spec.d
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.d)
+PHASE_CHUNK = 512  # output rows per exponentiated phase block (of N columns)
+EGOROV_MARGIN = 0.6  # Egorov span: Hermite modes within this fraction of the box
+FBI_INTERIOR = 0.5  # FBI covariance is compared within this fraction of R
 
 
-def _chunked_phase_apply(out_pts, in_pts, phase_func, values, weight, chunk=512):
+def _mesh_points(axis: np.ndarray, d: int) -> np.ndarray:
+    """The d-fold product of a 1D axis as (len(axis)^d, d) points."""
+    return np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+
+
+def _per_row(w: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """w (one entry per grid point) shaped to scale the rows of vals."""
+    return w.reshape(w.shape + (1,) * (vals.ndim - 1))
+
+
+def _chunked_phase_apply(out_pts, in_pts, phase_func, values, weight):
     """sum_l e^{i phase(out, in)} values[l] * weight, chunked over output rows."""
-    out = np.empty(len(out_pts), dtype=complex)
-    for start in range(0, len(out_pts), chunk):
-        block = phase_func(out_pts[start : start + chunk], in_pts)
-        out[start : start + chunk] = np.exp(1j * block) @ values * weight
+    out = np.empty((len(out_pts),) + values.shape[1:], dtype=complex)
+    for start in range(0, len(out_pts), PHASE_CHUNK):
+        block = phase_func(out_pts[start : start + PHASE_CHUNK], in_pts)
+        out[start : start + PHASE_CHUNK] = np.exp(1j * block) @ values * weight
     return out
 
 
@@ -55,19 +62,17 @@ class FourierFactor:
         J = standard_j(self.d)
         return J if self.sign == -1 else symplectic_inverse(J)
 
-    def apply(self, f: GridFunction) -> GridFunction:
-        spec = f.spec
+    def act(self, spec: GridSpec, vals: np.ndarray) -> np.ndarray:
         pts = spec.points()
         M = (2 * np.pi) ** (-0.5) * spec.h * np.exp(self.sign * 1j * np.outer(pts, pts))
-        vals = f.reshaped()
+        out = vals.reshape((spec.n,) * spec.d + vals.shape[1:])
         for axis in range(spec.d):
-            vals = np.tensordot(M, vals, axes=([1], [axis]))
-            vals = np.moveaxis(vals, 0, axis)
-        return GridFunction(spec, vals.reshape(-1))
+            out = np.tensordot(M, out, axes=([1], [axis]))
+            out = np.moveaxis(out, 0, axis)
+        return out.reshape(vals.shape)
 
-    def kernel_matrix(self, spec: GridSpec) -> np.ndarray:
-        pts = spec.points()
-        return (2 * np.pi) ** (-0.5) * np.exp(self.sign * 1j * np.outer(pts, pts))
+    def apply(self, f: GridFunction) -> GridFunction:
+        return GridFunction(f.spec, self.act(f.spec, f.values))
 
     def describe(self) -> dict:
         return {"kind": "fourier" if self.sign == -1 else "inverse_fourier"}
@@ -82,15 +87,13 @@ class ChirpFactor:
     def symplectic(self) -> SymplecticMatrix:
         return chirp_matrix(self.F)
 
-    def apply(self, f: GridFunction) -> GridFunction:
-        pts = _grid_points(f.spec)
+    def act(self, spec: GridSpec, vals: np.ndarray) -> np.ndarray:
+        pts = _mesh_points(spec.points(), spec.d)
         phase = 0.5 * np.einsum("pi,ij,pj->p", pts, self.F, pts)
-        return GridFunction(f.spec, np.exp(1j * phase) * f.values)
+        return _per_row(np.exp(1j * phase), vals) * vals
 
-    def kernel_matrix(self, spec: GridSpec) -> np.ndarray:
-        pts = _grid_points(spec)
-        phase = 0.5 * np.einsum("pi,ij,pj->p", pts, self.F, pts)
-        return np.diag(np.exp(1j * phase) / spec.h**spec.d)
+    def apply(self, f: GridFunction) -> GridFunction:
+        return GridFunction(f.spec, self.act(f.spec, f.values))
 
     def describe(self) -> dict:
         return {"kind": "chirp", "F": self.F.tolist()}
@@ -108,31 +111,23 @@ class LinearFactor:
     def symplectic(self) -> SymplecticMatrix:
         return scaling_matrix(self.A)
 
-    def apply(self, f: GridFunction) -> GridFunction:
-        spec = f.spec
-        x = _grid_points(spec)
+    def act(self, spec: GridSpec, vals: np.ndarray) -> np.ndarray:
+        x = _mesh_points(spec.points(), spec.d)
         y = x @ np.linalg.inv(self.A).T
-        xi = _dual_points(spec)
+        xi = _mesh_points(spec.dual_points(), spec.d)
         # Fourier coefficients on the dual grid, then evaluation off-grid
-        coeffs = _chunked_phase_apply(xi, x, lambda o, i: -o @ i.T, f.values,
+        coeffs = _chunked_phase_apply(xi, x, lambda o, i: -o @ i.T, vals,
                                       1.0 / spec.size())
-        vals = _chunked_phase_apply(y, xi, lambda o, i: o @ i.T, coeffs, 1.0)
+        out = _chunked_phase_apply(y, xi, lambda o, i: o @ i.T, coeffs, 1.0)
         # trigonometric resampling is periodic: evaluation points outside the
         # box would wrap around and read values from the far side, so clamp
         # them to zero (grid-representable states decay there anyway)
-        vals = np.where(np.any(np.abs(y) > spec.R, axis=1), 0.0, vals)
+        out = np.where(_per_row(np.any(np.abs(y) > spec.R, axis=1), out), 0.0, out)
         scale = abs(np.linalg.det(self.A)) ** -0.5
-        return GridFunction(spec, scale * vals)
+        return scale * out
 
-    def kernel_matrix(self, spec: GridSpec) -> np.ndarray:
-        x = _grid_points(spec)
-        y = x @ np.linalg.inv(self.A).T
-        xi = _dual_points(spec)
-        E1 = np.exp(-1j * xi @ x.T) / spec.size()
-        E2 = np.exp(1j * y @ xi.T)
-        E2[np.any(np.abs(y) > spec.R, axis=1)] = 0.0
-        scale = abs(np.linalg.det(self.A)) ** -0.5
-        return scale * (E2 @ E1) / spec.h**spec.d
+    def apply(self, f: GridFunction) -> GridFunction:
+        return GridFunction(f.spec, self.act(f.spec, f.values))
 
     def describe(self) -> dict:
         return {"kind": "linear", "A": self.A.tolist()}
@@ -157,30 +152,17 @@ class FreeKernelFactor:
     def symplectic(self) -> SymplecticMatrix:
         return self.chi
 
-    def kernel_values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """K on the product of point sets; x (p, d), y (q, d) -> (p, q)."""
-        qx = 0.5 * np.einsum("pi,ij,pj->p", x, self.Fxx, x)
-        qy = 0.5 * np.einsum("qi,ij,qj->q", y, self.Fyy, y)
-        cross = np.einsum("pi,ij,qj->pq", x, self.Fxy, y)
-        return self.c * np.exp(1j * (qx[:, None] + cross + qy[None, :]))
+    def act(self, spec: GridSpec, vals: np.ndarray) -> np.ndarray:
+        pts = _mesh_points(spec.points(), spec.d)
+        qy = 0.5 * np.einsum("qi,ij,qj->q", pts, self.Fyy, pts)
+        inner = _per_row(np.exp(1j * qy), vals) * vals
+        out = _chunked_phase_apply(pts, pts, lambda o, i: np.einsum(
+            "pi,ij,qj->pq", o, self.Fxy, i), inner, spec.h**spec.d)
+        qx = 0.5 * np.einsum("pi,ij,pj->p", pts, self.Fxx, pts)
+        return self.c * _per_row(np.exp(1j * qx), out) * out
 
     def apply(self, f: GridFunction) -> GridFunction:
-        spec = f.spec
-        pts = _grid_points(spec)
-        weight = spec.h**spec.d
-        qy = 0.5 * np.einsum("qi,ij,qj->q", pts, self.Fyy, pts)
-        inner = np.exp(1j * qy) * f.values
-
-        def phase(o, i):
-            return np.einsum("pi,ij,qj->pq", o, self.Fxy, i)
-
-        vals = _chunked_phase_apply(pts, pts, phase, inner, weight)
-        qx = 0.5 * np.einsum("pi,ij,pj->p", pts, self.Fxx, pts)
-        return GridFunction(spec, self.c * np.exp(1j * qx) * vals)
-
-    def kernel_matrix(self, spec: GridSpec) -> np.ndarray:
-        pts = _grid_points(spec)
-        return self.kernel_values(pts, pts)
+        return GridFunction(f.spec, self.act(f.spec, f.values))
 
     def describe(self) -> dict:
         return {"kind": "free_kernel", "chi": self.chi.entries.tolist()}
@@ -226,13 +208,17 @@ class MetaplecticOperator:
         return self.factorization.phase * out
 
     def matrix(self) -> OperatorMatrix:
-        """Dense kernel matrix (desk scale; d = 1 or small d = 2 grids)."""
+        """Dense kernel matrix: the factor chain applied to the identity,
+        divided by the quadrature weight h^d (desk scale; d = 1 or small
+        d = 2 grids).  Refuses with SizeGuardError past MEMORY_CAP_ENTRIES."""
         if self._matrix is None:
-            op = None
+            N = self.spec.size()
+            if N * N > MEMORY_CAP_ENTRIES:
+                raise SizeGuardError(N * N, MEMORY_CAP_ENTRIES)
+            vals = np.eye(N, dtype=complex)
             for factor in reversed(self.factorization.factors):
-                fmat = OperatorMatrix(self.spec, factor.kernel_matrix(self.spec))
-                op = fmat if op is None else fmat.compose(op)
-            entries = op.entries * self.factorization.phase
+                vals = factor.act(self.spec, vals)
+            entries = self.factorization.phase * vals / self.spec.h**self.spec.d
             self._matrix = OperatorMatrix(self.spec, entries)
         return self._matrix
 
@@ -250,7 +236,7 @@ def gaussian_image(chi: SymplecticMatrix, spec: GridSpec) -> GridFunction:
     M = A + 1j * B
     W = (C + 1j * D) @ np.linalg.inv(M)
     amp = np.pi ** (-chi.d / 4) * abs(np.linalg.det(M)) ** -0.5
-    pts = _grid_points(spec)
+    pts = _mesh_points(spec.points(), spec.d)
     phase = 0.5 * np.einsum("pi,ij,pj->p", pts, W, pts)
     return GridFunction(spec, amp * np.exp(1j * phase))
 
@@ -312,25 +298,21 @@ def mu_general(chi: SymplecticMatrix, spec: GridSpec,
     return op
 
 
+def _mu_single(factor, spec: GridSpec) -> MetaplecticOperator:
+    fact = MetaplecticFactorization(factor.symplectic(), (factor,), 1.0 + 0j)
+    return MetaplecticOperator(spec, fact)
+
+
 def mu_fourier(spec: GridSpec) -> MetaplecticOperator:
-    d = spec.d
-    return MetaplecticOperator(
-        spec, MetaplecticFactorization(standard_j(d), (FourierFactor(d, -1),), 1.0 + 0j)
-    )
+    return _mu_single(FourierFactor(spec.d, -1), spec)
 
 
 def mu_chirp(F: np.ndarray, spec: GridSpec) -> MetaplecticOperator:
-    F = np.asarray(F, dtype=float)
-    return MetaplecticOperator(
-        spec, MetaplecticFactorization(chirp_matrix(F), (ChirpFactor(F),), 1.0 + 0j)
-    )
+    return _mu_single(ChirpFactor(F), spec)
 
 
 def mu_linear(A: np.ndarray, spec: GridSpec) -> MetaplecticOperator:
-    A = np.asarray(A, dtype=float)
-    return MetaplecticOperator(
-        spec, MetaplecticFactorization(scaling_matrix(A), (LinearFactor(A),), 1.0 + 0j)
-    )
+    return _mu_single(LinearFactor(A), spec)
 
 
 def homomorphism_residual(chi1: SymplecticMatrix, chi2: SymplecticMatrix,
@@ -350,8 +332,7 @@ def unitarity_defect(op: MetaplecticOperator, f: GridFunction) -> float:
     return abs(op.apply(f).norm() - f.norm()) / f.norm()
 
 
-def egorov_residual(chi: SymplecticMatrix, a, spec: GridSpec,
-                    margin: float = 0.6) -> float:
+def egorov_residual(chi: SymplecticMatrix, a, spec: GridSpec) -> float:
     """Relative operator-norm difference between mu(chi)^{-1} a^w mu(chi) and
     (a o chi)^w, compressed to grid-representable states.
 
@@ -365,7 +346,7 @@ def egorov_residual(chi: SymplecticMatrix, a, spec: GridSpec,
 
     box = min(spec.R, np.pi * spec.n / (2 * spec.R))
     stretch = np.linalg.norm(chi.entries, 2)
-    n_modes = max(8, int(((margin * box / stretch) ** 2 - 1) / 2))
+    n_modes = max(8, int(((EGOROV_MARGIN * box / stretch) ** 2 - 1) / 2))
     op = mu_general(chi, spec)
     M = op.matrix().weighted()
     A = weyl_kernel(a, spec).weighted()
@@ -387,8 +368,7 @@ def egorov_residual(chi: SymplecticMatrix, a, spec: GridSpec,
 
 
 def fbi_covariance_residual(chi: SymplecticMatrix, u: GridFunction,
-                            g_callable, spec: GridSpec,
-                            interior: float = 0.5) -> float:
+                            g_callable, spec: GridSpec) -> float:
     """max over interior phase-space grid points of
     | |T_{mu g}(mu u)(z)| - |T_g u(chi^{-1} z)| |.
 
@@ -403,7 +383,7 @@ def fbi_covariance_residual(chi: SymplecticMatrix, u: GridFunction,
     mu_g = op.apply(g_grid)
     field = gabor_transform(mu_u, mu_g)
     X, XI = np.meshgrid(field.x, field.xi, indexing="ij")
-    mask = (X**2 + XI**2) <= (interior * spec.R) ** 2
+    mask = (X**2 + XI**2) <= (FBI_INTERIOR * spec.R) ** 2
     pts = np.stack([X[mask], XI[mask]], axis=-1)
     back = pts @ symplectic_inverse(chi).entries.T
     ref = gabor_transform_points(u, g_callable, back)

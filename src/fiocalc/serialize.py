@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from .fio import FioSpec
-from .grids import GridFunction, GridSpec
+from .grids import MEMORY_CAP_ENTRIES, GridFunction, GridSpec, SizeGuardError
 from .phases import phase_from_dict, phase_to_dict
 from .symbols import ShubinSymbol
 from .symplectic import SymplecticMatrix
@@ -46,6 +46,8 @@ def grid_function_from_csv(path: str) -> GridFunction:
         header = fh.readline().strip().split(",")
         d, n, R = int(header[0]), int(header[1]), float(header[2])
         spec = GridSpec(d, n, R)
+        if n**d > MEMORY_CAP_ENTRIES:
+            raise SizeGuardError(n**d, MEMORY_CAP_ENTRIES)
         vals = np.zeros(n**d, dtype=complex)
         seen = np.zeros(n**d, dtype=bool)
         for line in fh:

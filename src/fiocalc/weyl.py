@@ -14,20 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridFunction, GridSpec, OperatorMatrix
+from .grids import (MEMORY_CAP_ENTRIES, GridFunction, GridSpec, OperatorMatrix,
+                    SizeGuardError)
 from .symbols import ShubinSymbol, shubin_decay_test
-
-MEMORY_CAP_ENTRIES = 2**26
-
-
-class SizeGuardError(MemoryError):
-    def __init__(self, entries, cap):
-        super().__init__(
-            f"operator would need {entries} complex entries "
-            f"({16 * entries / 2**30:.2f} GiB), cap is {cap}"
-        )
-        self.entries = entries
-        self.cap = cap
 
 
 def _check_d1(spec: GridSpec):

@@ -14,7 +14,7 @@ from fiocalc.serialize import (
     write_json,
 )
 from fiocalc.fio import FioSpec
-from fiocalc.symbols import constant_symbol, harmonic_oscillator_symbol
+from fiocalc.symbols import constant_symbol, gaussian_symbol, harmonic_oscillator_symbol
 from fiocalc.symplectic import chirp_matrix, standard_j
 
 
@@ -196,6 +196,50 @@ def test_size_guard_refusal_is_an_input_error(tmp_path, capsys):
     assert cli.main(["weyl-quantize", str(symbol), "--grid-n", "16384",
                      "--out", str(out)]) == 3
     assert "GiB" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_grid_past_the_memory_cap_is_refused_before_reading_rows(tmp_path, capsys):
+    # the header alone asks for 2^32 samples (64 GiB)
+    big = tmp_path / "big.csv"
+    big.write_text("1,4294967296,10.0\n0,1.0,0.0\n")
+    out = tmp_path / "out"
+    assert cli.main(["wf", str(big), "--out", str(out)]) == 3
+    assert "GiB" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["fbi-map", "char-check", "lag-test"])
+def test_kernel_field_past_the_memory_cap_is_an_input_error(tmp_path, capsys, command):
+    # an n = 256 kernel at stride 2 gives a 128^4 = 2^28 entry field (4 GiB)
+    kernel = tmp_path / "kernel.csv"
+    rows = "".join(f"{i},0.0,0.0\n" for i in range(256**2))
+    kernel.write_text("2,256,12.0\n" + rows)
+    second = tmp_path / "second.json"
+    if command == "char-check":
+        write_chi(second, standard_j(1))
+    else:
+        write_json({"n": 2, "Y": np.eye(2).tolist(), "F": np.zeros((2, 2)).tolist()},
+                   str(second))
+    inputs = [str(kernel)] if command == "fbi-map" else [str(kernel), str(second)]
+    out = tmp_path / "out"
+    assert cli.main([command, *inputs, "--out", str(out)]) == 3
+    assert "GiB" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_unconverged_quadrature_is_inconclusive(tmp_path, capsys):
+    # a wide amplitude on the Kohn-Nirenberg phase: the theta integral still
+    # changes by ~1e-5 after the last doubling
+    spec = FioSpec("oscillatory", 0.0, 1.0, phase=pseudodifferential_phase(1),
+                   amplitude=gaussian_symbol(3, width=np.sqrt(20.0)))
+    path = tmp_path / "slow.json"
+    write_json(fio_spec_to_dict(spec), str(path))
+    out = tmp_path / "out"
+    assert cli.main(["fio-kernel", str(path), "--grid-n", "64", "--grid-R", "8",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "did not converge" in err and len(err.strip().splitlines()) == 1
     assert not (out / "manifest.json").exists()
 
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from fiocalc.grids import GridFunction, GridSpec, gaussian_window, hermite_grid_function
+from fiocalc.grids import (
+    GridFunction,
+    GridSpec,
+    SizeGuardError,
+    gaussian_window,
+    hermite_grid_function,
+)
 from fiocalc.metaplectic import (
     egorov_residual,
     fbi_covariance_residual,
@@ -17,6 +23,7 @@ from fiocalc.metaplectic import (
 from fiocalc.symplectic import (
     SymplecticMatrix,
     chirp_matrix,
+    j2_inverse,
     random_symplectic,
     scaling_matrix,
     standard_j,
@@ -131,6 +138,47 @@ def test_inverse_apply_round_trip():
     op = mu_general(standard_j(1), g)
     u = hermite_grid_function(g, [3])
     assert (op.inverse_apply(op.apply(u)) - u).norm() < 1e-8
+
+
+def _near_singular_chi():
+    # B ~ 0.1, completed to det = 1: routed through the shifted free factor
+    entries = np.array([[-0.5126, 0.097], [0.0, 0.0]])
+    entries[1, 1] = (1.0 + entries[0, 1] * entries[1, 0]) / entries[0, 0]
+    return SymplecticMatrix(1, entries)
+
+
+_F2 = np.array([[0.4, 0.1], [0.1, -0.3]])
+_A2 = np.array([[1.2, 0.3], [0.1, 0.9]])
+
+
+@pytest.mark.parametrize("d, chi, path", [
+    (1, standard_j(1), ["FreeKernelFactor"]),
+    (1, chirp_matrix(np.array([[0.7]])), ["ChirpFactor"]),
+    (1, chirp_matrix(np.array([[0.7]])) @ scaling_matrix(np.array([[1.3]])),
+     ["ChirpFactor", "LinearFactor"]),
+    (1, _near_singular_chi(),
+     ["FreeKernelFactor", "FourierFactor", "ChirpFactor", "FourierFactor"]),
+    (2, chirp_matrix(_F2) @ j2_inverse(2, 1) @ scaling_matrix(_A2),
+     ["FreeKernelFactor", "FourierFactor", "ChirpFactor", "FourierFactor"]),
+    (2, chirp_matrix(_F2) @ scaling_matrix(_A2), ["ChirpFactor", "LinearFactor"]),
+], ids=["free-kernel", "chirp", "chirp-linear", "shifted", "shifted-d2",
+        "chirp-linear-d2"])
+def test_dense_matrix_agrees_with_apply(d, chi, path):
+    g = GridSpec(1, 128, 10.0) if d == 1 else GridSpec(2, 16, 6.0)
+    op = mu_general(chi, g)
+    assert [type(f).__name__ for f in op.factorization.factors] == path
+    rng = np.random.default_rng(3)
+    for u in (hermite_grid_function(g, 1),
+              GridFunction(g, rng.normal(size=g.size()) + 1j * rng.normal(size=g.size()))):
+        ref = op.apply(u).values
+        dense = op.matrix().apply(u).values
+        assert np.abs(dense - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_dense_matrix_past_the_memory_cap_is_refused():
+    # N = 128^2 grid points: the matrix would need 2^28 entries (4 GiB)
+    with pytest.raises(SizeGuardError):
+        mu_chirp(_F2, GridSpec(2, 128, 10.0)).matrix()
 
 
 def test_quantization_covariance():
