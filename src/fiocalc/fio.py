@@ -19,16 +19,19 @@ from .gabor import (
     KERNEL_STRIDE,
     N_SECTORS,
     ProfileReport,
+    _interior,
+    _span_distance,
     chi_twist_field,
     decay_profile,
     kernel_fbi_field,
     profile_report,
     wavefront_estimate,
 )
-from .grids import GridFunction, GridSpec, OperatorMatrix, hermite_grid_function
+from .grids import (GridFunction, GridSpec, OperatorMatrix, SizeGuardError,
+                    hermite_grid_function)
 from .metaplectic import mu_general
 from .phases import QuadraticPhase, chi_from_phase
-from .symbols import ShubinSymbol, custom_symbol
+from .symbols import ShubinSymbol, custom_symbol, shubin_decay_test
 from .symplectic import (
     SymplecticMatrix,
     symplectic_inverse,
@@ -36,6 +39,7 @@ from .symplectic import (
 )
 from .weyl import (
     SampledSymbol,
+    _pullback,
     symbol_callable,
     symbol_from_kernel,
     weyl_kernel,
@@ -155,11 +159,13 @@ def _theta_quadrature(phase: QuadraticPhase, amplitude, X: np.ndarray) -> tuple:
 
 def fio_kernel(spec: FioSpec, grid: GridSpec):
     """Kernel of the operator as a grid function on R^{2d} (d = 1 only).
+    Refuses with SizeGuardError past MEMORY_CAP_ENTRIES kernel samples.
 
     Returns (GridFunction, OscQuadrature or None).
     """
     if grid.d != 1:
         raise ValueError("kernels are built over a d = 1 grid")
+    SizeGuardError.check(grid.n**2)
     spec2 = GridSpec(2, grid.n, grid.R)
     if spec.form == "factored":
         op = fio_operator(spec, grid)
@@ -190,8 +196,9 @@ def fio_operator(spec: FioSpec, grid: GridSpec) -> OperatorMatrix:
     return OperatorMatrix(grid, K.values.reshape(grid.n, grid.n))
 
 
-def _hermite_family(grid: GridSpec, count: int = 6):
-    return [hermite_grid_function(grid, k) for k in range(count)]
+RESIDUAL_CAP = 0.1  # largest test-vector residual of a factorization or composition
+HERMITE_TESTS = 6  # Hermite functions in the test family of those residuals
+TAPER_FRAC = 0.7  # the factorization taper is flat on this fraction of R
 
 
 def _vector_residual(A: OperatorMatrix, B: OperatorMatrix, grid: GridSpec,
@@ -200,7 +207,7 @@ def _vector_residual(A: OperatorMatrix, B: OperatorMatrix, grid: GridSpec,
     vectors, aggregated over the family (so vectors the operators annihilate
     do not divide by noise); optionally mod one unit scalar fitted across
     the family."""
-    tests = _hermite_family(grid)
+    tests = [hermite_grid_function(grid, k) for k in range(HERMITE_TESTS)]
     pairs = [(A.apply(f), B.apply(f)) for f in tests]
     if scalar_free:
         num = sum(af.inner(bf) for af, bf in pairs)
@@ -229,14 +236,11 @@ class FactorizationReport:
         }
 
 
-RESIDUAL_CAP = 0.1  # largest test-vector residual of a factorization or composition
-
-
-def _domain_taper(grid: GridSpec, frac: float = 0.7) -> np.ndarray:
-    """Smooth window equal to 1 on |x| <= frac R, decaying to ~0 at the edge."""
+def _domain_taper(grid: GridSpec) -> np.ndarray:
+    """Smooth window, 1 on |x| <= TAPER_FRAC R and decaying to ~0 at the edge."""
     x = grid.points()
     w = np.ones_like(x)
-    t = (np.abs(x) - frac * grid.R) / ((0.98 - frac) * grid.R)
+    t = (np.abs(x) - TAPER_FRAC * grid.R) / ((0.98 - TAPER_FRAC) * grid.R)
     sel = t > 0
     w[sel] = np.exp(-9.0 * t[sel] ** 4)
     return w
@@ -266,7 +270,7 @@ def fio_factorize(K: GridFunction, chi: SymplecticMatrix, grid: GridSpec,
     rebuilt = weyl_kernel(b.as_callable(), grid).compose(mu.matrix())
     residual = _vector_residual(Kop, rebuilt, grid)
     scale = float(np.abs(b.values[b.interior_mask(0.5)]).max())
-    decay = b.decay_report(m, rho, noise=residual * scale)
+    decay = shubin_decay_test(b.values, [b.x, b.xi], m, rho, noise=residual * scale)
     status = "pass" if residual <= RESIDUAL_CAP and decay.status == "pass" \
         else "not-in-class"
     return FactorizationReport(b, chi, decay, float(residual), status)
@@ -338,18 +342,19 @@ _FD = {
     1: ([-2, -1, 1, 2], [1.0 / 12, -8.0 / 12, 8.0 / 12, -1.0 / 12]),
     2: ([-2, -1, 0, 1, 2], [-1.0 / 12, 16.0 / 12, -30.0 / 12, 16.0 / 12, -1.0 / 12]),
 }
+FD_STEP = 0.05  # step of those differences for a non-polynomial symbol
 
 
-def _fd_partial(func, i: int, j: int, z: np.ndarray, step: float = 0.05) -> np.ndarray:
+def _fd_partial(func, i: int, j: int, z: np.ndarray) -> np.ndarray:
     """Numerical partial d_x^i d_xi^j func(z) for i, j <= 2 (4th order)."""
     out = np.zeros(z.shape[:-1], dtype=complex)
     offs_i, wts_i = _FD.get(i, ([0], [1.0]))
     offs_j, wts_j = _FD.get(j, ([0], [1.0]))
     for oi, wi in zip(offs_i, wts_i):
         for oj, wj in zip(offs_j, wts_j):
-            pt = z + np.array([oi * step, oj * step])
+            pt = z + np.array([oi * FD_STEP, oj * FD_STEP])
             out = out + wi * wj * np.asarray(func(pt), dtype=complex)
-    return out / step ** (i + j) if (i or j) else out
+    return out / FD_STEP ** (i + j) if (i or j) else out
 
 
 def _moyal_partial(sym, terms):
@@ -410,13 +415,7 @@ def fio_compose(s1: FioSpec, s2: FioSpec, grid: GridSpec) -> CompositionReport:
     f1 = _as_factored(s1, grid)
     f2 = _as_factored(s2, grid)
     chi1_inv = symplectic_inverse(f1.chi)
-    b2c = symbol_callable(f2.b)
-
-    def b2_pulled(z):
-        shape = z.shape[:-1]
-        flat = z.reshape(-1, 2) @ chi1_inv.entries.T
-        return b2c(flat.reshape(shape + (2,)))
-
+    b2_pulled = _pullback(symbol_callable(f2.b), chi1_inv.entries)
     t1 = _poly_terms(f1.b)
     t2 = _poly_terms(f2.b)
     if t2 is not None:
@@ -490,17 +489,13 @@ def wf_kernel_check(K: GridFunction, chi: SymplecticMatrix, g_callable) -> dict:
     """
     lam = twisted_graph_lagrangian(chi)
     field = kernel_fbi_field(K, g_callable, KERNEL_STRIDE)
-    pts = field.points()
-    mag = np.abs(field.values).reshape(-1)
+    mag = np.abs(field.values)
     peak = mag.max() or 1.0
-    caps = [0.7 * np.abs(ax).max() for ax in field.axes]
-    interior = np.all(np.abs(pts) <= np.array(caps), axis=1)
-    r = np.linalg.norm(pts, axis=1)
-    sel = (r > CONE_R_MIN) & (mag > CONE_REL_THRESHOLD * peak) & interior
+    r = _span_distance(field.axes, np.zeros((len(field.axes), 0)))
+    sel = (r > CONE_R_MIN) & (mag > CONE_REL_THRESHOLD * peak) & _interior(field.axes)
     if not np.any(sel):
         return {"status": "pass", "worst_excess": 0.0, "points": 0}
-    p = pts[sel]
-    dist = np.linalg.norm(p - p @ lam.basis @ lam.basis.T, axis=1)
+    dist = _span_distance(field.axes, lam.basis)[sel]
     allowed = CONE_COLLAR + np.sin(CONE_ANGLE) * r[sel]
     worst = float((dist - allowed).max())
     return {

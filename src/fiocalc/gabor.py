@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import MEMORY_CAP_ENTRIES, GridFunction, GridSpec, SizeGuardError
-from .symbols import _derivative, shell_slope
-from .symplectic import LagrangianSubspace, SymplecticMatrix
+from .grids import GridFunction, GridSpec, SizeGuardError
+from .symbols import _derivative, _shell_maxima, shell_slope
+from .symplectic import (DimensionError, LagrangianSubspace, SymplecticMatrix,
+                         orthogonal_complement)
 
 POINT_CHUNK = 2048  # phase-space points per block of the point evaluator
 KERNEL_STRIDE = 2  # decimation of the 4-D kernel field: (n / stride)^4 entries
@@ -33,12 +34,6 @@ class PhaseSpaceField:
         hx = self.x[1] - self.x[0]
         hxi = self.xi[1] - self.xi[0]
         return float(hx * hxi)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values) * self.weight() ** 0.5)
-
-    def __sub__(self, other):
-        return PhaseSpaceField(self.spec, self.x, self.xi, self.values - other.values)
 
 
 def _window_shift_matrix(u: GridFunction, g: GridFunction) -> np.ndarray:
@@ -168,15 +163,11 @@ def sector_decay_slopes(field: PhaseSpaceField) -> tuple:
             continue
         edges = np.geomspace(lo, reach, N_SHELLS + 1)
         in_sector = sector == sct
-        idx = np.digitize(r[in_sector], edges) - 1
-        ok = (idx >= 0) & (idx < N_SHELLS)
-        maxima = np.zeros(N_SHELLS)
-        np.maximum.at(maxima, idx[ok], mag[in_sector][ok])
-        mask = maxima > 1e-14 * peak
-        if mask.sum() < 4:
-            continue  # all-tiny sector: treat as rapidly decaying
-        radii = np.log(np.hypot(1.0, np.sqrt(edges[:-1] * edges[1:])))
-        slopes[sct] = np.polyfit(radii[mask], np.log(maxima[mask]), 1)[0]
+        maxima = _shell_maxima(r[in_sector], mag[in_sector], edges)
+        maxima[maxima <= 1e-14 * peak] = 0.0
+        slope = shell_slope(np.sqrt(edges[:-1] * edges[1:]), maxima)
+        if slope is not None:  # else an all-tiny sector: rapidly decaying
+            slopes[sct] = slope
     return slopes, angles
 
 
@@ -225,9 +216,7 @@ def kernel_fbi_field(K: GridFunction, g_callable, stride: int = KERNEL_STRIDE) -
         raise ValueError("kernel field needs a d = 2 grid function")
     z = spec.points()[::stride]
     zeta = spec.dual_points(stride)
-    entries = (len(z) * len(zeta)) ** 2
-    if entries > MEMORY_CAP_ENTRIES:
-        raise SizeGuardError(entries, MEMORY_CAP_ENTRIES)
+    SizeGuardError.check((len(z) * len(zeta)) ** 2)
     xl = spec.points()
     win = np.conj(g_callable(xl[None, :] - z[:, None]))  # (nz, n)
     mod = np.exp(-1j * np.outer(zeta, xl))  # (nzeta, n)
@@ -244,17 +233,26 @@ def kernel_fbi_field(K: GridFunction, g_callable, stride: int = KERNEL_STRIDE) -
     return Field4D((z, z, zeta, zeta), field)
 
 
+def _quadratic_twist(field: Field4D, Q: np.ndarray) -> Field4D:
+    """Multiply by e^{-i sum_jk Q_jk w_j w_k}, w the field's coordinates:
+    one factor per axis pair, broadcast from the 1D axes."""
+    w = np.ix_(*field.axes)
+    S = np.triu(Q + Q.T, 1) + np.diag(np.diag(Q))  # same form, upper triangle
+    out = field.values.astype(complex)
+    for j, k in zip(*np.nonzero(S)):
+        out *= np.exp(-1j * S[j, k] * (w[j] * w[k]))
+    return Field4D(field.axes, out)
+
+
 def chi_twist_field(field: Field4D, chi: SymplecticMatrix) -> Field4D:
-    """Multiply by e^{-i/2 (<z, zeta> + sigma(chi(z2, -zeta2), (z1, zeta1)))}."""
-    z1, z2, c1, c2 = np.meshgrid(*field.axes, indexing="ij")
-    A, B, C, D = chi.A[0, 0], chi.B[0, 0], chi.C[0, 0], chi.D[0, 0]
-    # chi applied to (z2, -zeta2)
-    wx = A * z2 - B * c2
-    wxi = C * z2 - D * c2
-    # sigma((x, xi), (x', xi')) = <x', xi> - <x, xi'>
-    sig = z1 * wxi - wx * c1
-    phase = np.exp(-0.5j * (z1 * c1 + z2 * c2 + sig))
-    return Field4D(field.axes, field.values * phase)
+    """Multiply by e^{-i/2 (<z, zeta> + sigma(chi(z2, -zeta2), (z1, zeta1)))}
+    with sigma((x, xi), (x', xi')) = <x', xi> - <x, xi'> (d = 1 only)."""
+    if chi.d != 1:
+        raise DimensionError(f"chi twist needs chi with d = 1, got d = {chi.d}")
+    (A, B), (C, D) = chi.entries
+    # axes (z1, z2, zeta1, zeta2)
+    Q = 0.5 * np.array([[0, C, 1, -D], [0, 0, -A, 1], [0, 0, 0, B], [0, 0, 0, 0]])
+    return _quadratic_twist(field, Q)
 
 
 OFF_RANGE = (2.0, 8.0)  # distances to the subspace that the off-subspace shells span
@@ -270,6 +268,24 @@ class DecayProfile:
     along_slopes: dict  # derivative order k -> slope
     off_shells: list
     status: str
+
+
+def _span_distance(axes, basis: np.ndarray) -> np.ndarray:
+    """Distance of every grid point to span(basis), orthonormal columns (none:
+    the radius), as the norm of the coordinates on the orthogonal complement."""
+    w = np.ix_(*axes)
+    sq = np.zeros([len(a) for a in axes])
+    for col in orthogonal_complement(basis).T:
+        sq += sum(c * wj for c, wj in zip(col, w) if c != 0.0) ** 2
+    return np.sqrt(sq)
+
+
+def _interior(axes) -> np.ndarray:
+    """Grid points within INTERIOR_FRAC of every axis extent."""
+    inside = np.ones([len(a) for a in axes], dtype=bool)
+    for a in np.ix_(*axes):
+        inside &= np.abs(a) <= INTERIOR_FRAC * np.abs(a).max()
+    return inside
 
 
 def directional_derivative(field: Field4D, direction: np.ndarray) -> Field4D:
@@ -295,21 +311,16 @@ def decay_profile(field: Field4D, lam: LagrangianSubspace,
     truncation of the sampled kernel, and near the frequency boundary it
     sees quadrature aliasing, neither of which reflects the kernel itself.
     """
-    pts = field.points()
-    dist_l = np.linalg.norm(pts - pts @ lam.basis @ lam.basis.T, axis=1)
-    dist_v = np.linalg.norm(pts - pts @ vlam.basis @ vlam.basis.T, axis=1)
-    caps = [INTERIOR_FRAC * np.abs(ax).max() for ax in field.axes]
-    interior = np.all(np.abs(pts) <= np.array(caps), axis=1)
-    mag0 = np.abs(field.values).reshape(-1)
+    dist_l = _span_distance(field.axes, lam.basis)
+    dist_v = _span_distance(field.axes, vlam.basis)
+    interior = _interior(field.axes)
+    mag0 = np.abs(field.values)
     peak = mag0.max() or 1.0
 
     edges = np.geomspace(*OFF_RANGE, N_SHELLS + 1)
     radii = np.sqrt(edges[:-1] * edges[1:])
     sel = (dist_v <= OFF_CAP) & interior
-    idx = np.digitize(dist_l[sel], edges) - 1
-    okk = (idx >= 0) & (idx < N_SHELLS)
-    maxima = np.zeros(N_SHELLS)
-    np.maximum.at(maxima, idx[okk], mag0[sel][okk])
+    maxima = _shell_maxima(dist_l[sel], mag0[sel], edges)
     off_slope = shell_slope(radii, maxima)
     off_shells = [(float(r), float(v)) for r, v in zip(radii, maxima)]
 
@@ -319,17 +330,12 @@ def decay_profile(field: Field4D, lam: LagrangianSubspace,
     strip = (dist_l <= ALONG_CAP) & interior
     along = {}
     for k in range(K_MAX + 1):
-        if k == 0:
-            mags = [np.abs(field.values).reshape(-1)]
-        else:
-            mags = []
-            for j in range(lam.basis.shape[1]):
-                dfield = field
-                for _ in range(k):
-                    dfield = directional_derivative(dfield, lam.basis[:, j])
-                mags.append(np.abs(dfield.values).reshape(-1))
         worst = None
-        for mag in mags:
+        for j in range(lam.basis.shape[1] if k else 1):
+            dfield = field
+            for _ in range(k):
+                dfield = directional_derivative(dfield, lam.basis[:, j])
+            mag = np.abs(dfield.values) if k else mag0
             good = strip & np.isfinite(mag)
             if mag[good].max(initial=0.0) <= REL_FLOOR * peak:
                 # derivative sits at the discretization noise floor: the
@@ -338,20 +344,14 @@ def decay_profile(field: Field4D, lam: LagrangianSubspace,
                 if worst is None:
                     worst = -np.inf
                 continue
-            idx = np.digitize(dist_v[good], edges_a) - 1
-            okk = (idx >= 0) & (idx < N_SHELLS)
-            mx = np.zeros(N_SHELLS)
-            np.maximum.at(mx, idx[okk], mag[good][okk])
-            slope = shell_slope(radii_a, mx)
+            slope = shell_slope(radii_a, _shell_maxima(dist_v[good], mag[good], edges_a))
             if slope is None:
                 worst = None
                 break
             worst = slope if worst is None else max(worst, slope)
         along[k] = worst
 
-    status = "pass"
-    if off_slope is None or any(v is None for v in along.values()):
-        status = "inconclusive"
+    status = "inconclusive" if off_slope is None or None in along.values() else "pass"
     return DecayProfile(off_slope if off_slope is not None else np.nan,
                         along, off_shells, status)
 

@@ -26,6 +26,12 @@ class SizeGuardError(MemoryError):
         self.entries = entries
         self.cap = cap
 
+    @classmethod
+    def check(cls, entries: int) -> None:
+        """Refuse an array of more than MEMORY_CAP_ENTRIES entries."""
+        if entries > MEMORY_CAP_ENTRIES:
+            raise cls(entries, MEMORY_CAP_ENTRIES)
+
 
 @dataclass(frozen=True)
 class GridSpec:

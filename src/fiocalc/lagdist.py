@@ -21,6 +21,7 @@ from .gabor import (
     KERNEL_STRIDE,
     Field4D,
     ProfileReport,
+    _quadratic_twist,
     decay_profile,
     gabor_transform,
     kernel_fbi_field,
@@ -70,6 +71,14 @@ def lagrangian_param(lam: LagrangianSubspace):
     return Y, F
 
 
+def _check_covers(chi: SymplecticMatrix, lam: LagrangianSubspace, what: str):
+    """Refuse a matrix whose image of R^d x {0} misses the subspace."""
+    image = orthonormal_basis(chi.entries[:, :lam.n])
+    defect = principal_angles(image, lam.basis).max(initial=0.0)
+    if defect > 1e-8:
+        raise SynthesisError(f"{what} misses the subspace (principal angle {defect:.2e})")
+
+
 def synthesis_matrix(lam: LagrangianSubspace) -> SymplecticMatrix:
     """Symplectic matrix mapping R^d x {0} isomorphically onto the subspace:
     a chirp times a block rotation times a partial inverse Fourier rotation
@@ -79,12 +88,7 @@ def synthesis_matrix(lam: LagrangianSubspace) -> SymplecticMatrix:
     ny = Y.shape[1]
     U = np.hstack([Y, orthogonal_complement(Y)])
     chi = chirp_matrix(F) @ rotation_embedding(U) @ j2_inverse(d, ny)
-    image = orthonormal_basis(chi.entries[:, :d])
-    defect = principal_angles(image, lam.basis).max(initial=0.0)
-    if defect > 1e-8:
-        raise SynthesisError(
-            f"synthesis matrix misses the subspace (principal angle {defect:.2e})"
-        )
+    _check_covers(chi, lam, "synthesis matrix")
     return chi
 
 
@@ -106,17 +110,7 @@ class LagrangianDistSpec:
         if self.chi_syn is None:
             object.__setattr__(self, "chi_syn", synthesis_matrix(self.lam))
         else:
-            d = self.lam.n
-            image = orthonormal_basis(self.chi_syn.entries[:, :d])
-            defect = principal_angles(image, self.lam.basis).max(initial=0.0)
-            if defect > 1e-8:
-                raise SynthesisError(
-                    f"provided synthesis matrix misses the subspace "
-                    f"(principal angle {defect:.2e})"
-                )
-
-    def order(self) -> float:
-        return self.symbol.order
+            _check_covers(self.chi_syn, self.lam, "provided synthesis matrix")
 
 
 def lagrangian_synthesize(spec: LagrangianDistSpec, grid: GridSpec) -> GridFunction:
@@ -133,14 +127,10 @@ def _lambda_twist(field: Field4D, Y: np.ndarray, F: np.ndarray) -> Field4D:
     that flattens the transform of a distribution adapted to the subspace."""
     d = len(field.axes) // 2
     P = np.eye(d) - Y @ Y.T if Y.size else np.eye(d)
-    mesh = np.meshgrid(*field.axes, indexing="ij")
-    x = mesh[:d]
-    xi = mesh[d:]
-    inner = sum(P[i, j] * x[j] * xi[i] for i in range(d) for j in range(d)
-                if abs(P[i, j]) > 1e-14)
-    quad = 0.5 * sum(F[i, j] * x[i] * x[j] for i in range(d) for j in range(d)
-                     if abs(F[i, j]) > 1e-14)
-    return Field4D(field.axes, field.values * np.exp(-1j * (inner + quad)))
+    P, F = (np.where(np.abs(M) > 1e-14, M, 0.0) for M in (P, F))
+    # axes (x, xi): the x-x block carries <x, Fx>/2, the x-xi block <Px, xi>
+    Q = np.block([[0.5 * F, P.T], [np.zeros((d, 2 * d))]])
+    return _quadratic_twist(field, Q)
 
 
 def _product_subspace(P: np.ndarray, Q: np.ndarray, param=None) -> LagrangianSubspace:

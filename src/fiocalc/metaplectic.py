@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .grids import (MEMORY_CAP_ENTRIES, GridFunction, GridSpec, OperatorMatrix,
-                    SizeGuardError, gaussian_window)
+from .grids import (GridFunction, GridSpec, OperatorMatrix, SizeGuardError,
+                    gaussian_window)
 from .symplectic import (
+    DimensionError,
     SymplecticMatrix,
     chirp_matrix,
     free_phase_matrix,
@@ -25,7 +26,7 @@ from .symplectic import (
     standard_j,
     symplectic_inverse,
 )
-from .weyl import weyl_kernel
+from .weyl import _pullback, weyl_kernel
 
 PHASE_CHUNK = 512  # output rows per exponentiated phase block (of N columns)
 EGOROV_MARGIN = 0.6  # Egorov span: Hermite modes within this fraction of the box
@@ -43,7 +44,9 @@ def _per_row(w: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def _chunked_phase_apply(out_pts, in_pts, phase_func, values, weight):
-    """sum_l e^{i phase(out, in)} values[l] * weight, chunked over output rows."""
+    """sum_l e^{i phase(out, in)} values[l] * weight, chunked over output rows.
+    Refuses with SizeGuardError when one block would pass MEMORY_CAP_ENTRIES."""
+    SizeGuardError.check(min(PHASE_CHUNK, len(out_pts)) * len(in_pts))
     out = np.empty((len(out_pts),) + values.shape[1:], dtype=complex)
     for start in range(0, len(out_pts), PHASE_CHUNK):
         block = phase_func(out_pts[start : start + PHASE_CHUNK], in_pts)
@@ -63,6 +66,7 @@ class FourierFactor:
         return J if self.sign == -1 else symplectic_inverse(J)
 
     def act(self, spec: GridSpec, vals: np.ndarray) -> np.ndarray:
+        SizeGuardError.check(spec.n**2)
         pts = spec.points()
         M = (2 * np.pi) ** (-0.5) * spec.h * np.exp(self.sign * 1j * np.outer(pts, pts))
         out = vals.reshape((spec.n,) * spec.d + vals.shape[1:])
@@ -193,6 +197,8 @@ class MetaplecticOperator:
     unit scalar."""
 
     def __init__(self, spec: GridSpec, factorization: MetaplecticFactorization):
+        if factorization.chi.d != spec.d:
+            raise DimensionError(f"chi acts on d = {factorization.chi.d}, grid has d = {spec.d}")
         self.spec = spec
         self.factorization = factorization
         self._matrix = None
@@ -213,8 +219,7 @@ class MetaplecticOperator:
         d = 2 grids).  Refuses with SizeGuardError past MEMORY_CAP_ENTRIES."""
         if self._matrix is None:
             N = self.spec.size()
-            if N * N > MEMORY_CAP_ENTRIES:
-                raise SizeGuardError(N * N, MEMORY_CAP_ENTRIES)
+            SizeGuardError.check(N * N)
             vals = np.eye(N, dtype=complex)
             for factor in reversed(self.factorization.factors):
                 vals = factor.act(self.spec, vals)
@@ -352,12 +357,7 @@ def egorov_residual(chi: SymplecticMatrix, a, spec: GridSpec) -> float:
     A = weyl_kernel(a, spec).weighted()
     lhs = M.conj().T @ A @ M
 
-    def a_chi(z):
-        shape = z.shape[:-1]
-        flat = z.reshape(-1, 2) @ chi.entries.T
-        return np.asarray(a(flat.reshape(shape + (2,))), dtype=complex)
-
-    rhs = weyl_kernel(a_chi, spec).weighted()
+    rhs = weyl_kernel(_pullback(a, chi.entries), spec).weighted()
     x = spec.points()
     V = np.stack([hermite_values(k, x) for k in range(n_modes)], axis=1)
     V, _ = np.linalg.qr(V * spec.h**0.5)

@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from .fio import FioSpec
-from .grids import MEMORY_CAP_ENTRIES, GridFunction, GridSpec, SizeGuardError
+from .grids import GridFunction, GridSpec, SizeGuardError
 from .phases import phase_from_dict, phase_to_dict
 from .symbols import ShubinSymbol
 from .symplectic import SymplecticMatrix
@@ -46,8 +46,7 @@ def grid_function_from_csv(path: str) -> GridFunction:
         header = fh.readline().strip().split(",")
         d, n, R = int(header[0]), int(header[1]), float(header[2])
         spec = GridSpec(d, n, R)
-        if n**d > MEMORY_CAP_ENTRIES:
-            raise SizeGuardError(n**d, MEMORY_CAP_ENTRIES)
+        SizeGuardError.check(n**d)
         vals = np.zeros(n**d, dtype=complex)
         seen = np.zeros(n**d, dtype=bool)
         for line in fh:
@@ -94,15 +93,16 @@ def field_to_csv(field, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def field_to_pgm(values: np.ndarray, path: str,
-                 log_min: float = -8.0, log_max: float = 0.0,
-                 comment: str = "") -> None:
+PGM_LOG_MIN, PGM_LOG_MAX = -8.0, 0.0  # log10 range of the PGM color scale
+
+
+def field_to_pgm(values: np.ndarray, path: str, comment: str = "") -> None:
     """8-bit PGM of log10(|values| / peak) on a fixed color scale.
 
     The magnitude is normalized by its peak, mapped through log10, clipped
-    to [log_min, log_max] and linearly scaled to 0..255 (255 = peak).  The
-    first axis renders as rows top to bottom.  An optional single-line
-    comment (for the run configuration) goes into the PGM header.
+    to [PGM_LOG_MIN, PGM_LOG_MAX] and linearly scaled to 0..255 (255 =
+    peak).  The first axis renders as rows top to bottom.  An optional
+    single-line comment (for the run configuration) goes into the PGM header.
     """
     mag = np.abs(np.asarray(values))
     if mag.ndim != 2:
@@ -113,8 +113,8 @@ def field_to_pgm(values: np.ndarray, path: str,
     else:
         with np.errstate(divide="ignore"):
             logs = np.log10(np.where(mag > 0, mag / peak, 0.0))
-        logs = np.clip(logs, log_min, log_max)
-        levels = np.rint(255.0 * (logs - log_min) / (log_max - log_min))
+        logs = np.clip(logs, PGM_LOG_MIN, PGM_LOG_MAX)
+        levels = np.rint(255.0 * (logs - PGM_LOG_MIN) / (PGM_LOG_MAX - PGM_LOG_MIN))
         levels = levels.astype(np.uint8)
     rows, cols = levels.shape
     note = f"# {comment}\n" if comment else ""

@@ -122,14 +122,10 @@ def custom_symbol(dim: int, order: float, rho: float, func) -> ShubinSymbol:
 def _derivative(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """4th-order central first difference; two border layers become invalid
     and are set to nan."""
-    f = values
-    out = (-np.roll(f, -2, axis) + 8 * np.roll(f, -1, axis)
-           - 8 * np.roll(f, 1, axis) + np.roll(f, 2, axis)) / (12 * h)
-    sl = [slice(None)] * f.ndim
-    for edge in (slice(0, 2), slice(-2, None)):
-        sl[axis] = edge
-        out[tuple(sl)] = np.nan
-    sl[axis] = slice(None)
+    f = np.moveaxis(values, axis, 0)
+    inner = (-f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]) / (12 * h)
+    out = np.full(values.shape, np.nan, dtype=inner.dtype)
+    np.moveaxis(out, axis, 0)[2:-2] = inner
     return out
 
 
@@ -157,6 +153,16 @@ class DecayReport:
         }
 
 
+def _shell_maxima(r: np.ndarray, values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Largest value over each shell edges[j] <= r < edges[j + 1] (zero for
+    an empty shell); points outside the edges are ignored."""
+    idx = np.digitize(r, edges) - 1
+    ok = (idx >= 0) & (idx < len(edges) - 1)
+    maxima = np.zeros(len(edges) - 1)
+    np.maximum.at(maxima, idx[ok], values[ok])
+    return maxima
+
+
 def shell_slope(radii: np.ndarray, maxima: np.ndarray):
     """Log-log regression slope of shell maxima against <r> = (1 + r^2)^{1/2}."""
     mask = maxima > 0
@@ -168,16 +174,21 @@ def shell_slope(radii: np.ndarray, maxima: np.ndarray):
     return float(slope)
 
 
+DECAY_MAX_ORDER = 2  # derivatives up to this total order are fitted
+DECAY_MARGIN = 0.3  # allowed excess of a slope over m - rho |alpha|
+DECAY_R_MIN = 2.0  # inner radius of the fitted shells
+DECAY_N_SHELLS = 8  # geometric shells per fit
+
+
 def shubin_decay_test(values: np.ndarray, axes, m: float, rho: float,
-                      max_order: int = 2, margin: float = 0.3,
-                      r_min: float = 2.0, r_max: float = None,
-                      n_shells: int = 8, noise: float = 0.0) -> DecayReport:
+                      noise: float = 0.0) -> DecayReport:
     """Empirical Shubin-decay check of sampled data.
 
     values: complex array over the product grid of the 1D coordinate arrays
-    in axes.  For each derivative multi-order |alpha| <= max_order (central
-    differences) the shell maxima over |z| in [r_min, r_max] are regressed
-    log-log; pass iff every slope <= m - rho |alpha| + margin.
+    in axes.  For each derivative multi-order |alpha| <= DECAY_MAX_ORDER
+    (central differences) the shell maxima over |z| from DECAY_R_MIN to half
+    the smallest axis extent (at least 2 DECAY_R_MIN) are regressed log-log;
+    pass iff every slope <= m - rho |alpha| + DECAY_MARGIN.
 
     noise is the absolute uncertainty of the samples (zero for exactly
     evaluated symbols).  A finite difference of order alpha amplifies it by
@@ -186,33 +197,25 @@ def shubin_decay_test(values: np.ndarray, axes, m: float, rho: float,
     information about the symbol.
     """
     axes = [np.asarray(a, dtype=float) for a in axes]
-    dim = len(axes)
     values = np.asarray(values, dtype=complex).reshape([len(a) for a in axes])
     steps = [a[1] - a[0] for a in axes]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    radius = np.sqrt(sum(c**2 for c in mesh))
-    if r_max is None:
-        r_max = max(0.5 * min(a.max() for a in axes), 2.0 * r_min)
-    edges = np.geomspace(max(r_min, 1e-6), r_max, n_shells + 1)
-    shell_idx = np.digitize(radius, edges) - 1
-    valid_shell = (shell_idx >= 0) & (shell_idx < n_shells)
+    radius = np.sqrt(sum(c**2 for c in np.ix_(*axes)))
+    r_max = max(0.5 * min(a.max() for a in axes), 2.0 * DECAY_R_MIN)
+    edges = np.geomspace(DECAY_R_MIN, r_max, DECAY_N_SHELLS + 1)
+    radii = np.sqrt(edges[:-1] * edges[1:])
 
     slopes = {}
     bounds = {}
     shells_out = []
     status = "pass"
     scale = float(np.abs(values).max()) or 1.0
-    for total in range(max_order + 1):
-        for alpha in itertools.product(range(total + 1), repeat=dim):
+    for total in range(DECAY_MAX_ORDER + 1):
+        for alpha in itertools.product(range(total + 1), repeat=len(axes)):
             if sum(alpha) != total:
                 continue
-            deriv = multi_derivative(values, alpha, steps)
-            mag = np.abs(deriv)
-            ok = valid_shell & np.isfinite(mag)
-            maxima = np.zeros(n_shells)
-            np.maximum.at(maxima, shell_idx[ok], mag[ok])
-            radii = np.sqrt(edges[:-1] * edges[1:])
-            nonempty = np.array([np.any(ok & (shell_idx == j)) for j in range(n_shells)])
+            mag = np.abs(multi_derivative(values, alpha, steps))
+            ok = np.isfinite(mag)
+            maxima = _shell_maxima(radius[ok], mag[ok], edges)
             thresh = max(1e-12 * scale,
                          noise * np.prod([(2.0 / s) ** a for s, a in zip(steps, alpha)]))
             if maxima.max(initial=0.0) <= thresh:
@@ -220,13 +223,14 @@ def shubin_decay_test(values: np.ndarray, axes, m: float, rho: float,
                 # than any power as far as the data can tell
                 slope = -np.inf
             else:
-                slope = shell_slope(radii[nonempty], maxima[nonempty])
-            if sum(alpha) == 0:
+                slope = shell_slope(radii, maxima)
+            if total == 0:
+                nonempty = _shell_maxima(radius[ok], np.ones(ok.sum()), edges) > 0
                 shells_out = [(float(r), float(v)) for r, v in
                               zip(radii[nonempty], maxima[nonempty])]
             if slope is None:
                 return DecayReport("inconclusive", slopes, bounds, shells_out)
-            bound = m - rho * sum(alpha) + margin
+            bound = m - rho * total + DECAY_MARGIN
             slopes[alpha] = slope
             bounds[alpha] = bound
             if slope > bound:

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (MEMORY_CAP_ENTRIES, GridFunction, GridSpec, OperatorMatrix,
-                    SizeGuardError)
-from .symbols import ShubinSymbol, shubin_decay_test
+from .grids import GridFunction, GridSpec, OperatorMatrix, SizeGuardError
+from .symbols import ShubinSymbol
 
 
 def _check_d1(spec: GridSpec):
@@ -24,15 +23,15 @@ def _check_d1(spec: GridSpec):
         raise ValueError("dense Weyl operators are implemented for d = 1 only")
 
 
-def weyl_kernel(a, spec: GridSpec, cap: int = MEMORY_CAP_ENTRIES) -> OperatorMatrix:
+def weyl_kernel(a, spec: GridSpec) -> OperatorMatrix:
     """Operator matrix of a^w(x, D) for a symbol callable on R^2.
 
     The symbol is evaluated at midpoints (x_k + x_l)/2, which form a grid of
     2n - 1 points, so assembly is O(n^2) evaluations plus one matrix product.
+    Refuses with SizeGuardError past MEMORY_CAP_ENTRIES matrix entries.
     """
     _check_d1(spec)
-    if spec.size() ** 2 > cap:
-        raise SizeGuardError(spec.size() ** 2, cap)
+    SizeGuardError.check(spec.size() ** 2)
     n, h, R = spec.n, spec.h, spec.R
     xi = spec.dual_points()
     mids = -R + 0.5 * h * np.arange(2 * n - 1)
@@ -82,9 +81,6 @@ class SampledSymbol:
         X, XI = np.meshgrid(self.x, self.xi, indexing="ij")
         bound = frac * self.spec.R
         return (np.abs(X) <= bound) & (np.abs(XI) <= bound)
-
-    def decay_report(self, m: float, rho: float, **kw):
-        return shubin_decay_test(self.values, [self.x, self.xi], m, rho, **kw)
 
     def as_callable(self):
         from scipy.interpolate import RectBivariateSpline
@@ -192,6 +188,11 @@ def weyl_product(a, b, spec: GridSpec) -> SampledSymbol:
     Ka = weyl_kernel(a, spec)
     Kb = weyl_kernel(b, spec)
     return symbol_from_kernel(Ka.compose(Kb))
+
+
+def _pullback(a, M: np.ndarray):
+    """The symbol z -> a(M z) for a symbol callable a on R^2."""
+    return lambda z: np.asarray(a((z.reshape(-1, 2) @ M.T).reshape(z.shape)), dtype=complex)
 
 
 def symbol_callable(sym) -> callable:

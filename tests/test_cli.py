@@ -3,7 +3,7 @@ import pytest
 
 from fiocalc import cli
 from fiocalc.grids import GridFunction, GridSpec, hermite_grid_function
-from fiocalc.phases import phase_to_dict, pseudodifferential_phase
+from fiocalc.phases import phase_from_free_matrix, phase_to_dict, pseudodifferential_phase
 from fiocalc.serialize import (
     fio_spec_to_dict,
     grid_function_from_csv,
@@ -15,7 +15,7 @@ from fiocalc.serialize import (
 )
 from fiocalc.fio import FioSpec
 from fiocalc.symbols import constant_symbol, gaussian_symbol, harmonic_oscillator_symbol
-from fiocalc.symplectic import chirp_matrix, standard_j
+from fiocalc.symplectic import SymplecticMatrix, chirp_matrix, standard_j
 
 
 def write_psi0(path, n=128, R=10.0):
@@ -253,3 +253,63 @@ def test_usage_errors_are_input_errors(argv, code):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == code
+
+
+@pytest.mark.parametrize("command, chi_d, grid_d", [
+    ("mu-apply", 2, 1),
+    ("mu-apply", 1, 2),
+    ("factorize", 2, 1),
+])
+def test_chi_of_another_dimension_than_the_grid_is_an_input_error(
+        tmp_path, capsys, command, chi_d, grid_d):
+    chi = tmp_path / "chi.json"
+    write_chi(chi, standard_j(chi_d))
+    data = tmp_path / "data.csv"
+    if command == "factorize":
+        fourier_kernel_csv(data, n=32)
+    elif grid_d == 1:
+        write_psi0(data)
+    else:
+        grid = GridSpec(2, 16, 8.0)
+        psi = GridFunction.sample(grid, lambda a, b: np.exp(-0.5 * (a ** 2 + b ** 2)))
+        grid_function_to_csv(psi, str(data))
+    inputs = [str(chi), str(data)] if command == "mu-apply" else [str(data), str(chi)]
+    out = tmp_path / "out"
+    assert cli.main([command, *inputs, "--out", str(out)]) == 3
+    assert f"chi acts on d = {chi_d}, grid has d = {grid_d}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+OSCILLATORY_N0 = FioSpec("oscillatory", 0.0, 1.0, phase=phase_from_free_matrix(standard_j(1)),
+                         amplitude=constant_symbol(2))
+OSCILLATORY_N1 = FioSpec("oscillatory", 0.0, 1.0, phase=pseudodifferential_phase(1),
+                         amplitude=constant_symbol(3))
+FACTORED = FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=standard_j(1))
+# B = 0.1 is too ill-conditioned for the free kernel: mu(chi) goes through a
+# shifted path whose first factor is a Fourier transform
+SHIFTED = FioSpec("factored", 0.0, 1.0, b=constant_symbol(2),
+                  chi=SymplecticMatrix(1, np.array([[1.0, 0.1], [0.0, 1.0]])))
+
+
+@pytest.mark.parametrize("command, specs", [
+    ("fio-kernel", [OSCILLATORY_N0]),
+    ("fio-kernel", [OSCILLATORY_N1]),
+    ("fio-kernel", [FACTORED]),
+    ("adjoint", [OSCILLATORY_N0]),
+    ("adjoint", [OSCILLATORY_N1]),
+    ("compose", [FACTORED, FACTORED]),
+    ("compose", [SHIFTED, SHIFTED]),
+], ids=["kernel-N0", "kernel-N1", "kernel-factored", "adjoint-N0", "adjoint-N1",
+        "compose", "compose-shifted"])
+def test_grid_past_the_memory_cap_is_refused_before_allocating(
+        tmp_path, capsys, command, specs):
+    # n = 2^20: the kernel has 2^40 samples, one phase block 2^29 entries and
+    # the matrix of a Fourier factor 2^40
+    paths = []
+    for i, spec in enumerate(specs):
+        paths.append(str(tmp_path / f"spec{i}.json"))
+        write_json(fio_spec_to_dict(spec), paths[-1])
+    out = tmp_path / "out"
+    assert cli.main([command, *paths, "--grid-n", "1048576", "--out", str(out)]) == 3
+    assert "GiB" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()

@@ -5,6 +5,8 @@ from fiocalc.gabor import (
     Field4D,
     N_SECTORS,
     OrthogonalWindowError,
+    _span_distance,
+    chi_twist_field,
     directional_derivative,
     gabor_inverse,
     gabor_transform,
@@ -15,6 +17,7 @@ from fiocalc.gabor import (
     wavefront_estimate,
 )
 from fiocalc.grids import GridFunction, GridSpec, gaussian_window, hermite_grid_function
+from fiocalc.symplectic import DimensionError, chirp_matrix, scaling_matrix, standard_j
 
 
 def delta(grid):
@@ -117,3 +120,41 @@ def test_directional_derivative_of_separable_gaussian():
     ref = -mesh[0] * vals
     err = np.nanmax(np.abs(d0.values - ref))
     assert err < 1e-4
+
+
+def random_field(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    axes = tuple(np.linspace(-3.0, 3.0, n) for n in shape)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return Field4D(axes, vals)
+
+
+def test_chi_twist_matches_its_closed_form():
+    chi = (chirp_matrix(np.array([[0.4]])) @ standard_j(1)
+           @ chirp_matrix(np.array([[0.5]])) @ scaling_matrix(np.array([[1.3]])))
+    assert np.abs(chi.entries).min() > 0.1
+    field = random_field((5, 6, 7, 8))
+    out = chi_twist_field(field, chi)
+    z1, z2, c1, c2 = np.meshgrid(*field.axes, indexing="ij")
+    (A, B), (C, D) = chi.entries
+    # chi applied to (z2, -zeta2), paired with (z1, zeta1) by the symplectic form
+    wx, wxi = A * z2 - B * c2, C * z2 - D * c2
+    ref = field.values * np.exp(-0.5j * (z1 * c1 + z2 * c2 + z1 * wxi - wx * c1))
+    assert np.abs(out.values - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_chi_twist_refuses_chi_of_another_dimension():
+    with pytest.raises(DimensionError):
+        chi_twist_field(random_field((4, 4, 4, 4)), standard_j(2))
+
+
+@pytest.mark.parametrize("rank", [2, 0])
+def test_span_distance_matches_projection(rank):
+    rng = np.random.default_rng(1)
+    basis = np.linalg.qr(rng.standard_normal((4, 2)))[0][:, :rank]
+    axes = [np.linspace(-2.0, 2.0, n) for n in (4, 5, 6, 7)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    ref = np.linalg.norm(pts - pts @ basis @ basis.T, axis=-1)
+    got = _span_distance(axes, basis)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * ref.max()

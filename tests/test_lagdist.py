@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from fiocalc.fio import FioSpec
+from fiocalc.gabor import Field4D
 from fiocalc.grids import GridFunction, GridSpec, hermite_grid_function
 from fiocalc.lagdist import (
     LagrangianDistSpec,
     SynthesisError,
+    _lambda_twist,
     chirp_invariance_check,
     fio_on_lagrangian_check,
     lagrangian_membership_test,
@@ -127,3 +129,19 @@ def test_spec_rejects_mismatched_synthesis_matrix():
     bad = standard_j(1)  # carries the position axis to the frequency axis
     with pytest.raises(SynthesisError):
         LagrangianDistSpec(POSITION_AXIS, constant_symbol(1), chi_syn=bad)
+
+
+def test_lambda_twist_matches_its_closed_form():
+    rng = np.random.default_rng(4)
+    Y = orthonormal_basis(np.array([[1.0], [2.0]]))
+    F = np.array([[0.3, -0.7], [-0.7, 1.1]])
+    axes = tuple(np.linspace(-3.0, 3.0, n) for n in (5, 6, 7, 8))
+    vals = rng.standard_normal((5, 6, 7, 8)) + 1j * rng.standard_normal((5, 6, 7, 8))
+    out = _lambda_twist(Field4D(axes, vals), Y, F)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    x, xi = np.stack(mesh[:2]), np.stack(mesh[2:])
+    P = np.eye(2) - Y @ Y.T
+    phase = (np.einsum("ij,j...,i...->...", P, x, xi)
+             + 0.5 * np.einsum("ij,i...,j...->...", F, x, x))
+    ref = vals * np.exp(-1j * phase)
+    assert np.abs(out.values - ref).max() <= 1e-12 * np.abs(ref).max()

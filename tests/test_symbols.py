@@ -6,6 +6,8 @@ from fiocalc.symbols import (
     constant_symbol,
     custom_symbol,
     gaussian_symbol,
+    _derivative,
+    _shell_maxima,
     harmonic_oscillator_symbol,
     polynomial_symbol,
     shubin_decay_test,
@@ -70,3 +72,40 @@ def test_decay_report_serializes():
     vals = np.exp(-(np.add.outer(ax ** 2, ax ** 2)))
     data = shubin_decay_test(vals, [ax, ax], 0.0, 1.0).to_dict()
     assert data["status"] == "pass"
+
+
+def test_shell_maxima_match_a_loop():
+    rng = np.random.default_rng(2)
+    r = rng.uniform(0.0, 10.0, 500)
+    r = r[(r < 4.0) | (r >= 5.0)]  # leaves the shell [4, 5) empty
+    vals = rng.uniform(0.0, 1.0, r.size)
+    edges = np.array([1.0, 2.0, 4.0, 5.0, 8.0])
+    ref = np.array([vals[(r >= lo) & (r < hi)].max(initial=0.0)
+                    for lo, hi in zip(edges[:-1], edges[1:])])
+    got = _shell_maxima(r, vals, edges)
+    assert ref[2] == 0.0 and np.all(ref[[0, 1, 3]] > 0.0)
+    assert np.abs(got - ref).max() <= 1e-12 * ref.max()
+
+
+def rolled_derivative(f, axis, h):
+    """The stencil written with periodic shifts, borders set to nan."""
+    out = (-np.roll(f, -2, axis) + 8 * np.roll(f, -1, axis)
+           - 8 * np.roll(f, 1, axis) + np.roll(f, 2, axis)) / (12 * h)
+    sl = [slice(None)] * f.ndim
+    for edge in (slice(0, 2), slice(-2, None)):
+        sl[axis] = edge
+        out[tuple(sl)] = np.nan
+    return out
+
+
+@pytest.mark.parametrize("shape", [(9,), (7, 6), (5, 6, 7), (6, 5, 8, 9)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_derivative_is_bitwise_the_rolled_stencil(shape, dtype):
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal(shape).astype(dtype)
+    if dtype is complex:
+        vals += 1j * rng.standard_normal(shape)
+    for axis in range(len(shape)):
+        got = _derivative(vals, axis, 0.37)
+        ref = rolled_derivative(vals, axis, 0.37)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
