@@ -9,6 +9,7 @@ trailing columns); the dense matrix is the factor chain applied to the identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from .symplectic import (
 )
 from .weyl import _pullback, weyl_kernel
 
-PHASE_CHUNK = 512  # output rows per exponentiated phase block (of N columns)
+PHASE_CHUNK = 512  # phase contraction intermediates hold at most this many times N entries
 EGOROV_MARGIN = 0.6  # Egorov span: Hermite modes within this fraction of the box
 FBI_INTERIOR = 0.5  # FBI covariance is compared within this fraction of R
 
@@ -43,14 +44,29 @@ def _per_row(w: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return w.reshape(w.shape + (1,) * (vals.ndim - 1))
 
 
-def _chunked_phase_apply(out_pts, in_pts, phase_func, values, weight):
-    """sum_l e^{i phase(out, in)} values[l] * weight, chunked over output rows.
-    Refuses with SizeGuardError when one block would pass MEMORY_CAP_ENTRIES."""
-    SizeGuardError.check(min(PHASE_CHUNK, len(out_pts)) * len(in_pts))
-    out = np.empty((len(out_pts),) + values.shape[1:], dtype=complex)
-    for start in range(0, len(out_pts), PHASE_CHUNK):
-        block = phase_func(out_pts[start : start + PHASE_CHUNK], in_pts)
-        out[start : start + PHASE_CHUNK] = np.exp(1j * block) @ values * weight
+def _phase_contract(w: np.ndarray, axis: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum over the product grid axis^d of e^{i w(out) . in} values[in], one
+    output row per row of w (rows, d).  The phase splits into
+    prod_j e^{i w_j(out) in_j}: the last input axis is contracted by one matrix
+    product with a rows x n exponential block, each other axis is folded in by
+    a batched product.  Rows are chunked so that no intermediate passes
+    PHASE_CHUNK n^d entries; SizeGuardError past MEMORY_CAP_ENTRIES."""
+    n, (rows, d) = len(axis), w.shape
+    tail = values.shape[1:]
+    cols = math.prod(tail)
+    chunk = max(1, min(rows, PHASE_CHUNK * n ** (d - 1), PHASE_CHUNK * n // cols))
+    SizeGuardError.check(chunk * n)
+    SizeGuardError.check(chunk * n ** (d - 1) * cols)
+    # rows: the last input axis; columns: the other input axes, then the tail
+    values = np.moveaxis(values.reshape((-1, n) + tail), 1, 0).reshape(n, -1)
+    out = np.empty((rows,) + tail, dtype=complex)
+    for start in range(0, rows, chunk):
+        wc = w[start : start + chunk]
+        acc = np.exp(1j * (wc[:, -1:] * axis)) @ values
+        for j in reversed(range(d - 1)):
+            acc = acc.reshape(len(wc), n ** j, n, cols)
+            acc = (np.exp(1j * (wc[:, j, None] * axis))[:, None, None, :] @ acc)[:, :, 0]
+        out[start : start + chunk] = acc.reshape((len(wc),) + tail)
     return out
 
 
@@ -116,13 +132,11 @@ class LinearFactor:
         return scaling_matrix(self.A)
 
     def act(self, spec: GridSpec, vals: np.ndarray) -> np.ndarray:
-        x = _mesh_points(spec.points(), spec.d)
-        y = x @ np.linalg.inv(self.A).T
-        xi = _mesh_points(spec.dual_points(), spec.d)
+        x, xi = spec.points(), spec.dual_points()
+        y = _mesh_points(x, spec.d) @ np.linalg.inv(self.A).T
         # Fourier coefficients on the dual grid, then evaluation off-grid
-        coeffs = _chunked_phase_apply(xi, x, lambda o, i: -o @ i.T, vals,
-                                      1.0 / spec.size())
-        out = _chunked_phase_apply(y, xi, lambda o, i: o @ i.T, coeffs, 1.0)
+        coeffs = _phase_contract(-_mesh_points(xi, spec.d), x, vals) * (1.0 / spec.size())
+        out = _phase_contract(y, xi, coeffs)
         # trigonometric resampling is periodic: evaluation points outside the
         # box would wrap around and read values from the far side, so clamp
         # them to zero (grid-representable states decay there anyway)
@@ -160,8 +174,7 @@ class FreeKernelFactor:
         pts = _mesh_points(spec.points(), spec.d)
         qy = 0.5 * np.einsum("qi,ij,qj->q", pts, self.Fyy, pts)
         inner = _per_row(np.exp(1j * qy), vals) * vals
-        out = _chunked_phase_apply(pts, pts, lambda o, i: np.einsum(
-            "pi,ij,qj->pq", o, self.Fxy, i), inner, spec.h**spec.d)
+        out = _phase_contract(pts @ self.Fxy, spec.points(), inner) * spec.h**spec.d
         qx = 0.5 * np.einsum("pi,ij,pj->p", pts, self.Fxx, pts)
         return self.c * _per_row(np.exp(1j * qx), out) * out
 

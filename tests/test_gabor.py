@@ -113,7 +113,7 @@ def test_kernel_field_shape_and_steps():
 def test_directional_derivative_of_separable_gaussian():
     ax = np.linspace(-4, 4, 81)
     axes = (ax, ax, ax, ax)
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     vals = np.exp(-0.5 * sum(m ** 2 for m in mesh)).astype(complex)
     field = Field4D(axes, vals)
     d0 = directional_derivative(field, np.array([1.0, 0.0, 0.0, 0.0]))

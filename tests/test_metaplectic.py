@@ -8,7 +8,10 @@ from fiocalc.grids import (
     gaussian_window,
     hermite_grid_function,
 )
+from fiocalc import metaplectic
 from fiocalc.metaplectic import (
+    _mesh_points,
+    _phase_contract,
     egorov_residual,
     fbi_covariance_residual,
     gaussian_image,
@@ -74,6 +77,39 @@ def test_contraction_does_not_wrap_around_the_box():
     # corresponds to source points outside the box
     far = x < -8.0
     assert np.abs(out.values[far]).max() < 1e-8
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("tail", [(), (1,), (4,)])
+@pytest.mark.parametrize("chunk", [None, 2], ids=["one-chunk", "many-chunks"])
+def test_phase_contraction_matches_the_dense_sum(monkeypatch, d, tail, chunk):
+    # reference: e^{i w . in} summed over the whole product grid at once
+    if chunk is not None:
+        monkeypatch.setattr(metaplectic, "PHASE_CHUNK", chunk)
+    rng = np.random.default_rng(d)
+    axis = np.sort(rng.uniform(-3.0, 3.0, 5))
+    w = rng.normal(size=(37, d))
+    values = rng.normal(size=(5**d,) + tail) + 1j * rng.normal(size=(5**d,) + tail)
+    dense = np.exp(1j * w @ _mesh_points(axis, d).T) @ values.reshape(5**d, -1)
+    out = _phase_contract(w, axis, values)
+    assert out.shape == (37,) + tail
+    assert np.abs(out.reshape(37, -1) - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("tail", [(), (128,)])
+def test_phase_contraction_in_one_dimension_is_the_dense_block_product(tail):
+    # d = 1 keeps the bits of one exponentiated block per PHASE_CHUNK rows
+    g = GridSpec(1, 1024, 10.0)
+    rng = np.random.default_rng(5)
+    w = 0.7 * g.points()[:, None]
+    values = rng.normal(size=(g.n,) + tail) + 1j * rng.normal(size=(g.n,) + tail)
+    weight = g.h
+    ref = np.empty((g.n,) + tail, dtype=complex)
+    for start in range(0, g.n, metaplectic.PHASE_CHUNK):
+        block = w[start : start + metaplectic.PHASE_CHUNK] @ g.points()[None, :]
+        ref[start : start + metaplectic.PHASE_CHUNK] = np.exp(1j * block) @ values * weight
+    out = _phase_contract(w, g.points(), values) * weight
+    assert out.tobytes() == ref.tobytes()
 
 
 def test_unitarity_for_bounded_random_matrices():
