@@ -495,7 +495,7 @@ def wf_kernel_check(K: GridFunction, chi: SymplecticMatrix, g_callable) -> dict:
     sel = (r > CONE_R_MIN) & (mag > CONE_REL_THRESHOLD * peak) & _interior(field.axes)
     if not np.any(sel):
         return {"status": "pass", "worst_excess": 0.0, "points": 0}
-    dist = _span_distance(field.axes, lam.basis)[sel]
+    dist = _span_distance(field.axes, lam.basis, sel)
     allowed = CONE_COLLAR + np.sin(CONE_ANGLE) * r[sel]
     worst = float((dist - allowed).max())
     return {

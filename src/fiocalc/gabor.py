@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridFunction, GridSpec, SizeGuardError
-from .symbols import _derivative, _shell_maxima, shell_slope
+from .symbols import _shell_maxima, shell_slope
 from .symplectic import (DimensionError, LagrangianSubspace, SymplecticMatrix,
                          orthogonal_complement)
 
@@ -270,11 +270,21 @@ class DecayProfile:
     status: str
 
 
-def _span_distance(axes, basis: np.ndarray) -> np.ndarray:
-    """Distance of every grid point to span(basis), orthonormal columns (none:
-    the radius), as the norm of the coordinates on the orthogonal complement."""
-    w = np.ix_(*axes)
-    sq = np.zeros([len(a) for a in axes])
+def _mask_points(where: np.ndarray) -> tuple:
+    """np.nonzero(where), from the flat indices: the same coordinates in the
+    same (C) order, several times faster on a 4-D mask."""
+    return np.unravel_index(np.flatnonzero(where), where.shape)
+
+
+def _span_distance(axes, basis: np.ndarray, where=None) -> np.ndarray:
+    """Distance to span(basis), orthonormal columns (none: the radius), as the
+    norm of the coordinates on the orthogonal complement: at every grid point,
+    or as a 1-D array at the points of the boolean mask where."""
+    if where is None:
+        w = np.ix_(*axes)
+    else:
+        w = [a[i] for a, i in zip(axes, _mask_points(where))]
+    sq = np.zeros(np.broadcast_shapes(*(x.shape for x in w)))
     for col in orthogonal_complement(basis).T:
         sq += sum(c * wj for c, wj in zip(col, w) if c != 0.0) ** 2
     return np.sqrt(sq)
@@ -288,14 +298,28 @@ def _interior(axes) -> np.ndarray:
     return inside
 
 
-def directional_derivative(field: Field4D, direction: np.ndarray) -> Field4D:
+def directional_derivative(field: Field4D, direction: np.ndarray,
+                           where: np.ndarray) -> np.ndarray:
+    """Derivative of the field along direction at the points of the boolean
+    mask where, as a 1-D array: the 4th-order stencil of symbols._derivative
+    gathered per axis, so no full-size array is built.  Points within two
+    layers of an edge of a differentiated axis are nan."""
     direction = np.asarray(direction, dtype=float)
     steps = field.steps()
-    out = np.zeros_like(field.values)
+    values = field.values
+    idx = _mask_points(where)
+    out = np.zeros(len(idx[0]), dtype=values.dtype)
     for axis, c in enumerate(direction):
         if abs(c) > 1e-14:
-            out = out + c * _derivative(field.values, axis, steps[axis])
-    return Field4D(field.axes, out)
+            ok = (idx[axis] >= 2) & (idx[axis] < values.shape[axis] - 2)
+            pos = [j[ok] for j in idx]
+            f = {s: values[tuple(pos[:axis] + [pos[axis] + s] + pos[axis + 1:])]
+                 for s in (-2, -1, 1, 2)}
+            inner = (-f[2] + 8 * f[1] - 8 * f[-1] + f[-2]) / (12 * steps[axis])
+            d = np.full(len(ok), np.nan, dtype=inner.dtype)
+            d[ok] = inner
+            out = out + c * d
+    return out
 
 
 def decay_profile(field: Field4D, lam: LagrangianSubspace,
@@ -328,15 +352,16 @@ def decay_profile(field: Field4D, lam: LagrangianSubspace,
     edges_a = np.geomspace(2.0, 0.8 * r_along, N_SHELLS + 1)
     radii_a = np.sqrt(edges_a[:-1] * edges_a[1:])
     strip = (dist_l <= ALONG_CAP) & interior
+    dist_s = dist_v[strip]
     along = {}
-    for k in range(K_MAX + 1):
+    # K_MAX = 1: order 0 is |field|, order 1 the derivative along each basis
+    # vector of lam, both read on the strip only
+    for k in (0, 1):
+        mags = ([mag0[strip]] if k == 0 else
+                (np.abs(directional_derivative(field, v, strip)) for v in lam.basis.T))
         worst = None
-        for j in range(lam.basis.shape[1] if k else 1):
-            dfield = field
-            for _ in range(k):
-                dfield = directional_derivative(dfield, lam.basis[:, j])
-            mag = np.abs(dfield.values) if k else mag0
-            good = strip & np.isfinite(mag)
+        for mag in mags:
+            good = np.isfinite(mag)
             if mag[good].max(initial=0.0) <= REL_FLOOR * peak:
                 # derivative sits at the discretization noise floor: the
                 # finite differences cannot resolve anything this small,
@@ -344,7 +369,7 @@ def decay_profile(field: Field4D, lam: LagrangianSubspace,
                 if worst is None:
                     worst = -np.inf
                 continue
-            slope = shell_slope(radii_a, _shell_maxima(dist_v[good], mag[good], edges_a))
+            slope = shell_slope(radii_a, _shell_maxima(dist_s[good], mag[good], edges_a))
             if slope is None:
                 worst = None
                 break

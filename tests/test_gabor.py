@@ -1,12 +1,25 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from fiocalc import fio, lagdist
+from fiocalc.fio import FioSpec, fio_kernel, kernel_characterization_check
 from fiocalc.gabor import (
+    ALONG_CAP,
+    K_MAX,
+    N_SHELLS,
+    OFF_CAP,
+    OFF_RANGE,
+    REL_FLOOR,
+    DecayProfile,
     Field4D,
     N_SECTORS,
     OrthogonalWindowError,
+    _interior,
     _span_distance,
     chi_twist_field,
+    decay_profile,
     directional_derivative,
     gabor_inverse,
     gabor_transform,
@@ -17,7 +30,18 @@ from fiocalc.gabor import (
     wavefront_estimate,
 )
 from fiocalc.grids import GridFunction, GridSpec, gaussian_window, hermite_grid_function
-from fiocalc.symplectic import DimensionError, chirp_matrix, scaling_matrix, standard_j
+from fiocalc.lagdist import lagrangian_membership_test
+from fiocalc.symbols import _derivative, _shell_maxima, constant_symbol, shell_slope
+from fiocalc.symplectic import (
+    DimensionError,
+    SymplecticMatrix,
+    chirp_matrix,
+    lagrangian_with_param,
+    scaling_matrix,
+    standard_j,
+)
+
+GC = lambda t: np.pi ** -0.25 * np.exp(-0.5 * np.asarray(t) ** 2)
 
 
 def delta(grid):
@@ -116,9 +140,16 @@ def test_directional_derivative_of_separable_gaussian():
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     vals = np.exp(-0.5 * sum(m ** 2 for m in mesh)).astype(complex)
     field = Field4D(axes, vals)
-    d0 = directional_derivative(field, np.array([1.0, 0.0, 0.0, 0.0]))
-    ref = -mesh[0] * vals
-    err = np.nanmax(np.abs(d0.values - ref))
+    # every point is compared, one slab of axis 0 at a time, so the gathered
+    # indices never span all 81^4 points at once
+    where = np.zeros(vals.shape, dtype=bool)
+    err = np.nan
+    for i in range(len(ax)):
+        where[i] = True
+        d0 = directional_derivative(field, np.array([1.0, 0.0, 0.0, 0.0]), where)
+        where[i] = False
+        ref = -mesh[0][i] * vals[i]
+        err = np.fmax(err, np.fmax.reduce(np.abs(d0 - ref.reshape(-1))))
     assert err < 1e-4
 
 
@@ -158,3 +189,188 @@ def test_span_distance_matches_projection(rank):
     got = _span_distance(axes, basis)
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-12 * ref.max()
+
+
+@pytest.mark.parametrize("rank", [2, 0])
+def test_span_distance_at_mask_points_is_the_box_one(rank):
+    rng = np.random.default_rng(2)
+    basis = np.linalg.qr(rng.standard_normal((4, 2)))[0][:, :rank]
+    axes = [np.linspace(-2.0, 2.0, n) for n in (4, 5, 6, 7)]
+    where = rng.random((4, 5, 6, 7)) < 0.2
+    got = _span_distance(axes, basis, where)
+    assert got.tobytes() == _span_distance(axes, basis)[where].tobytes()
+
+
+# -- derivatives at the points a profile reads, against the full box -------
+
+
+def full_field_derivative(field, direction):
+    """The directional derivative over the whole box: the reference that
+    directional_derivative must match to the bit at the points of its mask."""
+    direction = np.asarray(direction, dtype=float)
+    steps = field.steps()
+    out = np.zeros_like(field.values)
+    for axis, c in enumerate(direction):
+        if abs(c) > 1e-14:
+            out = out + c * _derivative(field.values, axis, steps[axis])
+    return out
+
+
+def full_field_decay_profile(field, lam, vlam):
+    """decay_profile with every derivative taken over the whole box by
+    full_field_derivative and only then read on the strip."""
+    dist_l = _span_distance(field.axes, lam.basis)
+    dist_v = _span_distance(field.axes, vlam.basis)
+    interior = _interior(field.axes)
+    mag0 = np.abs(field.values)
+    peak = mag0.max() or 1.0
+
+    edges = np.geomspace(*OFF_RANGE, N_SHELLS + 1)
+    radii = np.sqrt(edges[:-1] * edges[1:])
+    sel = (dist_v <= OFF_CAP) & interior
+    maxima = _shell_maxima(dist_l[sel], mag0[sel], edges)
+    off_slope = shell_slope(radii, maxima)
+    off_shells = [(float(r), float(v)) for r, v in zip(radii, maxima)]
+
+    r_along = float(np.max(dist_v[interior]))
+    edges_a = np.geomspace(2.0, 0.8 * r_along, N_SHELLS + 1)
+    radii_a = np.sqrt(edges_a[:-1] * edges_a[1:])
+    strip = (dist_l <= ALONG_CAP) & interior
+    along = {}
+    for k in range(K_MAX + 1):
+        worst = None
+        for j in range(lam.basis.shape[1] if k else 1):
+            dfield = field
+            for _ in range(k):
+                dfield = Field4D(field.axes, full_field_derivative(dfield, lam.basis[:, j]))
+            mag = np.abs(dfield.values) if k else mag0
+            good = strip & np.isfinite(mag)
+            if mag[good].max(initial=0.0) <= REL_FLOOR * peak:
+                if worst is None:
+                    worst = -np.inf
+                continue
+            slope = shell_slope(radii_a, _shell_maxima(dist_v[good], mag[good], edges_a))
+            if slope is None:
+                worst = None
+                break
+            worst = slope if worst is None else max(worst, slope)
+        along[k] = worst
+
+    status = "inconclusive" if off_slope is None or None in along.values() else "pass"
+    return DecayProfile(off_slope if off_slope is not None else np.nan,
+                        along, off_shells, status)
+
+
+def layouts(shape, seed):
+    """A random complex field on uneven axes, C-contiguous and in the
+    transposed layout kernel_fbi_field returns (a view of swapped axes)."""
+    rng = np.random.default_rng(seed)
+    axes = tuple(np.linspace(-1.0 - j, 2.0 + 0.5 * j, n) for j, n in enumerate(shape))
+    order = (0, 2, 1, 3) if len(shape) == 4 else (1, 0)
+    stored = tuple(shape[j] for j in order)
+    raw = rng.standard_normal(stored) + 1j * rng.standard_normal(stored)
+    view = np.transpose(raw, order)
+    assert not view.flags.c_contiguous
+    return {"contiguous": Field4D(axes, np.ascontiguousarray(view)),
+            "transposed": Field4D(axes, view)}
+
+
+def masks(shape, seed):
+    """Masks that reach the two border layers of every axis."""
+    rng = np.random.default_rng(seed)
+    sparse = rng.random(shape) < 0.3
+    border = np.zeros(shape, dtype=bool)
+    for axis, n in enumerate(shape):
+        for layer in (0, 1, n - 2, n - 1):
+            np.moveaxis(border, axis, 0)[layer] = True
+    return {"sparse": sparse, "border": border, "all": np.ones(shape, dtype=bool)}
+
+
+DIRECTIONS = {
+    2: [(0.0, 1.0), (0.6, -0.8), (1e-14, 1.0)],
+    4: [(0.0, 0.0, -1.0, 0.0), (0.6, 0.0, 0.0, 0.8), (0.5, -0.5, 0.5, 0.5),
+        (0.8, -1e-14, 5e-15, -0.6)],
+}
+
+
+@pytest.mark.parametrize("shape", [(9, 12), (6, 7, 8, 9)])
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+def test_directional_derivative_is_the_full_field_one_at_the_mask(shape, layout):
+    field = layouts(shape, seed=len(shape))[layout]
+    for name, where in masks(shape, seed=7).items():
+        for direction in DIRECTIONS[len(shape)]:
+            got = directional_derivative(field, np.array(direction), where)
+            ref = full_field_derivative(field, np.array(direction))[where]
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes(), (name, direction)
+            assert np.isnan(got).any()  # every mask reaches the border layers
+
+
+def test_directional_derivative_skips_negligible_components():
+    field = layouts((6, 7, 8, 9), seed=1)["transposed"]
+    where = masks((6, 7, 8, 9), seed=2)["border"]
+    got = directional_derivative(field, np.array([0.0, 1e-14, 1.0, 0.0]), where)
+    ref = directional_derivative(field, np.array([0.0, 0.0, 1.0, 0.0]), where)
+    assert got.tobytes() == ref.tobytes()
+    # nan only where axis 2 is within two layers of its edge
+    i2 = np.nonzero(where)[2]
+    assert np.array_equal(np.isnan(got), (i2 < 2) | (i2 >= 6))
+
+
+def bits(value):
+    """A profile field with every float replaced by its bytes."""
+    if isinstance(value, dict):
+        return {k: bits(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    if isinstance(value, (float, np.floating)):
+        return np.float64(value).tobytes()
+    return value
+
+
+def assert_profiles_bit_equal(seen):
+    """Every DecayProfile field to the bit; returns the order-1 slopes."""
+    slopes = []
+    for field, lam, vlam in seen:
+        got = decay_profile(field, lam, vlam)
+        ref = full_field_decay_profile(field, lam, vlam)
+        for f in dataclasses.fields(DecayProfile):
+            assert bits(getattr(got, f.name)) == bits(getattr(ref, f.name)), f.name
+        slopes.append(got.along_slopes[1])
+    return slopes
+
+
+def capture_profile_inputs(monkeypatch, module):
+    seen = []
+
+    def spy(field, lam, vlam):
+        seen.append((field, lam, vlam))
+        return decay_profile(field, lam, vlam)
+
+    monkeypatch.setattr(module, "decay_profile", spy)
+    return seen
+
+
+def test_membership_profile_is_bit_equal_to_the_full_field_loop(monkeypatch):
+    seen = capture_profile_inputs(monkeypatch, lagdist)
+    grid = GridSpec(1, 128, 10.0)
+    x = grid.points()
+    lam = lagrangian_with_param(np.eye(1), np.array([[1.0]]), 1)
+    for amplitude, m in ((np.ones_like(x), 0.0), (x, 1.0)):
+        u = GridFunction(grid, amplitude * np.exp(0.5j * x ** 2))
+        assert lagrangian_membership_test(u, lam, m, GC).status == "pass"
+    assert [len(f.axes) for f, _, _ in seen] == [2, 2]
+    # the unit chirp's derivative sits at the noise floor; x times it is fitted
+    slopes = assert_profiles_bit_equal(seen)
+    assert slopes[0] == -np.inf and np.isfinite(slopes[1])
+
+
+def test_kernel_profile_is_bit_equal_to_the_full_field_loop(monkeypatch):
+    seen = capture_profile_inputs(monkeypatch, fio)
+    grid = GridSpec(1, 64, 7.0)
+    J = standard_j(1)
+    K, _ = fio_kernel(FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=J), grid)
+    kernel_characterization_check(K, J, 0.0, 1.0, GC)
+    kernel_characterization_check(K, SymplecticMatrix(1, np.eye(2)), 0.0, 1.0, GC)
+    assert [len(f.axes) for f, _, _ in seen] == [4, 4]
+    assert all(np.isfinite(assert_profiles_bit_equal(seen)))
