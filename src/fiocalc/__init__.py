@@ -4,7 +4,7 @@ Modules:
     symplectic   symplectic matrices, Lagrangian subspaces, principal angles
     phases       quadratic phase functions and fiber reduction
     grids        sampled functions and dense operator matrices
-    weyl         Weyl quantization, Wigner transform, Moyal product
+    weyl         Weyl quantization, symbol recovery, Moyal product
     metaplectic  metaplectic operators via elementary factorizations
     gabor        Gabor/FBI transforms, decay profiles, wave front sets
     symbols      Shubin symbol classes and decay certification
@@ -24,7 +24,6 @@ from .symplectic import (
     chirp_matrix,
     rotation_embedding,
     scaling_matrix,
-    graph_lagrangian,
     twisted_graph_lagrangian,
     lagrangian_from_yf,
     lagrangian_with_param,
@@ -45,7 +44,7 @@ from .phases import (
     phase_from_dict,
 )
 from .grids import GridSpec, GridFunction, OperatorMatrix, gaussian_window
-from .weyl import weyl_kernel, symbol_from_kernel, wigner, weyl_product, symbol_callable
+from .weyl import weyl_kernel, symbol_from_kernel, weyl_product, symbol_callable
 from .metaplectic import (
     MetaplecticOperator,
     mu_general,
@@ -56,10 +55,8 @@ from .metaplectic import (
     fbi_covariance_residual,
 )
 from .gabor import (
-    PhaseSpaceField,
     Field4D,
     gabor_transform,
-    gabor_inverse,
     wavefront_estimate,
     kernel_fbi_field,
     decay_profile,

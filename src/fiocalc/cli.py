@@ -261,7 +261,7 @@ def cmd_fbi_map(args) -> int:
     u = grid_function_from_csv(args.inputs[0])
     if u.spec.d == 1:
         field = gabor_transform(u, gaussian_window(u.spec), stride=args.stride)
-        _emit_field_csv(args, "fbi_map.csv", Field4D((field.x, field.xi), field.values))
+        _emit_field_csv(args, "fbi_map.csv", field)
         _emit_pgm(args, "fbi_map.pgm", np.abs(field.values).T[::-1])
         _emit_json(args, "fbi_map.json", {
             "kind": "function", "grid": u.spec.to_dict(), "stride": args.stride,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridFunction, GridSpec, SizeGuardError
+from .grids import GridFunction, SizeGuardError
 from .symbols import _shell_maxima, shell_slope
 from .symplectic import (DimensionError, LagrangianSubspace, SymplecticMatrix,
                          orthogonal_complement)
@@ -22,18 +22,16 @@ KERNEL_STRIDE = 2  # decimation of the 4-D kernel field: (n / stride)^4 entries
 
 
 @dataclass(frozen=True)
-class PhaseSpaceField:
-    """Complex samples over the product of an x-grid and a dual grid."""
+class Field4D:
+    """Complex samples on a phase-space grid: 2 axes (x, xi) for the
+    transform of a function on R, 4 axes (z1, z2, zeta1, zeta2) for the
+    field of a kernel on R^2; position axes first."""
 
-    spec: GridSpec
-    x: np.ndarray
-    xi: np.ndarray
-    values: np.ndarray  # (len(x), len(xi))
+    axes: tuple  # 1D coordinate arrays
+    values: np.ndarray  # one dimension per axis
 
-    def weight(self) -> float:
-        hx = self.x[1] - self.x[0]
-        hxi = self.xi[1] - self.xi[0]
-        return float(hx * hxi)
+    def steps(self) -> list:
+        return [float(a[1] - a[0]) for a in self.axes]
 
 
 def _window_shift_matrix(u: GridFunction, g: GridFunction) -> np.ndarray:
@@ -45,7 +43,7 @@ def _window_shift_matrix(u: GridFunction, g: GridFunction) -> np.ndarray:
     return u.values[:, None] * np.conj(g.values[idx])
 
 
-def gabor_transform(u: GridFunction, g: GridFunction, stride: int = 1) -> PhaseSpaceField:
+def gabor_transform(u: GridFunction, g: GridFunction, stride: int = 1) -> Field4D:
     """T_g u on the phase-space grid (d = 1)."""
     if u.spec != g.spec:
         raise ValueError("grid specs differ")
@@ -62,7 +60,7 @@ def gabor_transform(u: GridFunction, g: GridFunction, stride: int = 1) -> PhaseS
     vals = (2 * np.pi) ** (-0.5) * spec.h * (A @ W).T
     # (u, T_x M_xi g) carries the phase e^{i <x, xi>} relative to the STFT
     vals = vals * np.exp(1j * np.outer(x, xi))
-    return PhaseSpaceField(spec, x, xi, vals)
+    return Field4D((x, xi), vals)
 
 
 def gabor_transform_points(u: GridFunction, g_callable, points: np.ndarray) -> np.ndarray:
@@ -84,41 +82,6 @@ def gabor_transform_points(u: GridFunction, g_callable, points: np.ndarray) -> n
     return out
 
 
-class OrthogonalWindowError(ValueError):
-    pass
-
-
-def gabor_inverse(U: PhaseSpaceField, g: GridFunction, h: GridFunction) -> GridFunction:
-    """(h, g)^{-1} T_h^* U by phase-space quadrature (stride-1 fields)."""
-    spec = U.spec
-    if len(U.x) != spec.n:
-        raise ValueError("inversion needs a stride-1 field")
-    hg = h.inner(g)
-    if abs(hg) < 1e-10:
-        raise OrthogonalWindowError("windows are orthogonal: (h, g) ~ 0")
-    n = spec.n
-    y = spec.points()
-    # T_h^* U(y) = (2 pi)^{-1/2} sum U(x, xi) e^{i (y - x) xi} h(y - x) dx dxi
-    E = np.exp(1j * np.outer(y, U.xi))  # (n_y, n_xi)
-    l = np.arange(n)
-    idx = (l[:, None] - l[None, :] + n // 2) % n
-    hmat = h.values[idx]  # hmat[y_k, x_j] = h(y_k - x_j), periodic wrap
-    weight = U.weight()
-    Uvals = U.values * np.exp(-1j * np.outer(U.x, U.xi))
-    vals = (2 * np.pi) ** (-0.5) * weight * np.einsum(
-        "kj,jm,km->k", hmat, Uvals, E
-    )
-    return GridFunction(spec, vals / hg)
-
-
-def qs_norm(u: GridFunction, s: float, g: GridFunction) -> float:
-    """Shubin-Sobolev norm: weighted l2 norm of <(x, xi)>^s T_g u."""
-    field = gabor_transform(u, g)
-    X, XI = np.meshgrid(field.x, field.xi, indexing="ij")
-    w = (1.0 + X**2 + XI**2) ** (s / 2)
-    return float(np.linalg.norm(w * field.values) * field.weight() ** 0.5)
-
-
 # -- wavefront estimation -------------------------------------------------
 
 N_SECTORS = 64  # angular bins of pi/32
@@ -131,12 +94,10 @@ class SectorReport:
     slopes: np.ndarray  # per-sector fitted decay exponent of |T_g u|
     angles: np.ndarray
     nondecaying: list  # sector indices with slope > -N_max
-    threshold: float
     status: str
-    extrapolated: bool = True  # cone behavior beyond 0.8 R is extrapolated
 
 
-def sector_decay_slopes(field: PhaseSpaceField) -> tuple:
+def sector_decay_slopes(field: Field4D) -> tuple:
     """Per-sector log-log decay exponents of the shell maxima of |field|.
 
     Each sector uses its own radial range: the largest radius at which its
@@ -145,12 +106,13 @@ def sector_decay_slopes(field: PhaseSpaceField) -> tuple:
     fit uses the outer shells (inner radius at 40 percent of the sector
     range) where the asymptotic behavior dominates.
     """
-    X, XI = np.meshgrid(field.x, field.xi, indexing="ij")
+    x, xi = field.axes
+    X, XI = np.meshgrid(x, xi, indexing="ij")
     r = np.hypot(X, XI)
     theta = np.mod(np.arctan2(XI, X), 2 * np.pi)
     sector = np.minimum((theta / (2 * np.pi) * N_SECTORS).astype(int), N_SECTORS - 1)
-    Rx = np.abs(field.x).max()
-    Rxi = np.abs(field.xi).max()
+    Rx = np.abs(x).max()
+    Rxi = np.abs(xi).max()
     mag = np.abs(field.values)
     peak = mag.max() or 1.0
     slopes = np.full(N_SECTORS, -np.inf)
@@ -176,36 +138,10 @@ def wavefront_estimate(u: GridFunction, g: GridFunction, N_max: float) -> Sector
     field = gabor_transform(u, g)
     if np.abs(field.values).max() < 1e-250:
         return SectorReport(np.full(N_SECTORS, -np.inf), np.zeros(N_SECTORS),
-                            [], -N_max, "inconclusive")
+                            [], "inconclusive")
     slopes, angles = sector_decay_slopes(field)
     bad = [int(i) for i in np.nonzero(slopes > -N_max)[0]]
-    return SectorReport(slopes, angles, bad, -N_max, "pass")
-
-
-def schwartz_decay_check(u: GridFunction, g: GridFunction,
-                         N_max: float = 6.0) -> dict:
-    rep = wavefront_estimate(u, g, N_max=N_max)
-    return {
-        "status": rep.status,
-        "rapidly_decaying": rep.status == "pass" and not rep.nondecaying,
-        "worst_slope": float(rep.slopes.max()),
-        "nondecaying_sectors": rep.nondecaying,
-    }
-
-
-@dataclass(frozen=True)
-class Field4D:
-    """Phase-space field of a kernel on R^2: axes (z1, z2, zeta1, zeta2)."""
-
-    axes: tuple  # four 1D coordinate arrays
-    values: np.ndarray  # 4D complex
-
-    def points(self) -> np.ndarray:
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
-
-    def steps(self) -> list:
-        return [float(a[1] - a[0]) for a in self.axes]
+    return SectorReport(slopes, angles, bad, "pass")
 
 
 def kernel_fbi_field(K: GridFunction, g_callable, stride: int = KERNEL_STRIDE) -> Field4D:

@@ -163,14 +163,6 @@ def identity_operator(spec: GridSpec) -> OperatorMatrix:
     return OperatorMatrix(spec, np.eye(spec.size()) / spec.h**spec.d)
 
 
-def operator_distance(K1: OperatorMatrix, K2: OperatorMatrix, relative: bool = True) -> float:
-    diff = np.linalg.norm(K1.weighted() - K2.weighted(), 2)
-    if not relative:
-        return float(diff)
-    scale = max(np.linalg.norm(K1.weighted(), 2), np.linalg.norm(K2.weighted(), 2), 1e-300)
-    return float(diff / scale)
-
-
 def hermite_values(k: int, x: np.ndarray) -> np.ndarray:
     """L2-normalized Hermite function h_k; h_0 = pi^{-1/4} e^{-x^2/2}."""
     x = np.asarray(x, dtype=float)

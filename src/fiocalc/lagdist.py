@@ -151,12 +151,13 @@ def _membership_field(u: GridFunction, g_callable) -> Field4D:
     if spec.d == 1:
         gvals = np.asarray(g_callable(spec.points()), dtype=complex)
         g = GridFunction(spec, gvals)
-        ps = gabor_transform(u, g, stride=1)
+        field = gabor_transform(u, g, stride=1)
+        x, xi = field.axes
         # profile only over frequencies up to the position box half-width:
         # synthesized inputs carry no genuine content beyond it, so the outer
         # dual band would contribute a spurious edge to the along-axis fit
-        keep = np.abs(ps.xi) <= spec.R + 1e-9
-        return Field4D((ps.x, ps.xi[keep]), ps.values[:, keep])
+        keep = np.abs(xi) <= spec.R + 1e-9
+        return Field4D((x, xi[keep]), field.values[:, keep])
     if spec.d == 2:
         return kernel_fbi_field(u, g_callable, KERNEL_STRIDE)
     raise ValueError("membership fields are implemented for d <= 2")

@@ -191,12 +191,6 @@ class MetaplecticFactorization:
     factors: tuple
     phase: complex
 
-    def matrix_defect(self) -> float:
-        prod = np.eye(2 * self.chi.d)
-        for f in self.factors:
-            prod = prod @ f.symplectic().entries
-        return float(np.max(np.abs(prod - self.chi.entries)))
-
     def to_dict(self) -> dict:
         return {
             "chi": self.chi.entries.tolist(),
@@ -239,11 +233,6 @@ class MetaplecticOperator:
             entries = self.factorization.phase * vals / self.spec.h**self.spec.d
             self._matrix = OperatorMatrix(self.spec, entries)
         return self._matrix
-
-    def inverse_apply(self, f: GridFunction) -> GridFunction:
-        """Adjoint application (the operator is unitary on the grid)."""
-        M = self.matrix()
-        return GridFunction(self.spec, M.weight * (M.entries.conj().T @ f.values))
 
 
 def gaussian_image(chi: SymplecticMatrix, spec: GridSpec) -> GridFunction:
@@ -316,23 +305,6 @@ def mu_general(chi: SymplecticMatrix, spec: GridSpec,
     return op
 
 
-def _mu_single(factor, spec: GridSpec) -> MetaplecticOperator:
-    fact = MetaplecticFactorization(factor.symplectic(), (factor,), 1.0 + 0j)
-    return MetaplecticOperator(spec, fact)
-
-
-def mu_fourier(spec: GridSpec) -> MetaplecticOperator:
-    return _mu_single(FourierFactor(spec.d, -1), spec)
-
-
-def mu_chirp(F: np.ndarray, spec: GridSpec) -> MetaplecticOperator:
-    return _mu_single(ChirpFactor(F), spec)
-
-
-def mu_linear(A: np.ndarray, spec: GridSpec) -> MetaplecticOperator:
-    return _mu_single(LinearFactor(A), spec)
-
-
 def homomorphism_residual(chi1: SymplecticMatrix, chi2: SymplecticMatrix,
                           spec: GridSpec, f: GridFunction) -> float:
     """min over unit scalars c of ||mu(chi1) mu(chi2) f - c mu(chi1 chi2) f|| / ||f||."""
@@ -395,7 +367,7 @@ def fbi_covariance_residual(chi: SymplecticMatrix, u: GridFunction,
     mu_u = op.apply(u)
     mu_g = op.apply(g_grid)
     field = gabor_transform(mu_u, mu_g)
-    X, XI = np.meshgrid(field.x, field.xi, indexing="ij")
+    X, XI = np.meshgrid(*field.axes, indexing="ij")
     mask = (X**2 + XI**2) <= (FBI_INTERIOR * spec.R) ** 2
     pts = np.stack([X[mask], XI[mask]], axis=-1)
     back = pts @ symplectic_inverse(chi).entries.T

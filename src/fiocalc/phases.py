@@ -17,8 +17,6 @@ from .symplectic import (
     DimensionError,
     LagrangianSubspace,
     SymplecticMatrix,
-    subspace_equal,
-    twisted_graph_lagrangian,
 )
 
 SYM_TOL = 1e-12
@@ -168,13 +166,6 @@ def reduce_phase(phi: QuadraticPhase) -> ReductionRecord:
     if n and scipy.linalg.svdvals(Lnew)[-1] <= 1e-10:
         raise ValueError("reduction produced a non-injective L")
     return ReductionRecord(phi, reduced, tuple(eliminated), V, n)
-
-
-def check_graph_phase(phi: QuadraticPhase, chi: SymplecticMatrix, tol: float = 1e-9) -> bool:
-    """True iff the phase parametrizes the twisted graph Lagrangian of chi."""
-    if phi.d != chi.d:
-        raise DimensionError("phase and matrix dimensions differ")
-    return subspace_equal(lagrangian_of_phase(phi), twisted_graph_lagrangian(chi), tol)
 
 
 class NotAGraphError(ValueError):

@@ -70,14 +70,9 @@ def grid_function_from_csv(path: str) -> GridFunction:
 
 
 def field_to_csv(field, path: str) -> None:
-    """Coordinate columns (one per axis, position axes first) then re,im.
-
-    Accepts a PhaseSpaceField (axes x, xi) or a Field4D (generic axes
-    tuple); rows iterate over the grid in C order.
-    """
-    axes = getattr(field, "axes", None)
-    if axes is None:
-        axes = (field.x, field.xi)
+    """Coordinate columns (one per axis of a Field4D, position axes first)
+    then re,im; rows iterate over the grid in C order."""
+    axes = field.axes
     k = len(axes)
     names = [f"x{i}" for i in range(k // 2)] + [f"xi{i}" for i in range(k - k // 2)]
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -8,7 +8,7 @@ canonical form is sigma(z, w) = <z, J w> with J the standard block matrix
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -158,7 +158,6 @@ class LagrangianSubspace:
     n: int
     basis: np.ndarray
     param: tuple | None = None  # (Y_basis: n x k orthonormal, F: n x n symmetric)
-    form: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
@@ -168,8 +167,7 @@ class LagrangianSubspace:
         gram = basis.T @ basis
         if np.max(np.abs(gram - np.eye(self.n))) > 1e-8:
             raise ValueError("basis columns are not orthonormal")
-        J = self.form if self.form is not None else standard_j_matrix(self.n)
-        iso = np.max(np.abs(basis.T @ J @ basis))
+        iso = np.max(np.abs(basis.T @ standard_j_matrix(self.n) @ basis))
         if iso > 1e-8:
             raise ValueError(f"basis is not isotropic (defect {iso:.2e})")
         if self.param is not None:
@@ -189,7 +187,7 @@ class LagrangianSubspace:
                 raise ValueError("(Y, F) parametrization does not span the stored basis")
 
     @classmethod
-    def from_span(cls, vectors: np.ndarray, param=None, form=None) -> "LagrangianSubspace":
+    def from_span(cls, vectors: np.ndarray, param=None) -> "LagrangianSubspace":
         vectors = np.asarray(vectors, dtype=float)
         if vectors.shape[0] % 2:
             raise DimensionError("ambient dimension must be even")
@@ -197,10 +195,7 @@ class LagrangianSubspace:
         basis = orthonormal_basis(vectors)
         if basis.shape[1] != n:
             raise ValueError(f"span has dimension {basis.shape[1]}, expected {n}")
-        return cls(n, basis, param=param, form=form)
-
-    def project(self, p: np.ndarray) -> np.ndarray:
-        return self.basis @ (self.basis.T @ np.asarray(p, dtype=float))
+        return cls(n, basis, param=param)
 
 
 def _span_equal(B1: np.ndarray, B2: np.ndarray, tol: float = 1e-8) -> bool:
@@ -209,7 +204,7 @@ def _span_equal(B1: np.ndarray, B2: np.ndarray, tol: float = 1e-8) -> bool:
     return principal_angles(B1, B2).max(initial=0.0) <= tol
 
 
-def lagrangian_from_yf(Y: np.ndarray, F: np.ndarray, n: int, form=None) -> LagrangianSubspace:
+def lagrangian_from_yf(Y: np.ndarray, F: np.ndarray, n: int) -> LagrangianSubspace:
     """Lagrangian {(X, FX + Z): X in span(Y), Z in span(Y)-perp} in T*R^n."""
     Y = np.asarray(Y, dtype=float).reshape(n, -1)
     F = np.asarray(F, dtype=float)
@@ -221,29 +216,13 @@ def lagrangian_from_yf(Y: np.ndarray, F: np.ndarray, n: int, form=None) -> Lagra
         cols.append(np.concatenate([np.zeros(n), z]))
     span = np.array(cols).T if cols else np.zeros((2 * n, 0))
     basis = orthonormal_basis(span)
-    return LagrangianSubspace(n, basis, form=form)
+    return LagrangianSubspace(n, basis)
 
 
 def lagrangian_with_param(Y: np.ndarray, F: np.ndarray, n: int) -> LagrangianSubspace:
     lag = lagrangian_from_yf(Y, F, n)
     return LagrangianSubspace(n, lag.basis, param=(np.asarray(Y, float).reshape(n, -1),
                                                    np.asarray(F, float)))
-
-
-@dataclass(frozen=True)
-class SubspaceDistanceReport:
-    point: np.ndarray
-    distance: float
-    projection: np.ndarray
-
-
-def subspace_distance(p: np.ndarray, lag: LagrangianSubspace) -> SubspaceDistanceReport:
-    p = np.asarray(p, dtype=float)
-    if p.shape != (2 * lag.n,):
-        raise DimensionError(f"point has shape {p.shape}, expected {(2 * lag.n,)}")
-    proj = lag.project(p)
-    return SubspaceDistanceReport(point=p, distance=float(np.linalg.norm(p - proj)),
-                                  projection=proj)
 
 
 def principal_angles(B1: np.ndarray, B2: np.ndarray) -> np.ndarray:
@@ -262,29 +241,6 @@ def principal_angles(B1: np.ndarray, B2: np.ndarray) -> np.ndarray:
         k = int(small.sum())
         angles[small] = np.arcsin(np.clip(sines[:k], -1.0, 1.0))
     return angles
-
-
-def subspace_equal(l1: LagrangianSubspace, l2: LagrangianSubspace, tol: float = 1e-9) -> bool:
-    if l1.n != l2.n or l1.basis.shape != l2.basis.shape:
-        return False
-    angles = principal_angles(l1.basis, l2.basis)
-    return float(angles.max(initial=0.0)) <= tol
-
-
-def graph_lagrangian(chi: SymplecticMatrix) -> LagrangianSubspace:
-    """Graph {(chi(y,eta), y, eta)} in T*R^d x T*R^d, isotropic for the
-    difference form sigma(x,xi) - sigma(y,eta)."""
-    d = chi.d
-    cols = []
-    for k in range(2 * d):
-        w = np.zeros(2 * d)
-        w[k] = 1.0
-        cols.append(np.concatenate([chi.apply(w), w]))
-    form = np.block([
-        [standard_j_matrix(d), np.zeros((2 * d, 2 * d))],
-        [np.zeros((2 * d, 2 * d)), -standard_j_matrix(d)],
-    ])
-    return LagrangianSubspace.from_span(np.array(cols).T, form=form)
 
 
 def twisted_graph_lagrangian(chi: SymplecticMatrix) -> LagrangianSubspace:

@@ -1,5 +1,5 @@
-"""Weyl quantization on the grid: kernel assembly, symbol recovery, Wigner
-distributions, and the Weyl product of two symbols through their kernels.
+"""Weyl quantization on the grid: kernel assembly, symbol recovery and the
+Weyl product of two symbols through their kernels.
 
 The kernel of a^w is K(x, y) = (2 pi)^{-d} int e^{i <x - y, xi>} a((x+y)/2, xi) d xi,
 discretized with the symbol sampled on the dual grid.  Symbol recovery
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridFunction, GridSpec, OperatorMatrix, SizeGuardError
+from .grids import GridSpec, OperatorMatrix, SizeGuardError
 from .symbols import ShubinSymbol
 
 
@@ -126,61 +126,6 @@ def symbol_from_kernel(K: OperatorMatrix) -> SampledSymbol:
     E = np.exp(-1j * h * np.outer(tvals, xi))
     values = h * ((S * wts) @ E)
     return SampledSymbol(spec, spec.points(), xi, values)
-
-
-def _half_grid_values(f: GridFunction) -> np.ndarray:
-    """Samples of a grid function on the doubled grid of spacing h/2 (even
-    indices on-grid, odd indices interpolated at 8th order)."""
-    n = f.spec.n
-    v = f.values
-    out = np.zeros(2 * n, dtype=complex)
-    out[::2] = v
-    j = np.arange(n - 1)
-    acc = np.zeros(n - 1, dtype=complex)
-    for node, w in zip(_HALF_NODES.astype(int), _HALF_WEIGHTS):
-        p = j + node
-        valid = (p >= 0) & (p < n)
-        vals = np.zeros(n - 1, dtype=complex)
-        vals[valid] = v[p[valid]]
-        acc += w * vals
-    out[1::2][: n - 1] = acc
-    return out
-
-
-def wigner(g: GridFunction, f: GridFunction) -> SampledSymbol:
-    """Cross-Wigner distribution
-    W(g, f)(x, xi) = (2 pi)^{-d/2} int g(x + y/2) conj(f(x - y/2)) e^{-i y xi} dy."""
-    if g.spec != f.spec:
-        raise ValueError("grid specs differ")
-    spec = g.spec
-    _check_d1(spec)
-    n, h = spec.n, spec.h
-    xi = spec.dual_points()
-    gh = _half_grid_values(g)
-    fh = _half_grid_values(f)
-    tvals = np.arange(-n // 2, n // 2)
-    k = np.arange(n)
-    ip = 2 * k[:, None] + tvals[None, :]
-    im = 2 * k[:, None] - tvals[None, :]
-    valid = (ip >= 0) & (ip < 2 * n) & (im >= 0) & (im < 2 * n)
-    P = np.zeros((n, len(tvals)), dtype=complex)
-    P[valid] = gh[ip[valid]] * np.conj(fh[im[valid]])
-    E = np.exp(-1j * h * np.outer(tvals, xi))
-    values = (2 * np.pi) ** (-0.5) * h * (P @ E)
-    return SampledSymbol(spec, spec.points(), xi, values)
-
-
-def weyl_pairing_residual(a, f: GridFunction, g: GridFunction) -> float:
-    """|(a^w f, g) - (2 pi)^{-d/2} (a, W(g, f))| for a symbol callable a."""
-    spec = f.spec
-    K = weyl_kernel(a, spec)
-    lhs = K.apply(f).inner(g)
-    W = wigner(g, f)
-    X, XI = np.meshgrid(W.x, W.xi, indexing="ij")
-    avals = np.asarray(a(np.stack([X, XI], axis=-1)), dtype=complex)
-    weight = spec.h * spec.dual_h
-    rhs = (2 * np.pi) ** (-0.5) * np.sum(avals * np.conj(W.values)) * weight
-    return float(abs(lhs - rhs))
 
 
 def weyl_product(a, b, spec: GridSpec) -> SampledSymbol:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fiocalc import cli
-from fiocalc.grids import GridFunction, GridSpec, hermite_grid_function
+from fiocalc.gabor import gabor_transform
+from fiocalc.grids import GridFunction, GridSpec, gaussian_window, hermite_grid_function
 from fiocalc.phases import phase_from_free_matrix, phase_to_dict, pseudodifferential_phase
 from fiocalc.serialize import (
     fio_spec_to_dict,
@@ -144,6 +145,23 @@ def test_wf_reports_frequency_axis_for_point_mass(tmp_path):
     cli.main(["wf", str(delta), "--out", str(out)])
     rep = read_json(str(out / "wf.json"))
     assert rep["nondecaying_sectors"] == [14, 15, 16, 17, 46, 47, 48, 49]
+
+
+def test_fbi_map_of_a_function_writes_the_transform(tmp_path):
+    psi = tmp_path / "psi0.csv"
+    grid = write_psi0(psi)
+    out = tmp_path / "out"
+    assert cli.main(["fbi-map", str(psi), "--stride", "2", "--out", str(out)]) == 0
+    path = out / "fbi_map.csv"
+    assert path.read_text().splitlines()[0] == "x0,xi0,re,im"
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, comments="#")
+    X, XI = np.meshgrid(grid.points()[::2], grid.dual_points(2), indexing="ij")
+    assert np.array_equal(rows[:, 0], X.reshape(-1))
+    assert np.array_equal(rows[:, 1], XI.reshape(-1))
+    u = grid_function_from_csv(str(psi))
+    ref = gabor_transform(u, gaussian_window(grid), 2).values.reshape(-1)
+    assert np.array_equal(rows[:, 2], ref.real)
+    assert np.array_equal(rows[:, 3], ref.imag)
 
 
 def test_fbi_map_of_kernel_draws_the_canonical_relation(tmp_path):

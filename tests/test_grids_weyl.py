@@ -8,14 +8,11 @@ from fiocalc.grids import (
     hermite_grid_function,
     hermite_values,
     identity_operator,
-    operator_distance,
 )
 from fiocalc.weyl import (
     SizeGuardError,
     symbol_from_kernel,
     weyl_kernel,
-    weyl_pairing_residual,
-    wigner,
 )
 
 
@@ -80,35 +77,8 @@ def test_symbol_recovery_round_trip():
     assert np.abs(s.values - ref)[mask].max() < 1e-6
 
 
-def test_weyl_pairing_matches_wigner_integral():
-    g = GridSpec(1, 128, 10.0)
-    a = lambda z: np.exp(-0.2 * np.sum(z ** 2, axis=-1))
-    f = hermite_grid_function(g, [0])
-    h = hermite_grid_function(g, [2])
-    assert weyl_pairing_residual(a, f, h) < 1e-8
-
-
-def test_wigner_transform_of_gaussian_is_gaussian():
-    g = GridSpec(1, 128, 10.0)
-    f = hermite_grid_function(g, [0])
-    W = wigner(f, f)
-    X, XI = np.meshgrid(W.x, W.xi, indexing="ij")
-    ref = np.pi ** -1 * np.exp(-(X ** 2 + XI ** 2)) * np.pi ** 0.5
-    peak = np.abs(W.values).max()
-    ratio = np.abs(W.values).max() / np.abs(ref).max()
-    # shape comparison after peak normalization
-    mask = W.interior_mask(0.4)
-    assert np.abs(W.values / peak - ref / np.abs(ref).max())[mask].max() < 1e-6
-    assert ratio > 0
-
-
 def test_size_guard_refuses_oversized_kernels():
     g = GridSpec(1, 2 ** 14, 10.0)
     with pytest.raises(SizeGuardError):
         weyl_kernel(lambda z: np.ones(z.shape[:-1]), g)
 
-
-def test_operator_distance_is_relative():
-    g = GridSpec(1, 64, 8.0)
-    I = identity_operator(g)
-    assert operator_distance(I, I) == 0.0

@@ -9,18 +9,19 @@ from fiocalc.grids import (
     hermite_grid_function,
 )
 from fiocalc import metaplectic
+from fiocalc.acceptance import _hermite_sum
 from fiocalc.metaplectic import (
+    ChirpFactor,
+    FourierFactor,
+    LinearFactor,
     _mesh_points,
     _phase_contract,
     egorov_residual,
     fbi_covariance_residual,
     gaussian_image,
     homomorphism_residual,
-    mu_chirp,
     mu_factors,
-    mu_fourier,
     mu_general,
-    mu_linear,
     unitarity_defect,
 )
 from fiocalc.symplectic import (
@@ -45,13 +46,13 @@ def bounded_random(rng, cap=2.0):
 def test_fourier_fixes_the_gaussian():
     g = GridSpec(1, 256, 12.0)
     psi0 = hermite_grid_function(g, [0])
-    assert (mu_fourier(g).apply(psi0) - psi0).norm() < 1e-8
+    assert (FourierFactor(1).apply(psi0) - psi0).norm() < 1e-8
 
 
 def test_chirp_is_exact_pointwise():
     g = GridSpec(1, 128, 10.0)
     u = hermite_grid_function(g, [1])
-    out = mu_chirp(np.array([[0.9]]), g).apply(u)
+    out = ChirpFactor(np.array([[0.9]])).apply(u)
     x = g.points()
     ref = np.exp(0.45j * x ** 2) * u.values
     assert np.abs(out.values - ref).max() < 1e-12
@@ -60,7 +61,7 @@ def test_chirp_is_exact_pointwise():
 def test_linear_factor_matches_dilation_on_interior():
     g = GridSpec(1, 256, 12.0)
     u = hermite_grid_function(g, [0])
-    out = mu_linear(np.array([[2.0]]), g).apply(u)
+    out = LinearFactor(np.array([[2.0]])).apply(u)
     x = g.points()
     interior = np.abs(x) < 6.0
     ref = 2.0 ** -0.5 * np.pi ** -0.25 * np.exp(-0.5 * (x / 2.0) ** 2)
@@ -72,7 +73,7 @@ def test_contraction_does_not_wrap_around_the_box():
     g = GridSpec(1, 128, 10.0)
     x = g.points()
     u = GridFunction(g, np.exp(-2.0 * (x - 5.0) ** 2).astype(complex))
-    out = mu_linear(np.array([[0.5]]), g).apply(u)
+    out = LinearFactor(np.array([[0.5]])).apply(u)
     # the image is a bump near x = 2.5; the region near the opposite edge
     # corresponds to source points outside the box
     far = x < -8.0
@@ -130,6 +131,22 @@ def test_homomorphism_up_to_phase():
         assert homomorphism_residual(c1, c2, g, f) < 1e-4
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "c1 c2 has B = -0.287, above the 0.25 floor of mu_factors, so it is one "
+    "free-kernel factor whose y-frequency passes pi/h = 33.5 where the state "
+    "lives: the sampled kernel aliases (residual 2.3e-2 at n = 256, 2e-15 at "
+    "n = 512 with the same box)"))
+def test_homomorphism_of_the_seed_4242_pair():
+    # the 2nd pair _bounded_symplectic draws from default_rng(4242 + 7), as
+    # check_metaplectic_identities(seed=4242) does
+    c1 = SymplecticMatrix(1, np.array([[0.0, 1.720498829240978],
+                                       [-0.5812267831888988, 0.4095784889098528]]))
+    c2 = SymplecticMatrix(1, np.array([[0.0, 0.7868312974411231],
+                                       [-1.2709204670075136, -0.16668812920230452]]))
+    g = GridSpec(1, 256, 12.0)
+    assert homomorphism_residual(c1, c2, g, _hermite_sum(g)) < 1e-4
+
+
 def test_near_singular_upper_block_avoids_aliased_kernel():
     # B ~ 0.1: the explicit quadratic kernel would alias; the factorization
     # must route through a shifted free factor instead
@@ -155,7 +172,10 @@ def test_factorization_descriptor_and_defect():
     fact = mu_general(standard_j(1), GridSpec(1, 64, 8.0)).factorization
     data = fact.to_dict()
     assert "factors" in data and "phase" in data
-    assert fact.matrix_defect() < 1e-12
+    prod = np.eye(2)
+    for f in fact.factors:
+        prod = prod @ f.symplectic().entries
+    assert np.max(np.abs(prod - fact.chi.entries)) < 1e-12
 
 
 def test_gaussian_image_matches_operator():
@@ -167,13 +187,6 @@ def test_gaussian_image_matches_operator():
     z = out.inner(ref)
     c = z / abs(z)
     assert (out - c * ref).norm() < 1e-8
-
-
-def test_inverse_apply_round_trip():
-    g = GridSpec(1, 128, 10.0)
-    op = mu_general(standard_j(1), g)
-    u = hermite_grid_function(g, [3])
-    assert (op.inverse_apply(op.apply(u)) - u).norm() < 1e-8
 
 
 def _near_singular_chi():
@@ -214,7 +227,7 @@ def test_dense_matrix_agrees_with_apply(d, chi, path):
 def test_dense_matrix_past_the_memory_cap_is_refused():
     # N = 128^2 grid points: the matrix would need 2^28 entries (4 GiB)
     with pytest.raises(SizeGuardError):
-        mu_chirp(_F2, GridSpec(2, 128, 10.0)).matrix()
+        mu_general(chirp_matrix(_F2), GridSpec(2, 128, 10.0), phase_fix="none").matrix()
 
 
 def test_quantization_covariance():

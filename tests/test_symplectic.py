@@ -7,7 +7,6 @@ from fiocalc.symplectic import (
     SymplecticMatrix,
     chi_delta,
     chirp_matrix,
-    graph_lagrangian,
     is_free,
     is_symplectic,
     lagrangian_with_param,
@@ -17,8 +16,6 @@ from fiocalc.symplectic import (
     scaling_matrix,
     standard_j,
     standard_j_matrix,
-    subspace_distance,
-    subspace_equal,
     symplectic_inverse,
     tensor_symplectic,
     twisted_graph_lagrangian,
@@ -86,21 +83,14 @@ def test_tensor_and_delta_matrices_are_symplectic():
     assert is_symplectic(chi_delta(1).entries)
 
 
-def test_lagrangian_form_vanishes_on_graph():
-    chi = random_symplectic(1, np.random.default_rng(4))
-    lam = graph_lagrangian(chi)
-    # the graph is isotropic for the difference form sigma - sigma that the
-    # subspace carries, not for the standard form on the doubled space
-    assert np.abs(lam.basis.T @ lam.form @ lam.basis).max() < 1e-10
-
-
 def test_twisted_graph_contains_expected_points():
     lam = twisted_graph_lagrangian(standard_j(1))
+    B = lam.basis
     # chi = J sends (y, eta) to (eta, -y); the twisted graph collects
     # (x1, x2, xi1, xi2) = (eta, y, -y, -eta)
     for y, eta in ((1.0, 0.0), (0.0, 1.0), (2.0, -3.0)):
         p = np.array([eta, y, -y, -eta])
-        assert subspace_distance(p, lam).distance < 1e-10
+        assert np.linalg.norm(p - B @ (B.T @ p)) < 1e-10
 
 
 def test_param_round_trip_and_small_angles():
@@ -118,17 +108,12 @@ def test_principal_angles_orthogonal_spans():
     assert np.allclose(principal_angles(B1, B2), [np.pi / 2])
 
 
-def test_subspace_equal_detects_difference():
-    l1 = lagrangian_with_param(np.eye(1), np.array([[0.0]]), 1)
-    l2 = lagrangian_with_param(np.eye(1), np.array([[1.0]]), 1)
-    assert subspace_equal(l1, l1)
-    assert not subspace_equal(l1, l2)
-
-
 def test_empty_y_parametrizes_conormal_of_origin():
     lam = lagrangian_with_param(np.zeros((1, 0)), np.array([[0.0]]), 1)
-    assert subspace_distance(np.array([0.0, 5.0]), lam).distance < 1e-10
-    assert subspace_distance(np.array([1.0, 0.0]), lam).distance > 0.9
+    B = lam.basis
+    p, q = np.array([0.0, 5.0]), np.array([1.0, 0.0])
+    assert np.linalg.norm(p - B @ (B.T @ p)) < 1e-10
+    assert np.linalg.norm(q - B @ (B.T @ q)) > 0.9
 
 
 def test_from_span_rejects_non_lagrangian():
