@@ -69,7 +69,7 @@ from .symplectic import (
     tensor_symplectic,
     twisted_graph_lagrangian,
 )
-from .weyl import symbol_callable, weyl_kernel
+from .weyl import interior_mask, symbol_callable, weyl_kernel
 
 
 @dataclass(frozen=True)
@@ -97,12 +97,13 @@ def _hermite_sum(grid: GridSpec) -> GridFunction:
     return GridFunction(grid, hermite_values(0, x) + hermite_values(2, x))
 
 
-def _bounded_symplectic(rng, d: int = 1, cap: float = 2.0) -> SymplecticMatrix:
-    """Random symplectic draw rejected until its spectral norm fits the grid
-    box; unbounded stretches would push every test state into truncation."""
+def _bounded_symplectic(rng) -> SymplecticMatrix:
+    """Random d = 1 symplectic draw rejected until its spectral norm is at
+    most 2, so it fits the grid box; unbounded stretches would push every
+    test state into truncation."""
     while True:
-        chi = random_symplectic(d, rng, n_factors=3, max_chirp=0.6)
-        if np.linalg.norm(chi.entries, 2) <= cap:
+        chi = random_symplectic(1, rng, n_factors=3, max_chirp=0.6)
+        if np.linalg.norm(chi.entries, 2) <= 2.0:
             return chi
 
 
@@ -333,8 +334,8 @@ def check_factorization(seed: int = 0, quick: bool = False) -> CheckResult:
         K, _ = fio_kernel(spec, grid)
         rep = fio_factorize(K, chi, grid, m=m)
         call = symbol_callable(sym)
-        mask = rep.symbol.interior_mask(0.5)
-        X, XI = np.meshgrid(rep.symbol.x, rep.symbol.xi, indexing="ij")
+        mask = interior_mask(rep.symbol)
+        X, XI = np.meshgrid(*rep.symbol.axes, indexing="ij")
         true = np.asarray(call(np.stack([X, XI], axis=-1)), dtype=complex)
         scale = float(np.abs(true[mask]).max())
         errors[name] = float(np.abs(rep.symbol.values - true)[mask].max() / scale)
@@ -505,12 +506,12 @@ ALL_CHECKS = (
 )
 
 
-def run_suite(seed: int = 0, quick: bool = False, progress=None) -> list:
+def run_suite(seed: int, quick: bool, progress) -> list:
+    """Run every check; progress(result, seconds) is called after each."""
     results = []
     for check in ALL_CHECKS:
         t0 = time.time()
         res = check(seed=seed, quick=quick)
-        if progress is not None:
-            progress(res, time.time() - t0)
+        progress(res, time.time() - t0)
         results.append(res)
     return results

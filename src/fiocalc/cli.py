@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Loads JSON specs and CSV grid data, dispatches to the library modules, and
-writes CSV/PGM/JSON artifacts plus a short human-readable summary.  Every
-artifact embeds the run configuration, and the output directory gets a
-manifest.json listing every file with its SHA-256.
+writes CSV/PGM/JSON artifacts plus a short human-readable summary.  Each
+command accepts only the options its handler reads (_OPTIONS) besides --out;
+any other flag is a usage error.  Every artifact embeds the run
+configuration (the command, its inputs and the values of exactly those
+options), and the output directory gets a manifest.json listing every file
+with its SHA-256.
 
 Exit codes: 0 pass, 1 fail, 2 inconclusive (including a theta quadrature
 that did not converge), 3 input error (unreadable or malformed input, a
@@ -74,11 +77,9 @@ def _load_chi(path: str):
 
 
 def _config(args) -> dict:
-    cfg = {"command": args.command, "inputs": list(getattr(args, "inputs", []))}
-    for key in ("grid_n", "grid_R", "stride", "seed", "phase_fix",
-                "order", "rho", "quick"):
-        if hasattr(args, key):
-            cfg[key] = getattr(args, key)
+    """The command, its inputs and the value of every option it reads."""
+    cfg = {"command": args.command, "inputs": list(args.inputs)}
+    cfg.update((key, getattr(args, key)) for key in _OPTIONS[args.command])
     return cfg
 
 
@@ -93,15 +94,10 @@ def _emit_json(args, name: str, payload: dict) -> None:
     write_json(payload, os.path.join(_outdir(args), name))
 
 
-def _emit_grid_csv(args, name: str, f: GridFunction) -> None:
+def _emit_csv(args, name: str, write, obj) -> None:
+    """write(obj, path) into the output directory, then the config comment."""
     path = os.path.join(_outdir(args), name)
-    grid_function_to_csv(f, path)
-    append_config_comment(path, _config(args))
-
-
-def _emit_field_csv(args, name: str, field) -> None:
-    path = os.path.join(_outdir(args), name)
-    field_to_csv(field, path)
+    write(obj, path)
     append_config_comment(path, _config(args))
 
 
@@ -109,10 +105,6 @@ def _emit_pgm(args, name: str, values: np.ndarray) -> None:
     path = os.path.join(_outdir(args), name)
     field_to_pgm(values, path,
                  comment="config " + json.dumps(_config(args), sort_keys=True))
-
-
-def _grid(args, d: int = 1) -> GridSpec:
-    return GridSpec(d, args.grid_n, args.grid_R)
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -167,8 +159,8 @@ def cmd_lagrangian_of(args) -> int:
 def cmd_mu_apply(args) -> int:
     chi = _load_chi(args.inputs[0])
     u = grid_function_from_csv(args.inputs[1])
-    op = mu_general(chi, u.spec, phase_fix=args.phase_fix)
-    _emit_grid_csv(args, "mu_output.csv", op.apply(u))
+    op = mu_general(chi, u.spec)
+    _emit_csv(args, "mu_output.csv", grid_function_to_csv, op.apply(u))
     _emit_json(args, "factorization.json", op.factorization.to_dict())
     print(f"applied metaplectic operator ({len(op.factorization.factors)} factors)")
     return EXIT_PASS
@@ -176,10 +168,10 @@ def cmd_mu_apply(args) -> int:
 
 def cmd_weyl_quantize(args) -> int:
     sym = ShubinSymbol.from_dict(read_json(args.inputs[0]))
-    grid = _grid(args)
+    grid = GridSpec(1, args.grid_n, args.grid_R)
     K = weyl_kernel(symbol_callable(sym), grid)
     kernel = GridFunction(GridSpec(2, grid.n, grid.R), K.entries.reshape(-1))
-    _emit_grid_csv(args, "kernel.csv", kernel)
+    _emit_csv(args, "kernel.csv", grid_function_to_csv, kernel)
     _emit_pgm(args, "kernel.pgm", K.entries)
     _emit_json(args, "weyl_quantize.json", {
         "symbol": sym.to_dict(), "grid": grid.to_dict(),
@@ -191,9 +183,9 @@ def cmd_weyl_quantize(args) -> int:
 
 def cmd_fio_kernel(args) -> int:
     spec = fio_spec_from_dict(read_json(args.inputs[0]))
-    grid = _grid(args)
+    grid = GridSpec(1, args.grid_n, args.grid_R)
     K, quad = fio_kernel(spec, grid)
-    _emit_grid_csv(args, "kernel.csv", K)
+    _emit_csv(args, "kernel.csv", grid_function_to_csv, K)
     _emit_pgm(args, "kernel.pgm", K.values.reshape(grid.n, grid.n))
     info = {"grid": grid.to_dict(), "form": spec.form}
     if quad is not None:
@@ -212,8 +204,7 @@ def cmd_factorize(args) -> int:
     grid = GridSpec(1, K.spec.n, K.spec.R)
     rep = fio_factorize(K, chi, grid, m=args.order, rho=args.rho)
     _emit_json(args, "factorize.json", rep.to_dict())
-    _emit_field_csv(args, "symbol.csv",
-                    Field4D((rep.symbol.x, rep.symbol.xi), rep.symbol.values))
+    _emit_csv(args, "symbol.csv", field_to_csv, rep.symbol)
     print(f"factorization: {rep.status} (residual {rep.residual:.3e})")
     return EXIT_PASS if rep.status == "pass" else EXIT_FAIL
 
@@ -221,7 +212,7 @@ def cmd_factorize(args) -> int:
 def cmd_compose(args) -> int:
     s1 = fio_spec_from_dict(read_json(args.inputs[0]))
     s2 = fio_spec_from_dict(read_json(args.inputs[1]))
-    rep = fio_compose(s1, s2, _grid(args))
+    rep = fio_compose(s1, s2, GridSpec(1, args.grid_n, args.grid_R))
     _emit_json(args, "compose.json", {
         "chi": rep.spec.chi.entries.tolist(), "order": rep.spec.order,
         "rho": rep.spec.rho, "residual": rep.residual, "status": rep.status,
@@ -233,9 +224,8 @@ def cmd_compose(args) -> int:
 def cmd_adjoint(args) -> int:
     spec = fio_spec_from_dict(read_json(args.inputs[0]))
     adj = fio_adjoint(spec)
-    grid = _grid(args)
-    K, _ = fio_kernel(adj, grid)
-    _emit_grid_csv(args, "adjoint_kernel.csv", K)
+    K, _ = fio_kernel(adj, GridSpec(1, args.grid_n, args.grid_R))
+    _emit_csv(args, "adjoint_kernel.csv", grid_function_to_csv, K)
     _emit_json(args, "adjoint.json", {
         "phase": phase_to_dict(adj.phase),
         "chi": adj.chi.entries.tolist(),
@@ -261,7 +251,7 @@ def cmd_fbi_map(args) -> int:
     u = grid_function_from_csv(args.inputs[0])
     if u.spec.d == 1:
         field = gabor_transform(u, gaussian_window(u.spec), stride=args.stride)
-        _emit_field_csv(args, "fbi_map.csv", field)
+        _emit_csv(args, "fbi_map.csv", field_to_csv, field)
         _emit_pgm(args, "fbi_map.pgm", np.abs(field.values).T[::-1])
         _emit_json(args, "fbi_map.json", {
             "kind": "function", "grid": u.spec.to_dict(), "stride": args.stride,
@@ -321,25 +311,17 @@ def cmd_lag_test(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    out = _outdir(args)
-
     def progress(res, dt):
         print(f"  {res.name}: {res.status} ({dt:.1f}s)", flush=True)
 
-    results = acceptance.run_suite(seed=args.seed, quick=args.quick,
-                                   progress=progress)
+    results = acceptance.run_suite(args.seed, args.quick, progress)
     for res in results:
-        payload = res.to_dict()
-        payload["config"] = _config(args)
-        write_json(payload, os.path.join(out, f"check_{res.name}.json"))
-    summary = {
-        "status": "pass" if all(r.status == "pass" for r in results) else "fail",
-        "checks": {r.name: r.status for r in results},
-        "config": _config(args),
-    }
-    write_json(summary, os.path.join(out, "summary.json"))
-    print(f"suite: {summary['status']}")
-    return EXIT_PASS if summary["status"] == "pass" else EXIT_FAIL
+        _emit_json(args, f"check_{res.name}.json", res.to_dict())
+    status = "pass" if all(r.status == "pass" for r in results) else "fail"
+    _emit_json(args, "summary.json",
+               {"status": status, "checks": {r.name: r.status for r in results}})
+    print(f"suite: {status}")
+    return _STATUS_EXIT[status]
 
 
 _COMMANDS = {
@@ -357,6 +339,35 @@ _COMMANDS = {
     "wf": (cmd_wf, 1),
     "lag-test": (cmd_lag_test, 2),
     "suite": (cmd_suite, 0),
+}
+
+# every option a handler reads: argparse keywords, keyed by its dest
+_FLAGS = {
+    "grid_n": {"type": int, "default": 128},
+    "grid_R": {"type": float, "default": 10.0},
+    "stride": {"type": int, "default": 2},
+    "seed": {"type": int, "default": 0},
+    "order": {"type": float, "default": 0.0},
+    "rho": {"type": float, "default": 1.0},
+    "quick": {"action": "store_true"},
+}
+
+# the options each command reads, and so accepts and records in its config
+_OPTIONS = {
+    "reduce-phase": (),
+    "check-phase": ("seed",),
+    "lagrangian-of": (),
+    "mu-apply": (),
+    "weyl-quantize": ("grid_n", "grid_R"),
+    "fio-kernel": ("grid_n", "grid_R"),
+    "factorize": ("order", "rho"),
+    "compose": ("grid_n", "grid_R"),
+    "adjoint": ("grid_n", "grid_R"),
+    "fbi-map": ("stride",),
+    "char-check": ("stride", "order", "rho"),
+    "wf": (),
+    "lag-test": ("order", "rho"),
+    "suite": ("seed", "quick"),
 }
 
 
@@ -382,17 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("inputs", nargs=nargs, metavar="INPUT")
         else:
             p.set_defaults(inputs=[])
-        p.add_argument("--grid-n", type=int, default=128, dest="grid_n")
-        p.add_argument("--grid-R", type=float, default=10.0, dest="grid_R")
-        p.add_argument("--stride", type=int, default=2)
-        p.add_argument("--seed", type=int, default=0)
+        for key in _OPTIONS[name]:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key])
         p.add_argument("--out", default="fiocalc-out")
-        p.add_argument("--phase-fix", choices=["gaussian", "none"],
-                       default="gaussian", dest="phase_fix")
-        p.add_argument("--order", type=float, default=0.0)
-        p.add_argument("--rho", type=float, default=1.0)
-        if name == "suite":
-            p.add_argument("--quick", action="store_true")
     return parser
 
 

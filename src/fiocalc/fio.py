@@ -18,6 +18,7 @@ import numpy as np
 from .gabor import (
     KERNEL_STRIDE,
     N_SECTORS,
+    Field4D,
     ProfileReport,
     _interior,
     _span_distance,
@@ -38,8 +39,8 @@ from .symplectic import (
     twisted_graph_lagrangian,
 )
 from .weyl import (
-    SampledSymbol,
     _pullback,
+    interior_mask,
     symbol_callable,
     symbol_from_kernel,
     weyl_kernel,
@@ -57,7 +58,7 @@ class FioSpec:
     rho: float
     phase: QuadraticPhase = None
     amplitude: ShubinSymbol = None  # on R^{2d+N} for oscillatory
-    b: object = None  # ShubinSymbol or SampledSymbol or callable on R^{2d}
+    b: object = None  # ShubinSymbol, sampled Field4D or callable on R^{2d}
     chi: SymplecticMatrix = None
 
     def __post_init__(self):
@@ -221,7 +222,7 @@ def _vector_residual(A: OperatorMatrix, B: OperatorMatrix, grid: GridSpec,
 
 @dataclass(frozen=True)
 class FactorizationReport:
-    symbol: SampledSymbol
+    symbol: Field4D  # samples on (x, xi)
     chi: SymplecticMatrix
     decay: object
     residual: float
@@ -267,10 +268,10 @@ def fio_factorize(K: GridFunction, chi: SymplecticMatrix, grid: GridSpec,
     w = _domain_taper(grid)
     Bop = Kop.compose(OperatorMatrix(grid, w[:, None] * mu.matrix().entries.conj().T))
     b = symbol_from_kernel(Bop)
-    rebuilt = weyl_kernel(b.as_callable(), grid).compose(mu.matrix())
+    rebuilt = weyl_kernel(symbol_callable(b), grid).compose(mu.matrix())
     residual = _vector_residual(Kop, rebuilt, grid)
-    scale = float(np.abs(b.values[b.interior_mask(0.5)]).max())
-    decay = shubin_decay_test(b.values, [b.x, b.xi], m, rho, noise=residual * scale)
+    scale = float(np.abs(b.values[interior_mask(b)]).max())
+    decay = shubin_decay_test(b.values, b.axes, m, rho, noise=residual * scale)
     status = "pass" if residual <= RESIDUAL_CAP and decay.status == "pass" \
         else "not-in-class"
     return FactorizationReport(b, chi, decay, float(residual), status)
@@ -289,7 +290,7 @@ def _as_factored(spec: FioSpec, grid: GridSpec) -> FioSpec:
     K, _ = fio_kernel(spec, grid)
     rep = fio_factorize(K, spec.chi, grid, m=spec.order, rho=spec.rho)
     return FioSpec("factored", spec.order, spec.rho,
-                   b=rep.symbol.as_callable(), chi=spec.chi)
+                   b=symbol_callable(rep.symbol), chi=spec.chi)
 
 
 def _poly_terms(sym):
@@ -422,7 +423,7 @@ def fio_compose(s1: FioSpec, s2: FioSpec, grid: GridSpec) -> CompositionReport:
         t2 = _transform_terms(t2, chi1_inv.entries)
     b_new = _weyl_product_callable(f1.b, t1, b2_pulled, t2)
     if b_new is None:
-        b_new = weyl_product(symbol_callable(f1.b), b2_pulled, grid).as_callable()
+        b_new = symbol_callable(weyl_product(symbol_callable(f1.b), b2_pulled, grid))
     chi_new = f1.chi @ f2.chi
     new = FioSpec("factored", f1.order + f2.order, min(f1.rho, f2.rho),
                   b=b_new, chi=chi_new)

@@ -24,8 +24,9 @@ KERNEL_STRIDE = 2  # decimation of the 4-D kernel field: (n / stride)^4 entries
 @dataclass(frozen=True)
 class Field4D:
     """Complex samples on a phase-space grid: 2 axes (x, xi) for the
-    transform of a function on R, 4 axes (z1, z2, zeta1, zeta2) for the
-    field of a kernel on R^2; position axes first."""
+    transform of a function on R or a Weyl symbol recovered from a kernel,
+    4 axes (z1, z2, zeta1, zeta2) for the field of a kernel on R^2;
+    position axes first."""
 
     axes: tuple  # 1D coordinate arrays
     values: np.ndarray  # one dimension per axis

@@ -209,14 +209,13 @@ def chirp_invariance_check(u: GridFunction, Y: np.ndarray, F: np.ndarray,
 
 
 def kernel_equals_lagrangian_check(K: GridFunction, chi: SymplecticMatrix,
-                                   m: float, g_callable,
-                                   rho: float = 1.0) -> dict:
+                                   m: float, g_callable) -> dict:
     """The operator-kernel test and the subspace-membership test applied to
     one kernel must return the same verdict: the kernel belongs to the class
     over chi exactly when it is adapted to the twisted graph subspace."""
-    kernel_rep = kernel_characterization_check(K, chi, m, rho, g_callable)
+    kernel_rep = kernel_characterization_check(K, chi, m, 1.0, g_callable)
     lam = twisted_graph_lagrangian(chi)
-    member_rep = lagrangian_membership_test(K, lam, m, g_callable, rho=rho)
+    member_rep = lagrangian_membership_test(K, lam, m, g_callable)
     agree = kernel_rep.status == member_rep.status
     status = kernel_rep.status if agree else "inconclusive"
     return {

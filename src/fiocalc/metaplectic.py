@@ -289,20 +289,15 @@ def mu_factors(chi: SymplecticMatrix) -> tuple:
     raise RuntimeError("free-factor search exhausted; input not symplectic?")
 
 
-def mu_general(chi: SymplecticMatrix, spec: GridSpec,
-               phase_fix: str = "gaussian") -> MetaplecticOperator:
+def mu_general(chi: SymplecticMatrix, spec: GridSpec) -> MetaplecticOperator:
+    """mu(chi) on the grid, its unit constant chosen so that the image of the
+    standard Gaussian has a positive overlap with gaussian_image(chi)."""
     factors = mu_factors(chi)
-    fact = MetaplecticFactorization(chi, factors, 1.0 + 0j)
-    op = MetaplecticOperator(spec, fact)
-    if phase_fix == "gaussian":
-        psi0 = gaussian_window(spec)
-        target = gaussian_image(chi, spec)
-        z = op.apply(psi0).inner(target)
-        if abs(z) < 1e-6:
-            raise RuntimeError("phase normalization failed: Gaussian overlap ~ 0")
-        fact = MetaplecticFactorization(chi, factors, complex(abs(z) / z))
-        op = MetaplecticOperator(spec, fact)
-    return op
+    op = MetaplecticOperator(spec, MetaplecticFactorization(chi, factors, 1.0 + 0j))
+    z = op.apply(gaussian_window(spec)).inner(gaussian_image(chi, spec))
+    if abs(z) < 1e-6:
+        raise RuntimeError("phase normalization failed: Gaussian overlap ~ 0")
+    return MetaplecticOperator(spec, MetaplecticFactorization(chi, factors, complex(abs(z) / z)))
 
 
 def homomorphism_residual(chi1: SymplecticMatrix, chi2: SymplecticMatrix,

@@ -214,7 +214,7 @@ class HelfferReport:
     empirical_constant: float
 
 
-def helffer_conditions(phi: QuadraticPhase, rng=None, samples: int = 1000) -> HelfferReport:
+def helffer_conditions(phi: QuadraticPhase, rng, samples: int = 1000) -> HelfferReport:
     """Invertibility of the two block matrices encoding the estimates
     |(x,y,theta)| <~ |(phi'_y, y, phi'_theta)| and |(x,y,theta)| <~ |(x, phi'_x, phi'_theta)|.
     """
@@ -241,8 +241,6 @@ def helffer_conditions(phi: QuadraticPhase, rng=None, samples: int = 1000) -> He
     s_right = scipy.linalg.svdvals(right)
     left_ok = bool(s_left[-1] > 1e-8)
     right_ok = bool(s_right[-1] > 1e-8)
-    if rng is None:
-        rng = np.random.default_rng(0)
     const = np.inf
     for _ in range(samples):
         v = rng.standard_normal(2 * d + N)

@@ -91,13 +91,13 @@ def field_to_csv(field, path: str) -> None:
 PGM_LOG_MIN, PGM_LOG_MAX = -8.0, 0.0  # log10 range of the PGM color scale
 
 
-def field_to_pgm(values: np.ndarray, path: str, comment: str = "") -> None:
+def field_to_pgm(values: np.ndarray, path: str, comment: str) -> None:
     """8-bit PGM of log10(|values| / peak) on a fixed color scale.
 
     The magnitude is normalized by its peak, mapped through log10, clipped
     to [PGM_LOG_MIN, PGM_LOG_MAX] and linearly scaled to 0..255 (255 =
-    peak).  The first axis renders as rows top to bottom.  An optional
-    single-line comment (for the run configuration) goes into the PGM header.
+    peak).  The first axis renders as rows top to bottom.  The single-line
+    comment (the run configuration) goes into the PGM header.
     """
     mag = np.abs(np.asarray(values))
     if mag.ndim != 2:
@@ -112,8 +112,7 @@ def field_to_pgm(values: np.ndarray, path: str, comment: str = "") -> None:
         levels = np.rint(255.0 * (logs - PGM_LOG_MIN) / (PGM_LOG_MAX - PGM_LOG_MIN))
         levels = levels.astype(np.uint8)
     rows, cols = levels.shape
-    note = f"# {comment}\n" if comment else ""
-    header = f"P5\n{note}{cols} {rows}\n255\n".encode("ascii")
+    header = f"P5\n# {comment}\n{cols} {rows}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(levels.tobytes())

@@ -107,11 +107,11 @@ def symplectic_inverse(chi: SymplecticMatrix) -> SymplecticMatrix:
     return SymplecticMatrix(chi.d, inv)
 
 
-def is_free(chi: SymplecticMatrix, tol: float = TOL_FLOAT) -> bool:
+def is_free(chi: SymplecticMatrix) -> bool:
     """A symplectic matrix is free when its upper-right block is invertible."""
     s = scipy.linalg.svdvals(chi.B)
     scale = max(1.0, np.linalg.norm(chi.entries, 2))
-    return bool(s[-1] > tol * scale)
+    return bool(s[-1] > TOL_FLOAT * scale)
 
 
 def free_phase_matrix(chi: SymplecticMatrix) -> np.ndarray:
@@ -130,13 +130,13 @@ def free_phase_matrix(chi: SymplecticMatrix) -> np.ndarray:
     return 0.5 * (F + F.T)
 
 
-def orthonormal_basis(vectors: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+def orthonormal_basis(vectors: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the column span, via SVD."""
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
     U, s, _ = np.linalg.svd(vectors, full_matrices=False)
     if s.size == 0:
         return np.zeros((vectors.shape[0], 0))
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = int(np.sum(s > 1e-10 * s[0]))
     return U[:, :rank]
 
 
@@ -198,10 +198,10 @@ class LagrangianSubspace:
         return cls(n, basis, param=param)
 
 
-def _span_equal(B1: np.ndarray, B2: np.ndarray, tol: float = 1e-8) -> bool:
+def _span_equal(B1: np.ndarray, B2: np.ndarray) -> bool:
     if B1.shape != B2.shape:
         return False
-    return principal_angles(B1, B2).max(initial=0.0) <= tol
+    return principal_angles(B1, B2).max(initial=0.0) <= 1e-8
 
 
 def lagrangian_from_yf(Y: np.ndarray, F: np.ndarray, n: int) -> LagrangianSubspace:

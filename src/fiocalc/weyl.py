@@ -10,10 +10,9 @@ polynomial interpolation along lines parallel to the diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .gabor import Field4D
 from .grids import GridSpec, OperatorMatrix, SizeGuardError
 from .symbols import ShubinSymbol
 
@@ -68,39 +67,37 @@ def _diagonal_midpoints(K: np.ndarray, k: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SampledSymbol:
-    """Symbol samples a(x_k, xi_m) on the phase-space grid."""
-
-    spec: GridSpec
-    x: np.ndarray
-    xi: np.ndarray
-    values: np.ndarray  # shape (n_x, n_xi)
-
-    def interior_mask(self, frac: float = 0.5) -> np.ndarray:
-        X, XI = np.meshgrid(self.x, self.xi, indexing="ij")
-        bound = frac * self.spec.R
-        return (np.abs(X) <= bound) & (np.abs(XI) <= bound)
-
-    def as_callable(self):
-        from scipy.interpolate import RectBivariateSpline
-
-        re = RectBivariateSpline(self.x, self.xi, self.values.real, kx=5, ky=5)
-        im = RectBivariateSpline(self.x, self.xi, self.values.imag, kx=5, ky=5)
-
-        def func(z):
-            z = np.asarray(z, dtype=float)
-            shape = z.shape[:-1]
-            flat = z.reshape(-1, 2)
-            out = re(flat[:, 0], flat[:, 1], grid=False) \
-                + 1j * im(flat[:, 0], flat[:, 1], grid=False)
-            return out.reshape(shape)
-
-        return func
+def interior_mask(symbol: Field4D) -> np.ndarray:
+    """|x| and |xi| within half the box: where a symbol recovered from a
+    kernel is unaffected by the truncation of the grid."""
+    x, xi = symbol.axes
+    bound = 0.5 * np.abs(x).max()
+    return (np.abs(x)[:, None] <= bound) & (np.abs(xi)[None, :] <= bound)
 
 
-def symbol_from_kernel(K: OperatorMatrix) -> SampledSymbol:
-    """Recover the Weyl symbol on the phase-space grid from a kernel matrix."""
+def _interpolant(symbol: Field4D):
+    """Quintic spline through symbol samples a(x_k, xi_m), as a symbol
+    callable on R^2."""
+    from scipy.interpolate import RectBivariateSpline
+
+    x, xi = symbol.axes
+    re = RectBivariateSpline(x, xi, symbol.values.real, kx=5, ky=5)
+    im = RectBivariateSpline(x, xi, symbol.values.imag, kx=5, ky=5)
+
+    def func(z):
+        z = np.asarray(z, dtype=float)
+        shape = z.shape[:-1]
+        flat = z.reshape(-1, 2)
+        out = re(flat[:, 0], flat[:, 1], grid=False) \
+            + 1j * im(flat[:, 0], flat[:, 1], grid=False)
+        return out.reshape(shape)
+
+    return func
+
+
+def symbol_from_kernel(K: OperatorMatrix) -> Field4D:
+    """Recover the Weyl symbol on the phase-space grid from a kernel matrix:
+    samples a(x_k, xi_m) on the axes (points, dual points)."""
     spec = K.spec
     _check_d1(spec)
     n, h = spec.n, spec.h
@@ -125,10 +122,10 @@ def symbol_from_kernel(K: OperatorMatrix) -> SampledSymbol:
             S[:, col] = _diagonal_midpoints(Kmat, kidx, t)
     E = np.exp(-1j * h * np.outer(tvals, xi))
     values = h * ((S * wts) @ E)
-    return SampledSymbol(spec, spec.points(), xi, values)
+    return Field4D((spec.points(), xi), values)
 
 
-def weyl_product(a, b, spec: GridSpec) -> SampledSymbol:
+def weyl_product(a, b, spec: GridSpec) -> Field4D:
     """Weyl product a # b extracted from the composed kernel matrices."""
     Ka = weyl_kernel(a, spec)
     Kb = weyl_kernel(b, spec)
@@ -143,6 +140,6 @@ def _pullback(a, M: np.ndarray):
 def symbol_callable(sym) -> callable:
     if isinstance(sym, ShubinSymbol):
         return sym
-    if isinstance(sym, SampledSymbol):
-        return sym.as_callable()
+    if isinstance(sym, Field4D):
+        return _interpolant(sym)
     return sym

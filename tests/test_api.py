@@ -1,5 +1,5 @@
-"""Dead-code guard: every function, class and method in src/fiocalc has a
-caller outside the tests.
+"""Dead-code guards: every function, class and method in src/fiocalc has a
+caller outside the tests, and every CLI option is read by its command.
 
 A name counts as used when a word-boundary match for it appears in src/
 outside its own definition and the package's __init__ re-exports, or
@@ -10,9 +10,12 @@ anywhere in benchmarks/.  This is a word-level check, so it misses:
   only by a function that only tests call.
 """
 
+import argparse
 import ast
 import re
 from pathlib import Path
+
+from fiocalc import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fiocalc"
@@ -53,3 +56,21 @@ def test_every_name_has_a_caller_outside_the_tests():
         if len(word.findall(src)) <= definitions and not word.search(bench):
             unused.append(f"{module}:{name}")
     assert not unused, f"only tests call: {', '.join(unused)}"
+
+
+def test_every_command_takes_exactly_the_options_its_handler_reads():
+    """The options a subcommand registers equal the args.<name> attributes
+    its handler reads, apart from the inputs, --out and the command name."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    handlers = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    mismatched = []
+    for name, (func, _nargs) in cli._COMMANDS.items():
+        reads = {node.attr for node in ast.walk(handlers[func.__name__])
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id == "args"} - {"inputs", "out", "command"}
+        registered = {a.dest for a in sub.choices[name]._actions} - {"help", "inputs", "out"}
+        if reads != registered:
+            mismatched.append(f"{name}: reads {sorted(reads)}, takes {sorted(registered)}")
+    assert not mismatched, "; ".join(mismatched)

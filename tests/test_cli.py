@@ -182,17 +182,34 @@ def test_fbi_map_of_kernel_draws_the_canonical_relation(tmp_path):
 
 
 def test_every_artifact_embeds_the_configuration(tmp_path):
-    psi = tmp_path / "psi0.csv"
-    write_psi0(psi)
-    chi = tmp_path / "chi.json"
-    write_chi(chi, standard_j(1))
+    spec = tmp_path / "spec.json"
+    write_json(fio_spec_to_dict(FACTORED), str(spec))
     out = tmp_path / "out"
-    cli.main(["mu-apply", str(chi), str(psi), "--seed", "7",
-              "--out", str(out)])
-    text = (out / "mu_output.csv").read_text()
-    assert "# config" in text and '"seed": 7' in text
-    rec = read_json(str(out / "factorization.json"))
-    assert rec["config"]["seed"] == 7
+    cli.main(["fio-kernel", str(spec), "--grid-n", "64", "--out", str(out)])
+    text = (out / "kernel.csv").read_text()
+    assert "# config" in text and '"grid_n": 64' in text
+    rec = read_json(str(out / "fio_kernel.json"))
+    assert rec["config"]["grid_n"] == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce-phase", "{tmp}/phase.json", "--grid-n", "64"],
+    ["suite", "--quick", "--stride", "2"],
+    ["mu-apply", "{tmp}/chi.json", "{tmp}/psi0.csv", "--phase-fix", "none"],
+    ["wf", "{tmp}/psi0.csv", "--order", "1"],
+    ["fbi-map", "{tmp}/psi0.csv", "--rho", "0.5"],
+], ids=["reduce-phase", "suite", "mu-apply", "wf", "fbi-map"])
+def test_unread_flags_are_usage_errors(tmp_path, capsys, argv):
+    # valid inputs, so only the flag the command does not read can fail
+    write_json(phase_to_dict(pseudodifferential_phase(1)), str(tmp_path / "phase.json"))
+    write_chi(tmp_path / "chi.json", standard_j(1))
+    write_psi0(tmp_path / "psi0.csv")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)])
+    assert exc.value.code == 3
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("indices", [

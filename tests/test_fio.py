@@ -23,7 +23,7 @@ from fiocalc.symbols import (
     polynomial_symbol,
 )
 from fiocalc.symplectic import SymplecticMatrix, chirp_matrix, standard_j
-from fiocalc.weyl import symbol_callable, symbol_from_kernel, weyl_kernel
+from fiocalc.weyl import interior_mask, symbol_callable, symbol_from_kernel, weyl_kernel
 
 GC = lambda t: np.pi ** -0.25 * np.exp(-0.5 * np.asarray(t) ** 2)
 
@@ -85,8 +85,8 @@ def test_symbol_recovery_from_kernel():
     rep = fio_factorize(K, chi, g, m=0.0)
     assert rep.status == "pass"
     call = symbol_callable(sym)
-    mask = rep.symbol.interior_mask(0.5)
-    X, XI = np.meshgrid(rep.symbol.x, rep.symbol.xi, indexing="ij")
+    mask = interior_mask(rep.symbol)
+    X, XI = np.meshgrid(*rep.symbol.axes, indexing="ij")
     true = np.asarray(call(np.stack([X, XI], axis=-1)), dtype=complex)
     assert np.abs(rep.symbol.values - true)[mask].max() < 1e-3
 
@@ -124,7 +124,7 @@ def test_product_rule_for_coordinate_symbols():
 
 
 def test_composition_with_sampled_left_symbol():
-    # a SampledSymbol is a valid factored-form symbol on either side of the
+    # a sampled symbol (Field4D) is a valid factored-form symbol on either side of the
     # Moyal sum, not only on the right
     g = GridSpec(1, 64, 8.0)
     J = standard_j(1)

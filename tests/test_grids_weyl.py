@@ -11,6 +11,7 @@ from fiocalc.grids import (
 )
 from fiocalc.weyl import (
     SizeGuardError,
+    interior_mask,
     symbol_from_kernel,
     weyl_kernel,
 )
@@ -71,9 +72,9 @@ def test_symbol_recovery_round_trip():
     g = GridSpec(1, 128, 10.0)
     a = lambda z: np.exp(-0.3 * np.sum(z ** 2, axis=-1))
     s = symbol_from_kernel(weyl_kernel(a, g))
-    X, XI = np.meshgrid(s.x, s.xi, indexing="ij")
+    X, XI = np.meshgrid(*s.axes, indexing="ij")
     ref = np.exp(-0.3 * (X ** 2 + XI ** 2))
-    mask = s.interior_mask(0.5)
+    mask = interior_mask(s)
     assert np.abs(s.values - ref)[mask].max() < 1e-6
 
 

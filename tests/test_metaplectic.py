@@ -14,6 +14,8 @@ from fiocalc.metaplectic import (
     ChirpFactor,
     FourierFactor,
     LinearFactor,
+    MetaplecticFactorization,
+    MetaplecticOperator,
     _mesh_points,
     _phase_contract,
     egorov_residual,
@@ -226,8 +228,11 @@ def test_dense_matrix_agrees_with_apply(d, chi, path):
 
 def test_dense_matrix_past_the_memory_cap_is_refused():
     # N = 128^2 grid points: the matrix would need 2^28 entries (4 GiB)
+    chi = chirp_matrix(_F2)
+    op = MetaplecticOperator(GridSpec(2, 128, 10.0),
+                             MetaplecticFactorization(chi, mu_factors(chi), 1.0 + 0j))
     with pytest.raises(SizeGuardError):
-        mu_general(chirp_matrix(_F2), GridSpec(2, 128, 10.0), phase_fix="none").matrix()
+        op.matrix()
 
 
 def test_quantization_covariance():
