@@ -9,7 +9,8 @@ options), and the output directory gets a manifest.json listing every file
 with its SHA-256.
 
 Exit codes: 0 pass, 1 fail, 2 inconclusive (including a theta quadrature
-that did not converge), 3 input error (unreadable or malformed input, a
+that did not converge, for an amplitude without a closed-form theta
+integral), 3 input error (unreadable or malformed input, a
 size-guard refusal, or a usage error).
 """
 
@@ -49,6 +50,7 @@ from .serialize import (
     field_to_csv,
     field_to_pgm,
     fio_spec_from_dict,
+    fio_spec_to_dict,
     grid_function_from_csv,
     grid_function_to_csv,
     read_json,
@@ -184,15 +186,12 @@ def cmd_weyl_quantize(args) -> int:
 def cmd_fio_kernel(args) -> int:
     spec = fio_spec_from_dict(read_json(args.inputs[0]))
     grid = GridSpec(1, args.grid_n, args.grid_R)
-    K, quad = fio_kernel(spec, grid)
+    K, theta = fio_kernel(spec, grid)
     _emit_csv(args, "kernel.csv", grid_function_to_csv, K)
     _emit_pgm(args, "kernel.pgm", K.values.reshape(grid.n, grid.n))
     info = {"grid": grid.to_dict(), "form": spec.form}
-    if quad is not None:
-        info["quadrature"] = {"half_width": quad.T,
-                              "nodes_per_axis": quad.nodes_per_axis,
-                              "convergence": quad.convergence,
-                              "doublings": quad.doublings}
+    if theta is not None:
+        info["theta_integral"] = theta.to_dict()
     _emit_json(args, "fio_kernel.json", info)
     print("wrote operator kernel")
     return EXIT_PASS
@@ -226,12 +225,9 @@ def cmd_adjoint(args) -> int:
     adj = fio_adjoint(spec)
     K, _ = fio_kernel(adj, GridSpec(1, args.grid_n, args.grid_R))
     _emit_csv(args, "adjoint_kernel.csv", grid_function_to_csv, K)
-    _emit_json(args, "adjoint.json", {
-        "phase": phase_to_dict(adj.phase),
-        "chi": adj.chi.entries.tolist(),
-        "order": adj.order, "rho": adj.rho,
-        "amplitude": "conjugate of the input amplitude with x and y swapped",
-    })
+    # the adjoint spec itself, so fio-kernel on this file rebuilds the kernel
+    _emit_json(args, "adjoint.json", {**fio_spec_to_dict(adj),
+                                      "chi": adj.chi.entries.tolist()})
     print("wrote adjoint kernel")
     return EXIT_PASS
 

@@ -10,7 +10,7 @@ the module converts between them numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb, factorial
 
 import numpy as np
@@ -88,6 +88,19 @@ class OscQuadrature:
     convergence: float
     doublings: int
 
+    def to_dict(self) -> dict:
+        return {"method": "quadrature", "half_width": self.T,
+                "nodes_per_axis": self.nodes_per_axis,
+                "convergence": self.convergence, "doublings": self.doublings}
+
+
+@dataclass(frozen=True)
+class GaussianClosedForm:
+    """Record of a theta integral evaluated exactly as a Gaussian integral."""
+
+    def to_dict(self) -> dict:
+        return {"method": "gaussian_closed_form"}
+
 
 class QuadratureError(RuntimeError):
     pass
@@ -158,11 +171,81 @@ def _theta_quadrature(phase: QuadraticPhase, amplitude, X: np.ndarray) -> tuple:
     )
 
 
+def _padded_exponent(e, dim: int) -> tuple:
+    """Exponent tuple of a polynomial term, padded with zeros to dim entries."""
+    if len(e) > dim:
+        raise ValueError(f"term exponent {tuple(e)} has more than {dim} entries")
+    return tuple(int(k) for k in e) + (0,) * (dim - len(e))
+
+
+def _gaussian_mean_terms(terms, M: np.ndarray, offset: int):
+    """Terms of e^{sum_ij M_ij d_i d_j} p, the derivatives d_i taken along
+    axis offset + i; a finite sum for a polynomial p, since each power of
+    the operator lowers the degree by two."""
+    out = {}
+    power = list(terms)
+    k = 0
+    while power:
+        for c, e in power:
+            out[e] = out.get(e, 0.0) + c
+        k += 1
+        nxt = {}
+        for i in range(len(M)):
+            for j in range(len(M)):
+                twice = _diff_terms(_diff_terms(power, offset + i), offset + j)
+                for c, e in twice:
+                    nxt[e] = nxt.get(e, 0.0) + M[i, j] * c / k
+        power = [(c, e) for e, c in nxt.items() if c != 0.0]
+    return [(c, e) for e, c in out.items() if c != 0.0]
+
+
+def _gaussian_theta_integral(phase: QuadraticPhase, amplitude: ShubinSymbol,
+                             X: np.ndarray) -> np.ndarray:
+    """int e^{i phi(X, theta)} a(X, theta) d theta over X rows, exactly, for
+    a gaussian_modulated amplitude a(z) = p(z) e^{-|z - c|^2 / w^2}.
+
+    In theta the integrand is p e^{-theta^T A theta + beta^T theta} times
+    factors free of theta, with A = I/w^2 - iQ/2 and beta = i L^T X +
+    2 c_theta / w^2.  Since Re A = I/w^2 > 0, the integral is
+    pi^{N/2} prod_k lambda_k(A)^{-1/2} e^{beta^T A^{-1} beta / 4} times the
+    Gaussian mean of p (mean A^{-1} beta / 2, covariance A^{-1} / 2), and
+    that mean is e^{d^T A^{-1} d / 4} p evaluated at the mean point
+    (Hormander, ALPDO I, Sec. 7.6 and Lemma 7.7.3).  A commutes with Q, so
+    lambda_k(A) = 1/w^2 - i mu_k(Q)/2 with Re > 0; the principal root of
+    each is the continuation from Q = 0, where the integral is positive."""
+    N, d2, dim = phase.N, 2 * phase.d, amplitude.dim
+    if dim != d2 + N:
+        raise ValueError(f"amplitude has dimension {dim}, phase needs {d2 + N}")
+    params = amplitude.params
+    w2 = float(params.get("width", 1.0)) ** 2
+    if not 0.0 < w2 < np.inf:
+        raise ValueError(f"gaussian width must be finite and nonzero, got "
+                         f"{params.get('width')}")
+    c = np.asarray(params.get("center", np.zeros(dim)), dtype=float)
+    terms = [(complex(a), _padded_exponent(e, dim))
+             for a, e in params.get("terms", [(1.0, (0,) * dim)])]
+    A_inv = np.linalg.inv(np.eye(N) / w2 - 0.5j * phase.Q)
+    lam = 1.0 / w2 - 0.5j * np.linalg.eigvalsh(phase.Q)
+    beta = 1j * (X @ phase.L) + 2.0 * c[d2:] / w2
+    mean = 0.5 * beta @ A_inv
+    exponent = (0.5j * np.einsum("pi,ij,pj->p", X, phase.F, X)
+                - np.sum((X - c[:d2]) ** 2, axis=-1) / w2 - c[d2:] @ c[d2:] / w2
+                + 0.25 * np.einsum("pi,ij,pj->p", beta, A_inv, beta))
+    p_mean = _eval_terms(_gaussian_mean_terms(terms, 0.25 * A_inv, d2),
+                         np.concatenate([X, mean], axis=-1))
+    return np.pi ** (N / 2) * np.prod(lam ** -0.5) * np.exp(exponent) * p_mean
+
+
 def fio_kernel(spec: FioSpec, grid: GridSpec):
     """Kernel of the operator as a grid function on R^{2d} (d = 1 only).
     Refuses with SizeGuardError past MEMORY_CAP_ENTRIES kernel samples.
 
-    Returns (GridFunction, OscQuadrature or None).
+    The theta integral of a gaussian_modulated amplitude is evaluated in
+    closed form; other amplitudes go through the theta quadrature.
+
+    Returns (GridFunction, theta integral record): GaussianClosedForm,
+    OscQuadrature, or None when there is no theta integral (N = 0 or the
+    factored form).
     """
     if grid.d != 1:
         raise ValueError("kernels are built over a d = 1 grid")
@@ -180,6 +263,9 @@ def fio_kernel(spec: FioSpec, grid: GridSpec):
         FX = 0.5 * np.einsum("pi,ij,pj->p", X, phase.F, X)
         vals = np.exp(1j * FX) * np.asarray(spec.amplitude(X), dtype=complex)
         return GridFunction(spec2, vals), None
+    if spec.amplitude.kind == "gaussian_modulated":
+        vals = _gaussian_theta_integral(phase, spec.amplitude, X)
+        return GridFunction(spec2, vals), GaussianClosedForm()
     vals, quad = _theta_quadrature(phase, spec.amplitude, X)
     return GridFunction(spec2, vals), quad
 
@@ -333,8 +419,11 @@ def _diff_terms(terms, axis: int):
 
 def _eval_terms(terms, z: np.ndarray) -> np.ndarray:
     out = np.zeros(z.shape[:-1], dtype=complex)
-    for c, (p, q) in terms:
-        out = out + c * z[..., 0] ** p * z[..., 1] ** q
+    for c, e in terms:
+        term = c
+        for axis, k in enumerate(e):
+            term = term * z[..., axis] ** k
+        out = out + term
     return out
 
 
@@ -434,9 +523,32 @@ def fio_compose(s1: FioSpec, s2: FioSpec, grid: GridSpec) -> CompositionReport:
     return CompositionReport(new, float(residual), status)
 
 
+def _swapped_amplitude(amp: ShubinSymbol, d: int) -> ShubinSymbol:
+    """conj(a(y, x, theta)), of the same kind as a: the x and y parts of the
+    centre and of each exponent swap and the coefficients conjugate.  Only
+    a custom amplitude is wrapped in a new custom symbol."""
+    dim = amp.dim
+    perm = [*range(d, 2 * d), *range(d), *range(2 * d, dim)]
+    if amp.kind == "custom":
+        def swapped(z):
+            return np.conj(amp(np.asarray(z, dtype=float)[..., perm]))
+
+        return custom_symbol(dim, amp.order, amp.rho, swapped)
+    params = dict(amp.params)
+    if "c" in params:
+        params["c"] = params["c"].conjugate()
+    if "center" in params:
+        params["center"] = np.asarray(params["center"], dtype=float)[perm]
+    if "terms" in params:
+        params["terms"] = [
+            (complex(c).conjugate(), tuple(_padded_exponent(e, dim)[k] for k in perm))
+            for c, e in params["terms"]]
+    return replace(amp, params=params)
+
+
 def fio_adjoint(spec: FioSpec) -> FioSpec:
     """Formal adjoint: phase psi(x, y, theta) = -phi(y, x, theta), amplitude
-    conj(a(y, x, theta)), associated matrix chi^{-1}."""
+    conj(a(y, x, theta)) of the same kind as a, associated matrix chi^{-1}."""
     if spec.form != "oscillatory":
         raise ValueError("adjoint operates on the oscillatory form")
     phase = spec.phase
@@ -445,15 +557,7 @@ def fio_adjoint(spec: FioSpec) -> FioSpec:
     S[:d, d:] = np.eye(d)
     S[d:, :d] = np.eye(d)
     psi = QuadraticPhase(d, N, -S @ phase.F @ S, -S @ phase.L, -phase.Q)
-    amp = spec.amplitude
-
-    def swapped(z):
-        z = np.asarray(z, dtype=float)
-        out = z.copy()
-        out[..., :d], out[..., d : 2 * d] = z[..., d : 2 * d], z[..., :d]
-        return np.conj(amp(out))
-
-    b = custom_symbol(2 * d + N, spec.order, spec.rho, swapped)
+    b = _swapped_amplitude(spec.amplitude, d)
     return FioSpec("oscillatory", spec.order, spec.rho, phase=psi,
                    amplitude=b, chi=symplectic_inverse(spec.chi))
 

@@ -264,10 +264,10 @@ def test_kernel_field_past_the_memory_cap_is_an_input_error(tmp_path, capsys, co
 
 
 def test_unconverged_quadrature_is_inconclusive(tmp_path, capsys):
-    # a wide amplitude on the Kohn-Nirenberg phase: the theta integral still
-    # changes by ~1e-5 after the last doubling
+    # a constant amplitude on the Kohn-Nirenberg phase: the kernel is
+    # delta(x - y), so the theta quadrature never settles
     spec = FioSpec("oscillatory", 0.0, 1.0, phase=pseudodifferential_phase(1),
-                   amplitude=gaussian_symbol(3, width=np.sqrt(20.0)))
+                   amplitude=constant_symbol(3))
     path = tmp_path / "slow.json"
     write_json(fio_spec_to_dict(spec), str(path))
     out = tmp_path / "out"
@@ -276,6 +276,39 @@ def test_unconverged_quadrature_is_inconclusive(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "did not converge" in err and len(err.strip().splitlines()) == 1
     assert not (out / "manifest.json").exists()
+
+
+def test_wide_gaussian_amplitude_gets_an_exact_kernel(tmp_path):
+    # the theta quadrature still changed by ~1e-5 after its last doubling
+    # here; the Gaussian integral is done in closed form
+    spec = FioSpec("oscillatory", 0.0, 1.0, phase=pseudodifferential_phase(1),
+                   amplitude=gaussian_symbol(3, width=np.sqrt(20.0)))
+    path = tmp_path / "wide.json"
+    write_json(fio_spec_to_dict(spec), str(path))
+    out = tmp_path / "out"
+    assert cli.main(["fio-kernel", str(path), "--grid-n", "64", "--grid-R", "8",
+                     "--out", str(out)]) == 0
+    assert np.all(np.isfinite(grid_function_from_csv(str(out / "kernel.csv")).values))
+    rec = read_json(str(out / "fio_kernel.json"))
+    assert rec["theta_integral"] == {"method": "gaussian_closed_form"}
+
+
+def test_adjoint_json_rebuilds_the_adjoint_kernel(tmp_path):
+    spec = FioSpec("oscillatory", 0.0, 1.0, phase=pseudodifferential_phase(1),
+                   amplitude=gaussian_symbol(3, center=[0.5, -0.3, 0.8], width=1.5,
+                                             terms=[(0.5 - 0.2j, (1, 0, 1))]))
+    path = tmp_path / "spec.json"
+    write_json(fio_spec_to_dict(spec), str(path))
+    g = ["--grid-n", "32", "--grid-R", "6"]
+    assert cli.main(["adjoint", str(path), *g, "--out", str(tmp_path / "adj")]) == 0
+    rec = read_json(str(tmp_path / "adj" / "adjoint.json"))
+    assert rec["amplitude"]["kind"] == "gaussian_modulated"
+    assert rec["amplitude"]["params"]["center"] == [-0.3, 0.5, 0.8]
+    assert cli.main(["fio-kernel", str(tmp_path / "adj" / "adjoint.json"), *g,
+                     "--out", str(tmp_path / "k")]) == 0
+    K = grid_function_from_csv(str(tmp_path / "k" / "kernel.csv"))
+    adj = grid_function_from_csv(str(tmp_path / "adj" / "adjoint_kernel.csv"))
+    assert np.array_equal(K.values, adj.values)
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -4,6 +4,7 @@ import pytest
 from fiocalc.fio import (
     FioSpec,
     QuadratureError,
+    _theta_quadrature,
     fio_adjoint,
     fio_compose,
     fio_factorize,
@@ -14,7 +15,8 @@ from fiocalc.fio import (
     wf_propagation_check,
 )
 from fiocalc.grids import GridFunction, GridSpec, gaussian_window
-from fiocalc.phases import phase_from_free_matrix, pseudodifferential_phase
+from fiocalc.phases import QuadraticPhase, phase_from_free_matrix, pseudodifferential_phase
+from fiocalc.serialize import fio_spec_from_dict, fio_spec_to_dict
 from fiocalc.symbols import (
     constant_symbol,
     custom_symbol,
@@ -61,6 +63,7 @@ def test_fiber_quadrature_converges_for_decaying_amplitude():
     spec = FioSpec("oscillatory", 0.0, 1.0, phase=phi, amplitude=amp)
     K, quad = fio_kernel(spec, g)
     assert quad is not None and quad.convergence < 1e-6
+    assert quad.to_dict()["method"] == "quadrature"
     # the kernel of a quantization concentrates near the diagonal
     mat = np.abs(K.values.reshape(g.n, g.n))
     assert mat.diagonal().max() > 10 * mat[0, -1]
@@ -74,6 +77,59 @@ def test_fiber_quadrature_refuses_slow_convergence():
     spec = FioSpec("oscillatory", 0.0, 1.0, phase=phi, amplitude=amp)
     with pytest.raises(QuadratureError):
         fio_kernel(spec, g)
+
+
+# (phase, amplitude, grid n): a shifted centre with x-theta and theta^2 terms on
+# the Kohn-Nirenberg phase; F != 0 with Q != 0; N = 2 with an off-diagonal Q
+# of mixed sign (n = 8: the two-dimensional quadrature is slow)
+CLOSED_FORM_CASES = [
+    (pseudodifferential_phase(1),
+     gaussian_symbol(3, center=[0.5, -0.3, 0.8], width=1.2,
+                     terms=[(1.0, (0, 0, 2)), (0.5 - 0.2j, (1, 0, 1)), (2.0, (0, 0, 0))]),
+     32),
+    (QuadraticPhase(1, 1, np.array([[0.3, 0.1], [0.1, -0.2]]), np.array([[1.0], [-0.5]]),
+                    np.array([[0.7]])),
+     gaussian_symbol(3, width=1.2, terms=[(1.0, (0, 1, 1))]),
+     32),
+    (QuadraticPhase(1, 2, np.array([[0.3, 0.1], [0.1, -0.2]]),
+                    np.array([[1.0, 0.2], [-0.5, 0.7]]), np.array([[0.4, 0.9], [0.9, -1.3]])),
+     gaussian_symbol(4, center=[0.2, -0.1, 0.3, -0.4], width=1.3,
+                     terms=[(1.0, (0, 0, 1, 1)), (0.5j, (1, 0, 2, 0)), (0.3, (0, 1, 0, 2)),
+                            (1.0, (0, 0, 0, 0))]),
+     8),
+]
+
+
+@pytest.mark.parametrize("phase, amp, n", CLOSED_FORM_CASES, ids=["kn", "f-q", "n2"])
+def test_closed_form_theta_integral_matches_the_quadrature(phase, amp, n):
+    g = GridSpec(1, n, 6.0)
+    K, rec = fio_kernel(FioSpec("oscillatory", 0.0, 1.0, phase=phase, amplitude=amp), g)
+    assert rec.to_dict() == {"method": "gaussian_closed_form"}
+    x = g.points()
+    X = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+    ref, quad = _theta_quadrature(phase, custom_symbol(amp.dim, 0.0, 1.0, amp), X)
+    assert np.abs(K.values - ref).max() / np.abs(ref).max() <= quad.convergence
+
+
+@pytest.mark.parametrize("phase, amp", [
+    (phase_from_free_matrix(standard_j(1)), constant_symbol(2, 1.5)),
+    (phase_from_free_matrix(standard_j(1)),
+     polynomial_symbol(2, [(1.0 - 0.5j, (1, 0)), (0.3j, (1, 1)), (2.0, (0,))])),
+    (phase_from_free_matrix(standard_j(1)), harmonic_oscillator_symbol(2)),
+    (pseudodifferential_phase(1),
+     gaussian_symbol(3, center=[0.5, -0.3, 0.8], width=1.5,
+                     terms=[(1.0, (0, 0, 2)), (0.5 - 0.2j, (1, 0, 1))])),
+], ids=["constant", "polynomial", "harmonic_oscillator", "gaussian_modulated"])
+def test_adjoint_keeps_the_amplitude_kind(phase, amp):
+    g = GridSpec(1, 64, 8.0)
+    spec = FioSpec("oscillatory", 0.0, 1.0, phase=phase, amplitude=amp)
+    adj = fio_adjoint(spec)
+    assert adj.amplitude.kind == amp.kind
+    data = fio_spec_to_dict(adj)
+    assert fio_spec_to_dict(fio_spec_from_dict(data)) == data
+    A = fio_kernel(spec, g)[0].values.reshape(g.n, g.n)
+    B = fio_kernel(adj, g)[0].values.reshape(g.n, g.n)
+    assert np.max(np.abs(B - A.conj().T)) / np.max(np.abs(A)) <= 1e-12
 
 
 def test_symbol_recovery_from_kernel():
