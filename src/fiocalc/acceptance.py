@@ -29,8 +29,6 @@ from .gabor import wavefront_estimate
 from .grids import (
     GridFunction,
     GridSpec,
-    gaussian_window,
-    gaussian_window_at,
     hermite_values,
     identity_operator,
 )
@@ -200,7 +198,7 @@ def check_metaplectic_identities(seed: int = 0, quick: bool = False) -> CheckRes
     for _ in range(pairs):
         c1 = _bounded_symplectic(rng)
         c2 = _bounded_symplectic(rng)
-        worst_h = max(worst_h, homomorphism_residual(c1, c2, grid, f))
+        worst_h = max(worst_h, homomorphism_residual(c1, c2, f))
         worst_u = max(worst_u, unitarity_defect(mu_general(c1, grid), f))
     ok = fixed_err <= 1e-8 and worst_h < 1e-4 and worst_u <= 1e-6
     return CheckResult("metaplectic_identities", _status(ok), {
@@ -293,8 +291,7 @@ def check_fbi_covariance(seed: int = 0, quick: bool = False) -> CheckResult:
     residuals = {}
     for sn, u in signals.items():
         for cn, chi in mats.items():
-            residuals[f"{sn}|{cn}"] = float(
-                fbi_covariance_residual(chi, u, gaussian_window_at, grid))
+            residuals[f"{sn}|{cn}"] = float(fbi_covariance_residual(chi, u))
     worst = max(residuals.values())
     return CheckResult("fbi_covariance", _status(worst < tol), {
         "grid": grid.to_dict(), "tolerance": tol, "residuals": residuals,
@@ -332,7 +329,7 @@ def check_factorization(seed: int = 0, quick: bool = False) -> CheckResult:
     for name, sym, chi, m in pairs:
         spec = FioSpec("factored", m, 1.0, b=sym, chi=chi)
         K, _ = fio_kernel(spec, grid)
-        rep = fio_factorize(K, chi, grid, m=m)
+        rep = fio_factorize(K, chi, m)
         call = symbol_callable(sym)
         mask = interior_mask(rep.symbol)
         X, XI = np.meshgrid(*rep.symbol.axes, indexing="ij")
@@ -342,7 +339,7 @@ def check_factorization(seed: int = 0, quick: bool = False) -> CheckResult:
         statuses[name] = rep.status
     spec = FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=standard_j(1))
     K, _ = fio_kernel(spec, grid)
-    neg = fio_factorize(K, chirp_matrix(np.array([[0.8]])), grid, m=0.0)
+    neg = fio_factorize(K, chirp_matrix(np.array([[0.8]])), 0.0)
     ok = max(errors.values()) < tol \
         and all(s == "pass" for s in statuses.values()) \
         and neg.status == "not-in-class"
@@ -409,7 +406,7 @@ def check_kernel_characterization(seed: int = 0, quick: bool = False) -> CheckRe
     for name, sym, m in cases:
         spec = FioSpec("factored", m, 1.0, b=sym, chi=J)
         K, _ = fio_kernel(spec, grid)
-        rep = kernel_characterization_check(K, J, m, 1.0, gaussian_window_at)
+        rep = kernel_characterization_check(K, J, m, 1.0)
         reports[name] = rep.to_dict()
         ok = ok and rep.status == "pass"
     return CheckResult("kernel_characterization", _status(ok), {
@@ -423,16 +420,14 @@ def check_kernel_characterization(seed: int = 0, quick: bool = False) -> CheckRe
 def check_wavefront_sets(seed: int = 0, quick: bool = False) -> CheckResult:
     grid = GridSpec(1, 128, 10.0)
     delta = _delta(grid)
-    gw = gaussian_window(grid)
-    rep = wavefront_estimate(delta, gw, N_max=4.0)
+    rep = wavefront_estimate(delta, N_max=4.0)
     expected = [14, 15, 16, 17, 46, 47, 48, 49]
     sectors_ok = rep.nondecaying == expected
     spec = FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=standard_j(1))
     K, _ = fio_kernel(spec, grid)
-    cone = wf_kernel_check(K, standard_j(1), gaussian_window_at)
-    cone_neg = wf_kernel_check(K, SymplecticMatrix(1, np.eye(2)),
-                               gaussian_window_at)
-    prop = wf_propagation_check(spec, delta, gw, grid)
+    cone = wf_kernel_check(K, standard_j(1))
+    cone_neg = wf_kernel_check(K, SymplecticMatrix(1, np.eye(2)))
+    prop = wf_propagation_check(spec, delta)
     ok = sectors_ok and cone["status"] == "pass" \
         and cone_neg["status"] == "fail" and prop["status"] == "pass"
     return CheckResult("wavefront_sets", _status(ok), {
@@ -478,11 +473,11 @@ def check_lagrangian_equivalence(seed: int = 0, quick: bool = False) -> CheckRes
     results = {}
     ok = True
     for name, K, chi, m in positives:
-        rep = kernel_equals_lagrangian_check(K, chi, m, gaussian_window_at)
+        rep = kernel_equals_lagrangian_check(K, chi, m)
         results[name] = {"agree": rep["agree"], "status": rep["status"]}
         ok = ok and rep["agree"] and rep["status"] == "pass"
     for name, K, chi, m in negatives:
-        rep = kernel_equals_lagrangian_check(K, chi, m, gaussian_window_at)
+        rep = kernel_equals_lagrangian_check(K, chi, m)
         results[name] = {"agree": rep["agree"], "status": rep["status"]}
         ok = ok and rep["agree"] and rep["status"] == "fail"
     return CheckResult("lagrangian_equivalence", _status(ok), {

@@ -33,8 +33,7 @@ from .fio import (
     kernel_characterization_check,
 )
 from .gabor import Field4D, gabor_transform, kernel_fbi_field, wavefront_estimate
-from .grids import (GridFunction, GridSpec, SizeGuardError, gaussian_window,
-                    gaussian_window_at)
+from .grids import GridFunction, GridSpec, SizeGuardError, gaussian_window
 from .lagdist import lagrangian_membership_test, lagrangian_param
 from .metaplectic import mu_general
 from .phases import (
@@ -76,6 +75,21 @@ def _load_chi(path: str):
     if isinstance(data, dict):
         data = data["chi"]
     return symplectic_from_list(data)
+
+
+def _load_lagrangian(path: str):
+    """The subspace of a JSON object with keys n, Y and F, parametrized by
+    (Y, F); any other input is a ValueError."""
+    data = read_json(path)
+    if not isinstance(data, dict):
+        raise ValueError(f"a subspace is a JSON object, got {type(data).__name__}")
+    try:
+        Y = np.asarray(data["Y"], dtype=float)
+        F = np.asarray(data["F"], dtype=float)
+        n = int(data["n"])
+    except TypeError as exc:
+        raise ValueError(f"malformed subspace: {exc}") from exc
+    return lagrangian_with_param(Y, F, n)
 
 
 def _config(args) -> dict:
@@ -200,8 +214,7 @@ def cmd_fio_kernel(args) -> int:
 def cmd_factorize(args) -> int:
     K = grid_function_from_csv(args.inputs[0])
     chi = _load_chi(args.inputs[1])
-    grid = GridSpec(1, K.spec.n, K.spec.R)
-    rep = fio_factorize(K, chi, grid, m=args.order, rho=args.rho)
+    rep = fio_factorize(K, chi, args.order, args.rho)
     _emit_json(args, "factorize.json", rep.to_dict())
     _emit_csv(args, "symbol.csv", field_to_csv, rep.symbol)
     print(f"factorization: {rep.status} (residual {rep.residual:.3e})")
@@ -253,7 +266,7 @@ def cmd_fbi_map(args) -> int:
             "kind": "function", "grid": u.spec.to_dict(), "stride": args.stride,
         })
     elif u.spec.d == 2:
-        field = kernel_fbi_field(u, gaussian_window_at, stride=args.stride)
+        field = kernel_fbi_field(u, stride=args.stride)
         heat = _kernel_heatmap(field)
         _emit_pgm(args, "fbi_map.pgm", heat)
         _emit_json(args, "fbi_map.json", {
@@ -274,7 +287,7 @@ def cmd_char_check(args) -> int:
     K = grid_function_from_csv(args.inputs[0])
     chi = _load_chi(args.inputs[1])
     rep = kernel_characterization_check(K, chi, args.order, args.rho,
-                                        gaussian_window_at, stride=args.stride)
+                                        stride=args.stride)
     _emit_json(args, "char_check.json", rep.to_dict())
     print(f"kernel characterization: {rep.status}")
     return _STATUS_EXIT[rep.status]
@@ -282,7 +295,7 @@ def cmd_char_check(args) -> int:
 
 def cmd_wf(args) -> int:
     u = grid_function_from_csv(args.inputs[0])
-    rep = wavefront_estimate(u, gaussian_window(u.spec), N_max=4.0)
+    rep = wavefront_estimate(u, N_max=4.0)
     _emit_json(args, "wf.json", {
         "status": rep.status,
         "nondecaying_sectors": rep.nondecaying,
@@ -295,12 +308,8 @@ def cmd_wf(args) -> int:
 
 def cmd_lag_test(args) -> int:
     u = grid_function_from_csv(args.inputs[0])
-    data = read_json(args.inputs[1])
-    lam = lagrangian_with_param(np.asarray(data["Y"], dtype=float),
-                                np.asarray(data["F"], dtype=float),
-                                int(data["n"]))
-    rep = lagrangian_membership_test(u, lam, args.order, gaussian_window_at,
-                                     rho=args.rho)
+    lam = _load_lagrangian(args.inputs[1])
+    rep = lagrangian_membership_test(u, lam, args.order, rho=args.rho)
     _emit_json(args, "lag_test.json", rep.to_dict())
     print(f"membership: {rep.status}")
     return _STATUS_EXIT[rep.status]

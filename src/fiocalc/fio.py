@@ -62,7 +62,7 @@ class FioSpec:
     chi: SymplecticMatrix = None
 
     def __post_init__(self):
-        if self.form not in {"oscillatory", "factored"}:
+        if self.form not in ("oscillatory", "factored"):
             raise ValueError(f"unknown spec form {self.form!r}")
         if self.form == "oscillatory":
             if self.phase is None or self.amplitude is None:
@@ -83,7 +83,6 @@ class OscQuadrature:
     """Record of the theta-quadrature used for an oscillatory kernel."""
 
     T: float
-    epsilon: float
     nodes_per_axis: int
     convergence: float
     doublings: int
@@ -160,7 +159,7 @@ def _theta_quadrature(phase: QuadraticPhase, amplitude, X: np.ndarray) -> tuple:
         if prev is not None:
             scale = max(np.linalg.norm(prev), 1e-300)
             diff = np.linalg.norm(out - prev) / scale
-            quad = OscQuadrature(T, eps, n_nodes, float(diff), doubling)
+            quad = OscQuadrature(T, n_nodes, float(diff), doubling)
             if diff < QUAD_TOL:
                 return out, quad
         prev = out
@@ -288,13 +287,13 @@ HERMITE_TESTS = 6  # Hermite functions in the test family of those residuals
 TAPER_FRAC = 0.7  # the factorization taper is flat on this fraction of R
 
 
-def _vector_residual(A: OperatorMatrix, B: OperatorMatrix, grid: GridSpec,
+def _vector_residual(A: OperatorMatrix, B: OperatorMatrix,
                      scalar_free: bool = False) -> float:
     """Relative difference of two operators on a family of localized test
     vectors, aggregated over the family (so vectors the operators annihilate
     do not divide by noise); optionally mod one unit scalar fitted across
     the family."""
-    tests = [hermite_grid_function(grid, k) for k in range(HERMITE_TESTS)]
+    tests = [hermite_grid_function(A.spec, k) for k in range(HERMITE_TESTS)]
     pairs = [(A.apply(f), B.apply(f)) for f in tests]
     if scalar_free:
         num = sum(af.inner(bf) for af, bf in pairs)
@@ -333,8 +332,8 @@ def _domain_taper(grid: GridSpec) -> np.ndarray:
     return w
 
 
-def fio_factorize(K: GridFunction, chi: SymplecticMatrix, grid: GridSpec,
-                  m: float = 0.0, rho: float = 1.0) -> FactorizationReport:
+def fio_factorize(K: GridFunction, chi: SymplecticMatrix, m: float,
+                  rho: float = 1.0) -> FactorizationReport:
     """Extract the Weyl symbol b with K = kernel of b^w mu(chi).
 
     Composes the operator of K with mu(chi)^{-1} on the right and reads off
@@ -349,13 +348,14 @@ def fio_factorize(K: GridFunction, chi: SymplecticMatrix, grid: GridSpec,
     """
     if K.spec.d != 2:
         raise ValueError("kernel must be a d = 2 grid function")
+    grid = GridSpec(1, K.spec.n, K.spec.R)
     Kop = OperatorMatrix(grid, K.values.reshape(grid.n, grid.n))
     mu = mu_general(chi, grid)
     w = _domain_taper(grid)
     Bop = Kop.compose(OperatorMatrix(grid, w[:, None] * mu.matrix().entries.conj().T))
     b = symbol_from_kernel(Bop)
     rebuilt = weyl_kernel(symbol_callable(b), grid).compose(mu.matrix())
-    residual = _vector_residual(Kop, rebuilt, grid)
+    residual = _vector_residual(Kop, rebuilt)
     scale = float(np.abs(b.values[interior_mask(b)]).max())
     decay = shubin_decay_test(b.values, b.axes, m, rho, noise=residual * scale)
     status = "pass" if residual <= RESIDUAL_CAP and decay.status == "pass" \
@@ -374,7 +374,7 @@ def _as_factored(spec: FioSpec, grid: GridSpec) -> FioSpec:
     if spec.form == "factored":
         return spec
     K, _ = fio_kernel(spec, grid)
-    rep = fio_factorize(K, spec.chi, grid, m=spec.order, rho=spec.rho)
+    rep = fio_factorize(K, spec.chi, spec.order, spec.rho)
     return FioSpec("factored", spec.order, spec.rho,
                    b=symbol_callable(rep.symbol), chi=spec.chi)
 
@@ -517,8 +517,7 @@ def fio_compose(s1: FioSpec, s2: FioSpec, grid: GridSpec) -> CompositionReport:
     new = FioSpec("factored", f1.order + f2.order, min(f1.rho, f2.rho),
                   b=b_new, chi=chi_new)
     product = fio_operator(s1, grid).compose(fio_operator(s2, grid))
-    residual = _vector_residual(fio_operator(new, grid), product, grid,
-                                scalar_free=True)
+    residual = _vector_residual(fio_operator(new, grid), product, scalar_free=True)
     status = "pass" if residual <= RESIDUAL_CAP else "grid-too-coarse"
     return CompositionReport(new, float(residual), status)
 
@@ -566,14 +565,14 @@ def fio_adjoint(spec: FioSpec) -> FioSpec:
 
 
 def kernel_characterization_check(K: GridFunction, chi: SymplecticMatrix,
-                                  m: float, rho: float, g_callable,
+                                  m: float, rho: float,
                                   stride: int = KERNEL_STRIDE) -> ProfileReport:
     """Twisted phase-space test of kernel membership: rapid decay off the
     twisted graph subspace of chi and controlled growth along it, including
     directional derivatives up to order gabor.K_MAX."""
     lam = twisted_graph_lagrangian(chi)
     vlam = twisted_graph_lagrangian(SymplecticMatrix(chi.d, -chi.entries))
-    field = chi_twist_field(kernel_fbi_field(K, g_callable, stride), chi)
+    field = chi_twist_field(kernel_fbi_field(K, stride), chi)
     return profile_report(decay_profile(field, lam, vlam), m, rho)
 
 
@@ -583,7 +582,7 @@ CONE_ANGLE = 0.35  # cone aperture around the twisted graph subspace
 CONE_COLLAR = 4.0  # transverse collar for the window's own width
 
 
-def wf_kernel_check(K: GridFunction, chi: SymplecticMatrix, g_callable) -> dict:
+def wf_kernel_check(K: GridFunction, chi: SymplecticMatrix) -> dict:
     """All phase-space points where the kernel field is non-negligible at
     radius > CONE_R_MIN lie in a cone around the twisted graph subspace.
 
@@ -593,7 +592,7 @@ def wf_kernel_check(K: GridFunction, chi: SymplecticMatrix, g_callable) -> dict:
     finite radius before the conic picture takes over.
     """
     lam = twisted_graph_lagrangian(chi)
-    field = kernel_fbi_field(K, g_callable, KERNEL_STRIDE)
+    field = kernel_fbi_field(K)
     mag = np.abs(field.values)
     peak = mag.max() or 1.0
     r = _span_distance(field.axes, np.zeros((len(field.axes), 0)))
@@ -621,13 +620,12 @@ WF_TOL_BINS = 3  # angular bins allowed between output and mapped input sectors
 WF_PROPAGATION_N_MAX = 6.0
 
 
-def wf_propagation_check(spec: FioSpec, u: GridFunction, g: GridFunction,
-                         grid: GridSpec) -> dict:
+def wf_propagation_check(spec: FioSpec, u: GridFunction) -> dict:
     """Wave front sectors of the operator output lie within WF_TOL_BINS of
     the chi-image of the input wave front sectors."""
-    out = fio_operator(spec, grid).apply(u)
-    rep_in = wavefront_estimate(u, g, WF_PROPAGATION_N_MAX)
-    rep_out = wavefront_estimate(out, g, WF_PROPAGATION_N_MAX)
+    out = fio_operator(spec, u.spec).apply(u)
+    rep_in = wavefront_estimate(u, WF_PROPAGATION_N_MAX)
+    rep_out = wavefront_estimate(out, WF_PROPAGATION_N_MAX)
     if not rep_in.nondecaying:
         ok = not rep_out.nondecaying
         return {"status": "pass" if ok else "fail",

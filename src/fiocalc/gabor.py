@@ -3,7 +3,10 @@ and decay profiling against Lagrangian subspaces with its verdict.
 
 T_g u(x, xi) = (2 pi)^{-d/2} (u, T_x M_xi g); the magnitude equals that of the
 short-time Fourier transform, and the chi twist multiplies by a unimodular
-factor only.
+factor only.  The window g is psi_0 = pi^{-d/4} e^{-|x|^2/2} throughout: any
+other fixed Schwartz window gives equivalent estimates, so only
+gabor_transform takes one (the FBI covariance check transforms with
+mu(chi) psi_0).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridFunction, SizeGuardError
+from .grids import GridFunction, SizeGuardError, gaussian_window, gaussian_window_at
 from .symbols import _shell_maxima, shell_slope
 from .symplectic import (DimensionError, LagrangianSubspace, SymplecticMatrix,
                          orthogonal_complement)
@@ -64,9 +67,9 @@ def gabor_transform(u: GridFunction, g: GridFunction, stride: int = 1) -> Field4
     return Field4D((x, xi), vals)
 
 
-def gabor_transform_points(u: GridFunction, g_callable, points: np.ndarray) -> np.ndarray:
-    """T_g u at arbitrary phase-space points; the window is a callable so no
-    interpolation enters."""
+def gabor_transform_points(u: GridFunction, points: np.ndarray) -> np.ndarray:
+    """T_g u at arbitrary phase-space points; the window is evaluated off the
+    grid, so no interpolation enters."""
     spec = u.spec
     if spec.d != 1:
         raise ValueError("point transform implemented for d = 1")
@@ -76,7 +79,7 @@ def gabor_transform_points(u: GridFunction, g_callable, points: np.ndarray) -> n
     for s in range(0, len(points), POINT_CHUNK):
         px = points[s : s + POINT_CHUNK, 0]
         pxi = points[s : s + POINT_CHUNK, 1]
-        win = np.conj(g_callable(xl[None, :] - px[:, None]))
+        win = np.conj(gaussian_window_at(xl[None, :] - px[:, None]))
         phase = np.exp(-1j * pxi[:, None] * xl[None, :])
         out[s : s + POINT_CHUNK] = (2 * np.pi) ** (-0.5) * spec.h * \
             np.exp(1j * px * pxi) * ((win * phase) @ u.values)
@@ -134,9 +137,9 @@ def sector_decay_slopes(field: Field4D) -> tuple:
     return slopes, angles
 
 
-def wavefront_estimate(u: GridFunction, g: GridFunction, N_max: float) -> SectorReport:
+def wavefront_estimate(u: GridFunction, N_max: float) -> SectorReport:
     """Sectors where T_g u is not rapidly decaying (decay exponent < N_max)."""
-    field = gabor_transform(u, g)
+    field = gabor_transform(u, gaussian_window(u.spec))
     if np.abs(field.values).max() < 1e-250:
         return SectorReport(np.full(N_SECTORS, -np.inf), np.zeros(N_SECTORS),
                             [], "inconclusive")
@@ -145,7 +148,7 @@ def wavefront_estimate(u: GridFunction, g: GridFunction, N_max: float) -> Sector
     return SectorReport(slopes, angles, bad, "pass")
 
 
-def kernel_fbi_field(K: GridFunction, g_callable, stride: int = KERNEL_STRIDE) -> Field4D:
+def kernel_fbi_field(K: GridFunction, stride: int = KERNEL_STRIDE) -> Field4D:
     """T_{g tensor g} K on a decimated 4D grid; K lives on a d = 2 grid.
     Refuses with SizeGuardError past MEMORY_CAP_ENTRIES field entries."""
     spec = K.spec
@@ -155,7 +158,7 @@ def kernel_fbi_field(K: GridFunction, g_callable, stride: int = KERNEL_STRIDE) -
     zeta = spec.dual_points(stride)
     SizeGuardError.check((len(z) * len(zeta)) ** 2)
     xl = spec.points()
-    win = np.conj(g_callable(xl[None, :] - z[:, None]))  # (nz, n)
+    win = np.conj(gaussian_window_at(xl[None, :] - z[:, None]))  # (nz, n)
     mod = np.exp(-1j * np.outer(zeta, xl))  # (nzeta, n)
     # M[(j, m), l] = h (2 pi)^{-1/2} e^{i z_j zeta_m} conj(g(x_l - z_j))
     #                e^{-i zeta_m x_l}  (the T_x M_xi phase convention)

@@ -18,19 +18,12 @@ MEMORY_CAP_ENTRIES = 2**26  # largest complex array (1 GiB) a guarded allocation
 
 
 class SizeGuardError(MemoryError):
-    def __init__(self, entries, cap):
-        super().__init__(
-            f"array would need {entries} complex entries "
-            f"({16 * entries / 2**30:.2f} GiB), cap is {cap}"
-        )
-        self.entries = entries
-        self.cap = cap
-
     @classmethod
     def check(cls, entries: int) -> None:
         """Refuse an array of more than MEMORY_CAP_ENTRIES entries."""
         if entries > MEMORY_CAP_ENTRIES:
-            raise cls(entries, MEMORY_CAP_ENTRIES)
+            raise cls(f"array would need {entries} complex entries "
+                      f"({16 * entries / 2**30:.2f} GiB), cap is {MEMORY_CAP_ENTRIES}")
 
 
 @dataclass(frozen=True)
@@ -195,6 +188,6 @@ def gaussian_window(spec: GridSpec) -> GridFunction:
 
 
 def gaussian_window_at(t) -> np.ndarray:
-    """psi_0 = pi^{-1/4} e^{-t^2 / 2} at arbitrary points: the d = 1 window
-    for transforms that take their window as a callable."""
+    """psi_0 = pi^{-1/4} e^{-t^2 / 2} at arbitrary points: the analysis
+    window of the phase-space transforms, evaluated off the grid."""
     return np.pi ** -0.25 * np.exp(-0.5 * np.asarray(t) ** 2)

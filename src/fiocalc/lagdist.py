@@ -18,7 +18,6 @@ import numpy as np
 
 from .fio import FioSpec, fio_operator, kernel_characterization_check
 from .gabor import (
-    KERNEL_STRIDE,
     Field4D,
     ProfileReport,
     _quadratic_twist,
@@ -27,7 +26,7 @@ from .gabor import (
     kernel_fbi_field,
     profile_report,
 )
-from .grids import GridFunction, GridSpec
+from .grids import GridFunction, GridSpec, gaussian_window
 from .metaplectic import mu_general
 from .symbols import ShubinSymbol
 from .symplectic import (
@@ -142,16 +141,14 @@ def _product_subspace(P: np.ndarray, Q: np.ndarray, param=None) -> LagrangianSub
     return LagrangianSubspace.from_span(span, param=param)
 
 
-def _membership_field(u: GridFunction, g_callable) -> Field4D:
+def _membership_field(u: GridFunction) -> Field4D:
     """Phase-space field of u at stride 1 for d = 1 (the finer steps keep the
     directional-difference floor below the vanishing threshold) and at
     KERNEL_STRIDE for d = 2, where the field is four-dimensional and
     memory-bound."""
     spec = u.spec
     if spec.d == 1:
-        gvals = np.asarray(g_callable(spec.points()), dtype=complex)
-        g = GridFunction(spec, gvals)
-        field = gabor_transform(u, g, stride=1)
+        field = gabor_transform(u, gaussian_window(spec), stride=1)
         x, xi = field.axes
         # profile only over frequencies up to the position box half-width:
         # synthesized inputs carry no genuine content beyond it, so the outer
@@ -159,13 +156,12 @@ def _membership_field(u: GridFunction, g_callable) -> Field4D:
         keep = np.abs(xi) <= spec.R + 1e-9
         return Field4D((x, xi[keep]), field.values[:, keep])
     if spec.d == 2:
-        return kernel_fbi_field(u, g_callable, KERNEL_STRIDE)
+        return kernel_fbi_field(u)
     raise ValueError("membership fields are implemented for d <= 2")
 
 
 def lagrangian_membership_test(u: GridFunction, lam: LagrangianSubspace,
-                               m: float, g_callable,
-                               rho: float = 1.0) -> ProfileReport:
+                               m: float, rho: float = 1.0) -> ProfileReport:
     """Twisted phase-space test of membership: rapid decay off the subspace
     and growth at most like order m (minus rho per derivative) along it.
 
@@ -180,7 +176,7 @@ def lagrangian_membership_test(u: GridFunction, lam: LagrangianSubspace,
     piY = Y @ Y.T if Y.size else np.zeros((d, d))
     F_proj = piY @ F @ piY
     projected = bool(np.max(np.abs(F_proj - F), initial=0.0) > 1e-12)
-    field = _lambda_twist(_membership_field(u, g_callable), Y, F_proj)
+    field = _lambda_twist(_membership_field(u), Y, F_proj)
     # Y-perp x Y is transversal to {(X, FX + Z)} once F kills Y-perp
     vlam = _product_subspace(orthogonal_complement(Y), Y)
     return profile_report(decay_profile(field, lam, vlam), m, rho,
@@ -188,7 +184,7 @@ def lagrangian_membership_test(u: GridFunction, lam: LagrangianSubspace,
 
 
 def chirp_invariance_check(u: GridFunction, Y: np.ndarray, F: np.ndarray,
-                           m: float, g_callable) -> dict:
+                           m: float) -> dict:
     """Multiplying by the chirp e^{i<Fx,x>/2} with Y inside the kernel of F
     must not change the membership verdict relative to Y x Y-perp."""
     d = u.spec.d
@@ -197,9 +193,9 @@ def chirp_invariance_check(u: GridFunction, Y: np.ndarray, F: np.ndarray,
     if Y.size and np.max(np.abs(F @ Y)) > 1e-10 * max(1.0, np.abs(F).max()):
         raise ValueError("chirp invariance needs Y inside the kernel of F")
     lam = _product_subspace(Y, orthogonal_complement(Y), param=(Y, np.zeros((d, d))))
-    before = lagrangian_membership_test(u, lam, m, g_callable)
+    before = lagrangian_membership_test(u, lam, m)
     v = mu_general(chirp_matrix(F), u.spec).apply(u)
-    after = lagrangian_membership_test(v, lam, m, g_callable)
+    after = lagrangian_membership_test(v, lam, m)
     agree = before.status == after.status
     return {
         "status": "pass" if agree else "fail",
@@ -209,13 +205,13 @@ def chirp_invariance_check(u: GridFunction, Y: np.ndarray, F: np.ndarray,
 
 
 def kernel_equals_lagrangian_check(K: GridFunction, chi: SymplecticMatrix,
-                                   m: float, g_callable) -> dict:
+                                   m: float) -> dict:
     """The operator-kernel test and the subspace-membership test applied to
     one kernel must return the same verdict: the kernel belongs to the class
     over chi exactly when it is adapted to the twisted graph subspace."""
-    kernel_rep = kernel_characterization_check(K, chi, m, 1.0, g_callable)
+    kernel_rep = kernel_characterization_check(K, chi, m, 1.0)
     lam = twisted_graph_lagrangian(chi)
-    member_rep = lagrangian_membership_test(K, lam, m, g_callable)
+    member_rep = lagrangian_membership_test(K, lam, m)
     agree = kernel_rep.status == member_rep.status
     status = kernel_rep.status if agree else "inconclusive"
     return {
@@ -227,14 +223,14 @@ def kernel_equals_lagrangian_check(K: GridFunction, chi: SymplecticMatrix,
 
 
 def fio_on_lagrangian_check(op_spec: FioSpec, dist: LagrangianDistSpec,
-                            grid: GridSpec, g_callable) -> dict:
+                            grid: GridSpec) -> dict:
     """Applying the operator to a synthesized distribution must land in the
     class of order (operator order + symbol order) on the mapped subspace."""
     u = lagrangian_synthesize(dist, grid)
     v = fio_operator(op_spec, grid).apply(u)
     mapped = LagrangianSubspace.from_span(op_spec.chi.entries @ dist.lam.basis)
     m_out = op_spec.order + dist.symbol.order
-    rep = lagrangian_membership_test(v, mapped, m_out, g_callable)
+    rep = lagrangian_membership_test(v, mapped, m_out)
     return {
         "status": rep.status,
         "order": m_out,

@@ -20,11 +20,8 @@ from .grids import (GridFunction, GridSpec, OperatorMatrix, SizeGuardError,
 from .symplectic import (
     DimensionError,
     SymplecticMatrix,
-    chirp_matrix,
     free_phase_matrix,
     is_free,
-    scaling_matrix,
-    standard_j,
     symplectic_inverse,
 )
 from .weyl import _pullback, weyl_kernel
@@ -73,13 +70,8 @@ def _phase_contract(w: np.ndarray, axis: np.ndarray, values: np.ndarray) -> np.n
 class FourierFactor:
     """Centered Fourier transform; sign -1 is mu(J), sign +1 its inverse."""
 
-    def __init__(self, d: int, sign: int = -1):
-        self.d = d
+    def __init__(self, sign: int = -1):
         self.sign = sign
-
-    def symplectic(self) -> SymplecticMatrix:
-        J = standard_j(self.d)
-        return J if self.sign == -1 else symplectic_inverse(J)
 
     def act(self, spec: GridSpec, vals: np.ndarray) -> np.ndarray:
         SizeGuardError.check(spec.n**2)
@@ -104,9 +96,6 @@ class ChirpFactor:
     def __init__(self, F: np.ndarray):
         self.F = np.asarray(F, dtype=float)
 
-    def symplectic(self) -> SymplecticMatrix:
-        return chirp_matrix(self.F)
-
     def act(self, spec: GridSpec, vals: np.ndarray) -> np.ndarray:
         pts = _mesh_points(spec.points(), spec.d)
         phase = 0.5 * np.einsum("pi,ij,pj->p", pts, self.F, pts)
@@ -127,9 +116,6 @@ class LinearFactor:
         if abs(np.linalg.det(A)) < 1e-12:
             raise ValueError("linear factor needs invertible A")
         self.A = A
-
-    def symplectic(self) -> SymplecticMatrix:
-        return scaling_matrix(self.A)
 
     def act(self, spec: GridSpec, vals: np.ndarray) -> np.ndarray:
         x, xi = spec.points(), spec.dual_points()
@@ -166,9 +152,6 @@ class FreeKernelFactor:
         self.Fxy = F[:d, d:]
         self.Fyy = F[d:, d:]
         self.c = (2 * np.pi) ** (-d / 2) * abs(np.linalg.det(chi.B)) ** -0.5
-
-    def symplectic(self) -> SymplecticMatrix:
-        return self.chi
 
     def act(self, spec: GridSpec, vals: np.ndarray) -> np.ndarray:
         pts = _mesh_points(spec.points(), spec.d)
@@ -284,8 +267,8 @@ def mu_factors(chi: SymplecticMatrix) -> tuple:
             [np.eye(d), G], [np.zeros((d, d)), np.eye(d)]
         ]))
         # chi = (chi UG) UG^{-1} and UG^{-1} = J^{-1} chirp(G) J
-        return (FreeKernelFactor(chi @ UG), FourierFactor(d, +1),
-                ChirpFactor(G), FourierFactor(d, -1))
+        return (FreeKernelFactor(chi @ UG), FourierFactor(+1),
+                ChirpFactor(G), FourierFactor(-1))
     raise RuntimeError("free-factor search exhausted; input not symplectic?")
 
 
@@ -301,11 +284,11 @@ def mu_general(chi: SymplecticMatrix, spec: GridSpec) -> MetaplecticOperator:
 
 
 def homomorphism_residual(chi1: SymplecticMatrix, chi2: SymplecticMatrix,
-                          spec: GridSpec, f: GridFunction) -> float:
+                          f: GridFunction) -> float:
     """min over unit scalars c of ||mu(chi1) mu(chi2) f - c mu(chi1 chi2) f|| / ||f||."""
-    m1 = mu_general(chi1, spec)
-    m2 = mu_general(chi2, spec)
-    m12 = mu_general(chi1 @ chi2, spec)
+    m1 = mu_general(chi1, f.spec)
+    m2 = mu_general(chi2, f.spec)
+    m12 = mu_general(chi1 @ chi2, f.spec)
     lhs = m1.apply(m2.apply(f))
     rhs = m12.apply(f)
     z = lhs.inner(rhs)
@@ -347,24 +330,22 @@ def egorov_residual(chi: SymplecticMatrix, a, spec: GridSpec) -> float:
     return float(np.linalg.norm(dl - dr, 2) / scale)
 
 
-def fbi_covariance_residual(chi: SymplecticMatrix, u: GridFunction,
-                            g_callable, spec: GridSpec) -> float:
+def fbi_covariance_residual(chi: SymplecticMatrix, u: GridFunction) -> float:
     """max over interior phase-space grid points of
-    | |T_{mu g}(mu u)(z)| - |T_g u(chi^{-1} z)| |.
+    | |T_{mu g}(mu u)(z)| - |T_g u(chi^{-1} z)| | for the window g = psi_0.
 
-    The window must be given as a callable so the right-hand side can be
-    evaluated at off-grid points by exact quadrature.
+    The right-hand side is evaluated at off-grid points by exact quadrature.
     """
     from .gabor import gabor_transform, gabor_transform_points
 
+    spec = u.spec
     op = mu_general(chi, spec)
-    g_grid = GridFunction.sample(spec, lambda x: g_callable(x))
     mu_u = op.apply(u)
-    mu_g = op.apply(g_grid)
+    mu_g = op.apply(gaussian_window(spec))
     field = gabor_transform(mu_u, mu_g)
     X, XI = np.meshgrid(*field.axes, indexing="ij")
     mask = (X**2 + XI**2) <= (FBI_INTERIOR * spec.R) ** 2
     pts = np.stack([X[mask], XI[mask]], axis=-1)
     back = pts @ symplectic_inverse(chi).entries.T
-    ref = gabor_transform_points(u, g_callable, back)
+    ref = gabor_transform_points(u, back)
     return float(np.max(np.abs(np.abs(field.values[mask]) - np.abs(ref))))

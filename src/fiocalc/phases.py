@@ -112,7 +112,6 @@ def lagrangian_of_phase(phi: QuadraticPhase) -> LagrangianSubspace:
 
 @dataclass(frozen=True)
 class ReductionRecord:
-    original: QuadraticPhase
     reduced: QuadraticPhase
     eliminated: tuple  # tuples (eigenvalue q, vector ell)
     theta_rotation: np.ndarray  # orthogonal N x N change of fiber variables
@@ -140,7 +139,7 @@ def reduce_phase(phi: QuadraticPhase) -> ReductionRecord:
     if not check_nondegeneracy(phi):
         raise ValueError("degenerate phase: (L; Q) is rank-deficient")
     if phi.N == 0:
-        return ReductionRecord(phi, phi, (), np.zeros((0, 0)), 0)
+        return ReductionRecord(phi, (), np.zeros((0, 0)), 0)
     _check_symmetric(phi.Q, "Q", 1e-10)
     eigvals, V = np.linalg.eigh(phi.Q)
     Lrot = phi.L @ V
@@ -165,7 +164,7 @@ def reduce_phase(phi: QuadraticPhase) -> ReductionRecord:
     reduced = QuadraticPhase(phi.d, n, 0.5 * (F + F.T), Lnew, np.zeros((n, n)))
     if n and scipy.linalg.svdvals(Lnew)[-1] <= 1e-10:
         raise ValueError("reduction produced a non-injective L")
-    return ReductionRecord(phi, reduced, tuple(eliminated), V, n)
+    return ReductionRecord(reduced, tuple(eliminated), V, n)
 
 
 class NotAGraphError(ValueError):
@@ -206,8 +205,6 @@ def phase_from_free_matrix(chi: SymplecticMatrix) -> QuadraticPhase:
 
 @dataclass(frozen=True)
 class HelfferReport:
-    left_matrix_invertible: bool
-    right_matrix_invertible: bool
     left_sigma_min: float
     right_sigma_min: float
     estimates_hold: bool
@@ -239,8 +236,6 @@ def helffer_conditions(phi: QuadraticPhase, rng, samples: int = 1000) -> Helffer
     right = np.block([[I, Zdd, ZdN], [E, G, P], [P.T, R.T, Q]])
     s_left = scipy.linalg.svdvals(left)
     s_right = scipy.linalg.svdvals(right)
-    left_ok = bool(s_left[-1] > 1e-8)
-    right_ok = bool(s_right[-1] > 1e-8)
     const = np.inf
     for _ in range(samples):
         v = rng.standard_normal(2 * d + N)
@@ -249,11 +244,9 @@ def helffer_conditions(phi: QuadraticPhase, rng, samples: int = 1000) -> Helffer
                     float(np.linalg.norm(left @ v)),
                     float(np.linalg.norm(right @ v)))
     return HelfferReport(
-        left_matrix_invertible=left_ok,
-        right_matrix_invertible=right_ok,
         left_sigma_min=float(s_left[-1]),
         right_sigma_min=float(s_right[-1]),
-        estimates_hold=left_ok and right_ok,
+        estimates_hold=bool(s_left[-1] > 1e-8 and s_right[-1] > 1e-8),
         empirical_constant=const,
     )
 
@@ -269,11 +262,18 @@ def phase_to_dict(phi: QuadraticPhase) -> dict:
 
 
 def phase_from_dict(data: dict) -> QuadraticPhase:
-    d = int(data["d"])
-    N = int(data.get("N", 0))
-    F = np.asarray(data["F"], dtype=float)
-    L = np.asarray(data.get("L", np.zeros((2 * d, N))), dtype=float).reshape(2 * d, N)
-    Q = np.asarray(data.get("Q", np.zeros((N, N))), dtype=float).reshape(N, N)
+    """The phase of a JSON object with keys d, F and optionally N, L, Q; any
+    other input is a ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a phase is a JSON object, got {type(data).__name__}")
+    try:
+        d = int(data["d"])
+        N = int(data.get("N", 0))
+        F = np.asarray(data["F"], dtype=float)
+        L = np.asarray(data.get("L", np.zeros((2 * d, N))), dtype=float).reshape(2 * d, N)
+        Q = np.asarray(data.get("Q", np.zeros((N, N))), dtype=float).reshape(N, N)
+    except TypeError as exc:
+        raise ValueError(f"malformed phase: {exc}") from exc
     return QuadraticPhase(d, N, F, L, Q)
 
 

@@ -44,6 +44,8 @@ def grid_function_from_csv(path: str) -> GridFunction:
     in 0..n^d - 1 must appear exactly once; anything else is a ValueError."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
+        if len(header) != 3:
+            raise ValueError(f"{path}: header {','.join(header)!r} is not d,n,R")
         d, n, R = int(header[0]), int(header[1]), float(header[2])
         spec = GridSpec(d, n, R)
         SizeGuardError.check(n**d)
@@ -118,20 +120,6 @@ def field_to_pgm(values: np.ndarray, path: str, comment: str) -> None:
         fh.write(levels.tobytes())
 
 
-def pgm_levels(path: str) -> np.ndarray:
-    """Read back a P5 PGM written by field_to_pgm as a uint8 array."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    lines = data.split(b"\n")
-    if lines[0] != b"P5":
-        raise ValueError("not a binary PGM file")
-    header = [ln for ln in lines[1:] if not ln.startswith(b"#")]
-    cols, rows = map(int, header[0].split())
-    offset = data.index(b"255\n") + 4
-    raw = data[offset : offset + rows * cols]
-    return np.frombuffer(raw, dtype=np.uint8).reshape(rows, cols)
-
-
 def append_config_comment(path: str, config: dict) -> None:
     """Append the run configuration to a CSV artifact as a '#' comment line;
     readers skip comment lines."""
@@ -186,7 +174,13 @@ def symplectic_to_list(chi: SymplecticMatrix) -> list:
 
 
 def symplectic_from_list(entries) -> SymplecticMatrix:
-    M = np.asarray(entries, dtype=float)
+    """The matrix of a list of rows; anything else is a ValueError."""
+    try:
+        M = np.asarray(entries, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"malformed matrix: {exc}") from exc
+    if M.ndim != 2:
+        raise ValueError(f"a symplectic matrix is a list of rows, got {M.ndim} dimensions")
     return SymplecticMatrix(M.shape[0] // 2, M)
 
 
@@ -211,9 +205,16 @@ def fio_spec_to_dict(spec: FioSpec) -> dict:
 
 
 def fio_spec_from_dict(data: dict) -> FioSpec:
+    """The spec of a JSON object written by fio_spec_to_dict; any other input
+    is a ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"an operator spec is a JSON object, got {type(data).__name__}")
     form = data["form"]
-    order = float(data["order"])
-    rho = float(data["rho"])
+    try:
+        order = float(data["order"])
+        rho = float(data["rho"])
+    except TypeError as exc:
+        raise ValueError(f"malformed operator spec: {exc}") from exc
     if form == "oscillatory":
         return FioSpec(
             form, order, rho,

@@ -31,8 +31,8 @@ class ShubinSymbol:
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
-        if self.kind not in {"constant", "polynomial", "gaussian_modulated",
-                             "harmonic_oscillator", "custom"}:
+        if self.kind not in ("constant", "polynomial", "gaussian_modulated",
+                             "harmonic_oscillator", "custom"):
             raise ValueError(f"unknown symbol kind {self.kind!r}")
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
@@ -72,11 +72,19 @@ class ShubinSymbol:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ShubinSymbol":
-        params = dict(data.get("params", {}))
-        if "terms" in params:
-            params["terms"] = [(complex(t[0], t[1]), tuple(t[2])) for t in params["terms"]]
-        return cls(int(data["dim"]), float(data["order"]), float(data["rho"]),
-                   data["kind"], params)
+        """The symbol of a JSON object written by to_dict; any other input is
+        a ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a symbol is a JSON object, got {type(data).__name__}")
+        try:
+            params = dict(data.get("params", {}))
+            if "terms" in params:
+                params["terms"] = [(complex(t[0], t[1]), tuple(t[2]))
+                                   for t in params["terms"]]
+            dim, order, rho = int(data["dim"]), float(data["order"]), float(data["rho"])
+        except (TypeError, IndexError) as exc:
+            raise ValueError(f"malformed symbol: {exc}") from exc
+        return cls(dim, order, rho, data["kind"], params)
 
 
 def _eval_poly(terms, z: np.ndarray) -> np.ndarray:

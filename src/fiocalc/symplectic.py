@@ -30,10 +30,6 @@ class NotSymplecticError(ValueError):
 class SingularBlockError(ValueError):
     """Raised when a block that must be invertible is numerically singular."""
 
-    def __init__(self, message, cond=None):
-        super().__init__(message)
-        self.cond = cond
-
 
 def standard_j_matrix(d: int) -> np.ndarray:
     if d < 1:
@@ -120,8 +116,7 @@ def free_phase_matrix(chi: SymplecticMatrix) -> np.ndarray:
     B = chi.B
     s = scipy.linalg.svdvals(B)
     if s[-1] <= TOL_FLOAT * max(1.0, s[0]):
-        cond = np.inf if s[-1] == 0 else s[0] / s[-1]
-        raise SingularBlockError("matrix is not free: B block is singular", cond=cond)
+        raise SingularBlockError("matrix is not free: B block is singular")
     Binv = np.linalg.inv(B)
     F = np.block([[chi.D @ Binv, -Binv.T], [-Binv, Binv @ chi.A]])
     asym = np.max(np.abs(F - F.T))

@@ -1,5 +1,6 @@
 """Dead-code guards: every function, class and method in src/fiocalc has a
-caller outside the tests, and every CLI option is read by its command.
+caller outside the tests, every class member is read, and every CLI option
+is read by its command.
 
 A name counts as used when a word-boundary match for it appears in src/
 outside its own definition and the package's __init__ re-exports, or
@@ -22,8 +23,15 @@ PACKAGE = ROOT / "src" / "fiocalc"
 
 # test-only names kept on purpose, each with the reason
 ALLOWED = {
-    "chirp_invariance_check": "ROADMAP item 1",
-    "fio_on_lagrangian_check": "ROADMAP item 1",
+    "chirp_invariance_check": "ROADMAP item 2 wires it into the battery",
+    "fio_on_lagrangian_check": "ROADMAP item 2 wires it into the battery",
+}
+
+# class members that nothing in src/ or benchmarks/ reads, kept on purpose,
+# each with the reason
+UNREAD_ALLOWED = {
+    "_Parser.error": "argparse calls it on a usage error",
+    "DecayProfile.off_shells": "ROADMAP item 7 plans to emit it in the profile JSON",
 }
 
 
@@ -56,6 +64,47 @@ def test_every_name_has_a_caller_outside_the_tests():
         if len(word.findall(src)) <= definitions and not word.search(bench):
             unused.append(f"{module}:{name}")
     assert not unused, f"only tests call: {', '.join(unused)}"
+
+
+def _class_members():
+    """(class, member, module) for each method, property and dataclass field
+    of every class in src/fiocalc, and each self.<name> its methods set;
+    dunder names excluded."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = set()
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef):
+                    names.add(item.name)
+                    names.update(node.attr for node in ast.walk(item)
+                                 if isinstance(node, ast.Attribute)
+                                 and isinstance(node.ctx, ast.Store)
+                                 and isinstance(node.value, ast.Name)
+                                 and node.value.id == "self")
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    names.add(item.target.id)
+            for name in sorted(names):
+                if not (name.startswith("__") and name.endswith("__")):
+                    yield cls.name, name, path.name
+
+
+def test_every_class_member_is_read():
+    """Each member's name is loaded as an attribute, `.name`, somewhere in
+    src/ or benchmarks/.
+
+    The check is by name, not by class, so it cannot see a member whose name
+    is read on other objects: SizeGuardError.entries would pass on any
+    chi.entries.  A member read only by its own class's methods counts as
+    read."""
+    loaded = set()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "benchmarks").glob("*.py")]:
+        loaded.update(node.attr for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    unread = [f"{module}:{cls}.{name}" for cls, name, module in _class_members()
+              if name not in loaded and f"{cls}.{name}" not in UNREAD_ALLOWED]
+    assert not unread, f"never read: {', '.join(unread)}"
 
 
 def test_every_command_takes_exactly_the_options_its_handler_reads():

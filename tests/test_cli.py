@@ -4,12 +4,13 @@ import pytest
 from fiocalc import cli
 from fiocalc.gabor import gabor_transform
 from fiocalc.grids import GridFunction, GridSpec, gaussian_window, hermite_grid_function
-from fiocalc.phases import phase_from_free_matrix, phase_to_dict, pseudodifferential_phase
+from fiocalc.lagdist import lagrangian_param
+from fiocalc.phases import (lagrangian_of_phase, phase_from_free_matrix, phase_to_dict,
+                            pseudodifferential_phase)
 from fiocalc.serialize import (
     fio_spec_to_dict,
     grid_function_from_csv,
     grid_function_to_csv,
-    pgm_levels,
     read_json,
     symplectic_to_list,
     write_json,
@@ -17,6 +18,7 @@ from fiocalc.serialize import (
 from fiocalc.fio import FioSpec
 from fiocalc.symbols import constant_symbol, gaussian_symbol, harmonic_oscillator_symbol
 from fiocalc.symplectic import SymplecticMatrix, chirp_matrix, standard_j
+from pgm_reader import read_pgm
 
 
 def write_psi0(path, n=128, R=10.0):
@@ -60,6 +62,68 @@ def test_malformed_json_is_an_input_error(tmp_path):
     bad.write_text("{not json")
     assert cli.main(["reduce-phase", str(bad),
                      "--out", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("argv, name, text", [
+    (["reduce-phase", "{bad}"], "phase.json", "[1, 2]"),
+    (["fio-kernel", "{bad}"], "spec.json", "[1, 2]"),
+    (["lag-test", "{psi}", "{bad}"], "subspace.json", "[1, 2]"),
+    (["weyl-quantize", "{bad}"], "symbol.json", "[1, 2]"),
+    (["mu-apply", "{bad}", "{psi}"], "chi.json", "5"),
+    (["mu-apply", "{bad}", "{psi}"], "chi.json", '{"chi": 5}'),
+    (["reduce-phase", "{bad}"], "phase.json", '{"d": [1], "F": [[0, 0], [0, 0]]}'),
+    (["fbi-map", "{bad}"], "u.csv", "1,128\n0,1.0,0.0\n"),
+    (["weyl-quantize", "{bad}"], "symbol.json",
+     '{"dim": 2, "order": 0, "rho": 1, "kind": ["constant"]}'),
+    (["fio-kernel", "{bad}"], "spec.json",
+     '{"form": ["factored"], "order": 0, "rho": 1, "chi": [[0, 1], [-1, 0]],'
+     ' "b": {"dim": 2, "order": 0, "rho": 1, "kind": "constant"}}'),
+], ids=["phase-list", "spec-list", "subspace-list", "symbol-list", "chi-number",
+        "chi-entry-number", "phase-list-d", "csv-short-header", "symbol-kind-list",
+        "spec-form-list"])
+def test_malformed_inputs_are_input_errors(tmp_path, capsys, argv, name, text):
+    bad = tmp_path / name
+    bad.write_text(text)
+    write_psi0(tmp_path / "psi0.csv")
+    out = tmp_path / "out"
+    args = [a.format(bad=bad, psi=tmp_path / "psi0.csv") for a in argv]
+    assert cli.main([*args, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and len(err.strip().splitlines()) == 1
+    assert not (out / "manifest.json").exists()
+
+
+def run_check_phase(tmp_path, name, phase):
+    path = tmp_path / f"{name}.json"
+    write_json(phase, str(path))
+    out = tmp_path / name
+    code = cli.main(["check-phase", str(path), "--out", str(out)])
+    return code, read_json(str(out / "check_phase.json"))
+
+
+def test_check_phase_verdicts(tmp_path):
+    graph = phase_to_dict(phase_from_free_matrix(standard_j(1)))
+    code, rep = run_check_phase(tmp_path, "graph", graph)
+    assert code == 0 and rep["estimates"]["estimates_hold"] is True
+    # N = 1 with L = 0 and Q = 0: (L; Q) is not injective
+    degenerate = {"d": 1, "N": 1, "F": [[0.0, 0.0], [0.0, 0.0]], "L": [[0.0], [0.0]],
+                  "Q": [[0.0]]}
+    code, rep = run_check_phase(tmp_path, "degenerate", degenerate)
+    assert code == 1 and rep["nondegenerate"] is False and rep["status"] == "fail"
+    # the zero phase parametrizes the zero section, which is no twisted graph
+    code, rep = run_check_phase(tmp_path, "zero", {"d": 1, "N": 0, "F": [[0.0, 0.0], [0.0, 0.0]]})
+    assert code == 0 and "skipped" in rep["estimates"]
+
+
+def test_lagrangian_of_writes_the_parametrization(tmp_path):
+    phi = pseudodifferential_phase(1)
+    path = tmp_path / "phase.json"
+    write_json(phase_to_dict(phi), str(path))
+    out = tmp_path / "out"
+    assert cli.main(["lagrangian-of", str(path), "--out", str(out)]) == 0
+    rec = read_json(str(out / "lagrangian.json"))
+    Y, F = lagrangian_param(lagrangian_of_phase(phi))
+    assert np.array_equal(np.array(rec["Y"]), Y) and np.array_equal(np.array(rec["F"]), F)
 
 
 def test_mu_apply_fixes_the_ground_state(tmp_path):
@@ -170,7 +234,7 @@ def test_fbi_map_of_kernel_draws_the_canonical_relation(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["fbi-map", str(kernel), "--stride", "4",
                      "--out", str(out)]) == 0
-    levels = pgm_levels(str(out / "fbi_map.pgm"))
+    levels = read_pgm(out / "fbi_map.pgm")
     meta = read_json(str(out / "fbi_map.json"))
     freq = np.asarray(meta["axis_frequency"])
     pos = np.asarray(meta["axis_position"])

@@ -27,8 +27,6 @@ from fiocalc.symbols import (
 from fiocalc.symplectic import SymplecticMatrix, chirp_matrix, standard_j
 from fiocalc.weyl import interior_mask, symbol_callable, symbol_from_kernel, weyl_kernel
 
-GC = lambda t: np.pi ** -0.25 * np.exp(-0.5 * np.asarray(t) ** 2)
-
 
 def test_factored_fourier_kernel_is_oscillatory_plane_wave():
     g = GridSpec(1, 128, 10.0)
@@ -138,7 +136,7 @@ def test_symbol_recovery_from_kernel():
     sym = gaussian_symbol(2)
     spec = FioSpec("factored", 0.0, 1.0, b=sym, chi=chi)
     K, _ = fio_kernel(spec, g)
-    rep = fio_factorize(K, chi, g, m=0.0)
+    rep = fio_factorize(K, chi, 0.0)
     assert rep.status == "pass"
     call = symbol_callable(sym)
     mask = interior_mask(rep.symbol)
@@ -151,7 +149,7 @@ def test_factorize_against_wrong_matrix_reports_failure():
     g = GridSpec(1, 256, 12.0)
     spec = FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=standard_j(1))
     K, _ = fio_kernel(spec, g)
-    rep = fio_factorize(K, chirp_matrix(np.array([[0.8]])), g, m=0.0)
+    rep = fio_factorize(K, chirp_matrix(np.array([[0.8]])), 0.0)
     assert rep.status == "not-in-class"
 
 
@@ -219,10 +217,10 @@ def test_kernel_characterization_pass_and_fail():
     J = standard_j(1)
     spec = FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=J)
     K, _ = fio_kernel(spec, g)
-    good = kernel_characterization_check(K, J, 0.0, 1.0, GC)
+    good = kernel_characterization_check(K, J, 0.0, 1.0)
     assert good.status == "pass"
     eye = SymplecticMatrix(1, np.eye(2))
-    bad = kernel_characterization_check(K, eye, 0.0, 1.0, GC)
+    bad = kernel_characterization_check(K, eye, 0.0, 1.0)
     assert bad.status == "fail"
 
 
@@ -231,9 +229,9 @@ def test_kernel_cone_containment():
     J = standard_j(1)
     spec = FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=J)
     K, _ = fio_kernel(spec, g)
-    assert wf_kernel_check(K, J, GC)["status"] == "pass"
+    assert wf_kernel_check(K, J)["status"] == "pass"
     eye = SymplecticMatrix(1, np.eye(2))
-    assert wf_kernel_check(K, eye, GC)["status"] == "fail"
+    assert wf_kernel_check(K, eye)["status"] == "fail"
 
 
 def test_propagation_maps_point_mass_sectors():
@@ -242,7 +240,7 @@ def test_propagation_maps_point_mass_sectors():
     vals = np.zeros(g.n, dtype=complex)
     vals[g.n // 2] = 1.0 / g.h
     delta = GridFunction(g, vals)
-    rep = wf_propagation_check(spec, delta, gaussian_window(g), g)
+    rep = wf_propagation_check(spec, delta)
     assert rep["status"] == "pass"
 
 

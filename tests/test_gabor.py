@@ -37,9 +37,6 @@ from fiocalc.symplectic import (
     standard_j,
 )
 
-GC = lambda t: np.pi ** -0.25 * np.exp(-0.5 * np.asarray(t) ** 2)
-
-
 def delta(grid):
     vals = np.zeros(grid.n, dtype=complex)
     vals[grid.n // 2] = 1.0 / grid.h
@@ -58,15 +55,13 @@ def test_transform_of_gaussian_peaks_at_origin():
 def test_transform_agrees_with_point_evaluator():
     g = GridSpec(1, 128, 10.0)
     u = hermite_grid_function(g, [2])
-    gw = gaussian_window(g)
-    gc = lambda t: np.pi ** -0.25 * np.exp(-0.5 * np.asarray(t) ** 2)
-    field = gabor_transform(u, gw)
+    field = gabor_transform(u, gaussian_window(g))
     # evaluate at points of the discrete phase-space lattice itself so the
     # two routes target the same (x, xi)
     pts = np.array([[0.0, 0.0],
                     [8 * g.h, -6 * g.dual_h],
                     [-20 * g.h, 2 * g.dual_h]])
-    ref = gabor_transform_points(u, gc, pts)
+    ref = gabor_transform_points(u, pts)
     x, xi = field.axes
     for (x0, xi0), r in zip(pts, ref):
         i = int(np.argmin(np.abs(x - x0)))
@@ -76,21 +71,20 @@ def test_transform_agrees_with_point_evaluator():
 
 def test_gaussian_is_rapidly_decaying_everywhere():
     g = GridSpec(1, 128, 10.0)
-    gw = gaussian_window(g)
-    rep = wavefront_estimate(hermite_grid_function(g, [0]), gw, N_max=4.0)
+    rep = wavefront_estimate(hermite_grid_function(g, [0]), N_max=4.0)
     assert rep.status == "pass" and not rep.nondecaying
 
 
 def test_point_mass_concentrates_on_frequency_axis():
     g = GridSpec(1, 128, 10.0)
-    rep = wavefront_estimate(delta(g), gaussian_window(g), N_max=4.0)
+    rep = wavefront_estimate(delta(g), N_max=4.0)
     assert rep.nondecaying == [14, 15, 16, 17, 46, 47, 48, 49]
 
 
 def test_constant_concentrates_on_position_axis():
     g = GridSpec(1, 128, 10.0)
     one = GridFunction(g, np.ones(g.n, dtype=complex))
-    rep = wavefront_estimate(one, gaussian_window(g), N_max=4.0)
+    rep = wavefront_estimate(one, N_max=4.0)
     assert rep.nondecaying
     angles = (np.asarray(rep.nondecaying) + 0.5) * 2 * np.pi / N_SECTORS
     assert np.abs(np.sin(angles)).max() < 0.45
@@ -100,8 +94,7 @@ def test_kernel_field_shape_and_steps():
     g2 = GridSpec(2, 64, 8.0)
     x = g2.points()
     K = GridFunction.sample(g2, lambda a, b: np.exp(-a ** 2 - b ** 2))
-    gc = lambda t: np.pi ** -0.25 * np.exp(-0.5 * np.asarray(t) ** 2)
-    field = kernel_fbi_field(K, gc, stride=4)
+    field = kernel_fbi_field(K, stride=4)
     assert field.values.shape == (16, 16, 16, 16)
     assert np.isclose(field.steps()[0], 4 * g2.h)
 
@@ -330,7 +323,7 @@ def test_membership_profile_is_bit_equal_to_the_full_field_loop(monkeypatch):
     lam = lagrangian_with_param(np.eye(1), np.array([[1.0]]), 1)
     for amplitude, m in ((np.ones_like(x), 0.0), (x, 1.0)):
         u = GridFunction(grid, amplitude * np.exp(0.5j * x ** 2))
-        assert lagrangian_membership_test(u, lam, m, GC).status == "pass"
+        assert lagrangian_membership_test(u, lam, m).status == "pass"
     assert [len(f.axes) for f, _, _ in seen] == [2, 2]
     # the unit chirp's derivative sits at the noise floor; x times it is fitted
     slopes = assert_profiles_bit_equal(seen)
@@ -342,7 +335,7 @@ def test_kernel_profile_is_bit_equal_to_the_full_field_loop(monkeypatch):
     grid = GridSpec(1, 64, 7.0)
     J = standard_j(1)
     K, _ = fio_kernel(FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=J), grid)
-    kernel_characterization_check(K, J, 0.0, 1.0, GC)
-    kernel_characterization_check(K, SymplecticMatrix(1, np.eye(2)), 0.0, 1.0, GC)
+    kernel_characterization_check(K, J, 0.0, 1.0)
+    kernel_characterization_check(K, SymplecticMatrix(1, np.eye(2)), 0.0, 1.0)
     assert [len(f.axes) for f, _, _ in seen] == [4, 4]
     assert all(np.isfinite(assert_profiles_bit_equal(seen)))

@@ -23,7 +23,6 @@ from fiocalc.symplectic import (
     standard_j,
 )
 
-GC = lambda t: np.pi ** -0.25 * np.exp(-0.5 * np.asarray(t) ** 2)
 GRID = GridSpec(1, 128, 10.0)
 
 COTANGENT_FIBER = lagrangian_with_param(np.zeros((1, 0)), np.array([[0.0]]), 1)
@@ -59,20 +58,20 @@ def test_synthesis_matrix_maps_position_space_onto_subspace():
 
 def test_point_mass_lives_on_the_cotangent_fiber():
     u = one_hot_delta()
-    assert lagrangian_membership_test(u, COTANGENT_FIBER, 0.0, GC).status == "pass"
-    assert lagrangian_membership_test(u, POSITION_AXIS, 0.0, GC).status == "fail"
+    assert lagrangian_membership_test(u, COTANGENT_FIBER, 0.0).status == "pass"
+    assert lagrangian_membership_test(u, POSITION_AXIS, 0.0).status == "fail"
 
 
 def test_unit_chirp_lives_on_its_graph():
     u = unit_chirp()
-    assert lagrangian_membership_test(u, GRAPH_ONE, 0.0, GC).status == "pass"
-    assert lagrangian_membership_test(u, POSITION_AXIS, 0.0, GC).status == "fail"
+    assert lagrangian_membership_test(u, GRAPH_ONE, 0.0).status == "pass"
+    assert lagrangian_membership_test(u, POSITION_AXIS, 0.0).status == "fail"
 
 
 def test_gaussian_is_negligible_on_every_subspace():
     u = hermite_grid_function(GRID, [0])
     for lam in (COTANGENT_FIBER, POSITION_AXIS, GRAPH_ONE):
-        assert lagrangian_membership_test(u, lam, 0.0, GC).status == "pass"
+        assert lagrangian_membership_test(u, lam, 0.0).status == "pass"
 
 
 def test_synthesized_distribution_passes_on_its_own_subspace():
@@ -80,7 +79,7 @@ def test_synthesized_distribution_passes_on_its_own_subspace():
         lam = lagrangian_with_param(np.eye(1), np.array([[Fval]]), 1)
         dist = LagrangianDistSpec(lam, constant_symbol(1))
         u = lagrangian_synthesize(dist, GRID)
-        assert lagrangian_membership_test(u, lam, 0.0, GC).status == "pass"
+        assert lagrangian_membership_test(u, lam, 0.0).status == "pass"
 
 
 def test_synthesized_distribution_fails_on_transverse_subspace():
@@ -89,7 +88,7 @@ def test_synthesized_distribution_fails_on_transverse_subspace():
     assert principal_angles(lam.basis, other.basis).max() > 0.3
     dist = LagrangianDistSpec(lam, constant_symbol(1))
     u = lagrangian_synthesize(dist, GRID)
-    assert lagrangian_membership_test(u, other, 0.0, GC).status == "fail"
+    assert lagrangian_membership_test(u, other, 0.0).status == "fail"
 
 
 def test_membership_is_stable_under_scalar_and_tiny_perturbation():
@@ -98,29 +97,28 @@ def test_membership_is_stable_under_scalar_and_tiny_perturbation():
     perturbed = GridFunction(GRID, u.values
                              + 1e-6 * hermite_grid_function(GRID, [0]).values)
     for v in (rotated, perturbed):
-        assert lagrangian_membership_test(v, GRAPH_ONE, 0.0, GC).status == "pass"
-        assert lagrangian_membership_test(v, POSITION_AXIS, 0.0, GC).status == "fail"
+        assert lagrangian_membership_test(v, GRAPH_ONE, 0.0).status == "pass"
+        assert lagrangian_membership_test(v, POSITION_AXIS, 0.0).status == "fail"
 
 
 def test_chirp_multiplication_preserves_membership():
     u = one_hot_delta()
-    rep = chirp_invariance_check(u, np.zeros((1, 0)), np.array([[0.6]]), 0.0, GC)
+    rep = chirp_invariance_check(u, np.zeros((1, 0)), np.array([[0.6]]), 0.0)
     assert rep["status"] == "pass"
     psi0 = hermite_grid_function(GRID, [0])
-    rep = chirp_invariance_check(psi0, np.eye(1), np.array([[0.0]]), 0.0, GC)
+    rep = chirp_invariance_check(psi0, np.eye(1), np.array([[0.0]]), 0.0)
     assert rep["status"] == "pass"
 
 
 def test_chirp_invariance_requires_compatible_subspace():
     with pytest.raises(ValueError):
-        chirp_invariance_check(one_hot_delta(), np.eye(1), np.array([[0.6]]),
-                               0.0, GC)
+        chirp_invariance_check(one_hot_delta(), np.eye(1), np.array([[0.6]]), 0.0)
 
 
 def test_operator_maps_subspace_distributions_forward():
     op = FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=standard_j(1))
     dist = LagrangianDistSpec(COTANGENT_FIBER, constant_symbol(1))
-    rep = fio_on_lagrangian_check(op, dist, GRID, GC)
+    rep = fio_on_lagrangian_check(op, dist, GRID)
     assert rep["status"] == "pass"
     assert rep["order"] == 0.0
 

@@ -17,7 +17,6 @@ from fiocalc.serialize import (
     grid_function_from_csv,
     grid_function_to_csv,
     json_dumps,
-    pgm_levels,
     read_json,
     sha256_file,
     symplectic_from_list,
@@ -27,6 +26,7 @@ from fiocalc.serialize import (
 )
 from fiocalc.symbols import custom_symbol, gaussian_symbol, harmonic_oscillator_symbol
 from fiocalc.symplectic import standard_j
+from pgm_reader import read_pgm
 
 
 def test_grid_function_csv_round_trip_is_exact(tmp_path):
@@ -73,7 +73,7 @@ def test_pgm_round_trip_and_scale(tmp_path):
     mag = np.array([[1.0, 0.1], [1e-9, 0.0]])
     path = tmp_path / "m.pgm"
     field_to_pgm(mag, str(path), comment="config {}")
-    lev = pgm_levels(str(path))
+    lev = read_pgm(path)
     assert lev.shape == (2, 2)
     assert lev[0, 0] == 255  # the peak
     assert lev[1, 0] == 0  # below the fixed floor
