@@ -286,8 +286,8 @@ def cmd_fbi_map(args) -> int:
 def cmd_char_check(args) -> int:
     K = grid_function_from_csv(args.inputs[0])
     chi = _load_chi(args.inputs[1])
-    rep = kernel_characterization_check(K, chi, args.order, args.rho,
-                                        stride=args.stride)
+    rep = kernel_characterization_check(kernel_fbi_field(K, stride=args.stride), chi,
+                                        args.order, args.rho)
     _emit_json(args, "char_check.json", rep.to_dict())
     print(f"kernel characterization: {rep.status}")
     return _STATUS_EXIT[rep.status]

@@ -16,15 +16,13 @@ from math import comb, factorial
 import numpy as np
 
 from .gabor import (
-    KERNEL_STRIDE,
     N_SECTORS,
     Field4D,
     ProfileReport,
-    _interior,
+    _interior_box,
     _span_distance,
     chi_twist_field,
     decay_profile,
-    kernel_fbi_field,
     profile_report,
     wavefront_estimate,
 )
@@ -171,9 +169,8 @@ def _theta_quadrature(phase: QuadraticPhase, amplitude, X: np.ndarray) -> tuple:
 
 
 def _padded_exponent(e, dim: int) -> tuple:
-    """Exponent tuple of a polynomial term, padded with zeros to dim entries."""
-    if len(e) > dim:
-        raise ValueError(f"term exponent {tuple(e)} has more than {dim} entries")
+    """Exponent tuple of a polynomial term, padded with zeros to dim entries
+    (ShubinSymbol refuses a longer one)."""
     return tuple(int(k) for k in e) + (0,) * (dim - len(e))
 
 
@@ -564,16 +561,15 @@ def fio_adjoint(spec: FioSpec) -> FioSpec:
 # -- phase space characterization ------------------------------------------
 
 
-def kernel_characterization_check(K: GridFunction, chi: SymplecticMatrix,
-                                  m: float, rho: float,
-                                  stride: int = KERNEL_STRIDE) -> ProfileReport:
-    """Twisted phase-space test of kernel membership: rapid decay off the
-    twisted graph subspace of chi and controlled growth along it, including
-    directional derivatives up to order gabor.K_MAX."""
+def kernel_characterization_check(field: Field4D, chi: SymplecticMatrix,
+                                  m: float, rho: float) -> ProfileReport:
+    """Twisted phase-space test of kernel membership on the kernel's field
+    (gabor.kernel_fbi_field): rapid decay off the twisted graph subspace of
+    chi and controlled growth along it, including directional derivatives up
+    to order gabor.K_MAX."""
     lam = twisted_graph_lagrangian(chi)
     vlam = twisted_graph_lagrangian(SymplecticMatrix(chi.d, -chi.entries))
-    field = chi_twist_field(kernel_fbi_field(K, stride), chi)
-    return profile_report(decay_profile(field, lam, vlam), m, rho)
+    return profile_report(decay_profile(field, chi_twist_field(chi), lam, vlam), m, rho)
 
 
 CONE_R_MIN = 4.0  # the kernel cone is tested beyond this phase-space radius
@@ -582,9 +578,11 @@ CONE_ANGLE = 0.35  # cone aperture around the twisted graph subspace
 CONE_COLLAR = 4.0  # transverse collar for the window's own width
 
 
-def wf_kernel_check(K: GridFunction, chi: SymplecticMatrix) -> dict:
-    """All phase-space points where the kernel field is non-negligible at
-    radius > CONE_R_MIN lie in a cone around the twisted graph subspace.
+def wf_kernel_check(field: Field4D, chi: SymplecticMatrix) -> dict:
+    """All phase-space points where the kernel's field (gabor.kernel_fbi_field)
+    is non-negligible at radius > CONE_R_MIN lie in a cone around the twisted
+    graph subspace.  Only the interior box is read; the peak is the whole
+    field's.
 
     The cone has aperture CONE_ANGLE plus a fixed transverse collar: the
     window gives the field a transverse profile of width about one, so even
@@ -592,14 +590,13 @@ def wf_kernel_check(K: GridFunction, chi: SymplecticMatrix) -> dict:
     finite radius before the conic picture takes over.
     """
     lam = twisted_graph_lagrangian(chi)
-    field = kernel_fbi_field(K)
-    mag = np.abs(field.values)
-    peak = mag.max() or 1.0
-    r = _span_distance(field.axes, np.zeros((len(field.axes), 0)))
-    sel = (r > CONE_R_MIN) & (mag > CONE_REL_THRESHOLD * peak) & _interior(field.axes)
+    peak = np.abs(field.values).max() or 1.0
+    view, interior = _interior_box(field)
+    r = _span_distance(view.axes, np.zeros((len(view.axes), 0)))
+    sel = (r > CONE_R_MIN) & (np.abs(view.values) > CONE_REL_THRESHOLD * peak) & interior
     if not np.any(sel):
         return {"status": "pass", "worst_excess": 0.0, "points": 0}
-    dist = _span_distance(field.axes, lam.basis, sel)
+    dist = _span_distance(view.axes, lam.basis, sel)
     allowed = CONE_COLLAR + np.sin(CONE_ANGLE) * r[sel]
     worst = float((dist - allowed).max())
     return {

@@ -184,15 +184,14 @@ def _quadratic_twist(field: Field4D, Q: np.ndarray) -> Field4D:
     return Field4D(field.axes, out)
 
 
-def chi_twist_field(field: Field4D, chi: SymplecticMatrix) -> Field4D:
-    """Multiply by e^{-i/2 (<z, zeta> + sigma(chi(z2, -zeta2), (z1, zeta1)))}
-    with sigma((x, xi), (x', xi')) = <x', xi> - <x, xi'> (d = 1 only)."""
+def chi_twist_field(chi: SymplecticMatrix) -> np.ndarray:
+    """The form Q of the twist e^{-i/2 (<z, zeta> + sigma(chi(z2, -zeta2),
+    (z1, zeta1)))} on the axes (z1, z2, zeta1, zeta2) of a kernel field, with
+    sigma((x, xi), (x', xi')) = <x', xi> - <x, xi'> (d = 1 only)."""
     if chi.d != 1:
         raise DimensionError(f"chi twist needs chi with d = 1, got d = {chi.d}")
     (A, B), (C, D) = chi.entries
-    # axes (z1, z2, zeta1, zeta2)
-    Q = 0.5 * np.array([[0, C, 1, -D], [0, 0, -A, 1], [0, 0, 0, B], [0, 0, 0, 0]])
-    return _quadratic_twist(field, Q)
+    return 0.5 * np.array([[0, C, 1, -D], [0, 0, -A, 1], [0, 0, 0, B], [0, 0, 0, 0]])
 
 
 OFF_RANGE = (2.0, 8.0)  # distances to the subspace that the off-subspace shells span
@@ -200,6 +199,7 @@ OFF_CAP = 3.0  # off-subspace shells count points this close to the transversal
 ALONG_CAP = 1.5  # along-subspace shells count points this close to the subspace
 INTERIOR_FRAC = 0.7  # points past this fraction of an axis see truncation or aliasing
 REL_FLOOR = 2e-2  # derivatives below this fraction of the peak count as decaying
+STENCIL_REACH = 2  # layers the derivative stencil reads on each side of a point
 
 
 @dataclass(frozen=True)
@@ -230,28 +230,45 @@ def _span_distance(axes, basis: np.ndarray, where=None) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def _interior(axes) -> np.ndarray:
-    """Grid points within INTERIOR_FRAC of every axis extent."""
-    inside = np.ones([len(a) for a in axes], dtype=bool)
-    for a in np.ix_(*axes):
-        inside &= np.abs(a) <= INTERIOR_FRAC * np.abs(a).max()
-    return inside
+def _interior_box(field: Field4D) -> tuple:
+    """The grid points within INTERIOR_FRAC of every axis extent lie in a
+    box, one slice per axis.  Each slice is widened by the STENCIL_REACH of
+    directional_derivative and clipped at the grid edge, so an interior
+    point is as far from the box edge as from the grid edge, or at least
+    STENCIL_REACH.  Returns the field on the box and the interior mask on
+    the box, taken from the whole axes."""
+    box, inside = [], []
+    for a in field.axes:
+        keep = np.abs(a) <= INTERIOR_FRAC * np.abs(a).max()
+        hit = np.flatnonzero(keep)  # never empty: every axis holds or straddles 0
+        s = slice(max(hit[0] - STENCIL_REACH, 0), hit[-1] + 1 + STENCIL_REACH)
+        box.append(s)
+        inside.append(keep[s])
+    box = tuple(box)
+    mask = np.ones([len(k) for k in inside], dtype=bool)
+    for k in np.meshgrid(*inside, indexing="ij", sparse=True):
+        mask &= k
+    view = Field4D(tuple(a[s] for a, s in zip(field.axes, box)), field.values[box])
+    return view, mask
 
 
 def directional_derivative(field: Field4D, direction: np.ndarray,
-                           where: np.ndarray) -> np.ndarray:
+                           where: np.ndarray, steps) -> np.ndarray:
     """Derivative of the field along direction at the points of the boolean
     mask where, as a 1-D array: the 4th-order stencil of symbols._derivative
-    gathered per axis, so no full-size array is built.  Points within two
-    layers of an edge of a differentiated axis are nan."""
+    gathered per axis, so no full-size array is built.  Points within
+    STENCIL_REACH layers of an edge of a differentiated axis are nan.
+
+    steps are the axis spacings of the whole field, field.steps(), also when
+    field is a box cut from it: the cut axes do not repeat them to the bit."""
     direction = np.asarray(direction, dtype=float)
-    steps = field.steps()
     values = field.values
     idx = _mask_points(where)
     out = np.zeros(len(idx[0]), dtype=values.dtype)
     for axis, c in enumerate(direction):
         if abs(c) > 1e-14:
-            ok = (idx[axis] >= 2) & (idx[axis] < values.shape[axis] - 2)
+            ok = (idx[axis] >= STENCIL_REACH) & \
+                (idx[axis] < values.shape[axis] - STENCIL_REACH)
             pos = [j[ok] for j in idx]
             f = {s: values[tuple(pos[:axis] + [pos[axis] + s] + pos[axis + 1:])]
                  for s in (-2, -1, 1, 2)}
@@ -262,9 +279,10 @@ def directional_derivative(field: Field4D, direction: np.ndarray,
     return out
 
 
-def decay_profile(field: Field4D, lam: LagrangianSubspace,
+def decay_profile(field: Field4D, Q: np.ndarray, lam: LagrangianSubspace,
                   vlam: LagrangianSubspace) -> DecayProfile:
-    """Off-subspace decay and along-subspace growth of a 4D field.
+    """Off-subspace decay and along-subspace growth of a field twisted by
+    e^{-i sum_jk Q_jk w_j w_k} (see _quadratic_twist).
 
     Off: shell maxima of |field| binned by distance to lam, restricted to
     points near the origin of lam (distance to vlam below OFF_CAP).
@@ -274,21 +292,26 @@ def decay_profile(field: Field4D, lam: LagrangianSubspace,
     axis extent are excluded: near the position boundary the field sees
     truncation of the sampled kernel, and near the frequency boundary it
     sees quadrature aliasing, neither of which reflects the kernel itself.
+    So only the interior box is twisted and profiled, and |field| is taken
+    only at the points the shells read; the peak that the derivatives are
+    compared with is that of the whole untwisted field.
     """
-    dist_l = _span_distance(field.axes, lam.basis)
-    dist_v = _span_distance(field.axes, vlam.basis)
-    interior = _interior(field.axes)
-    mag0 = np.abs(field.values)
-    peak = mag0.max() or 1.0
+    peak = np.abs(field.values).max() or 1.0
+    view, interior = _interior_box(field)
+    dist_l = _span_distance(view.axes, lam.basis)
+    dist_v = _span_distance(view.axes, vlam.basis)
+    # twisted after the distances, so its copy of the box never coexists
+    # with their temporaries
+    view = _quadratic_twist(view, Q)
 
     edges = np.geomspace(*OFF_RANGE, N_SHELLS + 1)
     radii = np.sqrt(edges[:-1] * edges[1:])
     sel = (dist_v <= OFF_CAP) & interior
-    maxima = _shell_maxima(dist_l[sel], mag0[sel], edges)
+    maxima = _shell_maxima(dist_l[sel], np.abs(view.values[sel]), edges)
     off_slope = shell_slope(radii, maxima)
     off_shells = [(float(r), float(v)) for r, v in zip(radii, maxima)]
 
-    r_along = float(np.max(dist_v[interior]))
+    r_along = float(dist_v.max(where=interior, initial=0.0))
     edges_a = np.geomspace(2.0, 0.8 * r_along, N_SHELLS + 1)
     radii_a = np.sqrt(edges_a[:-1] * edges_a[1:])
     strip = (dist_l <= ALONG_CAP) & interior
@@ -297,8 +320,9 @@ def decay_profile(field: Field4D, lam: LagrangianSubspace,
     # K_MAX = 1: order 0 is |field|, order 1 the derivative along each basis
     # vector of lam, both read on the strip only
     for k in (0, 1):
-        mags = ([mag0[strip]] if k == 0 else
-                (np.abs(directional_derivative(field, v, strip)) for v in lam.basis.T))
+        mags = ([np.abs(view.values[strip])] if k == 0 else
+                (np.abs(directional_derivative(view, v, strip, field.steps()))
+                 for v in lam.basis.T))
         worst = None
         for mag in mags:
             good = np.isfinite(mag)

@@ -20,7 +20,6 @@ from .fio import FioSpec, fio_operator, kernel_characterization_check
 from .gabor import (
     Field4D,
     ProfileReport,
-    _quadratic_twist,
     decay_profile,
     gabor_transform,
     kernel_fbi_field,
@@ -121,15 +120,15 @@ def lagrangian_synthesize(spec: LagrangianDistSpec, grid: GridSpec) -> GridFunct
     return mu_general(spec.chi_syn, grid).apply(a)
 
 
-def _lambda_twist(field: Field4D, Y: np.ndarray, F: np.ndarray) -> Field4D:
-    """Multiply by e^{-i (<proj-complement(Y) x, xi> + <x, Fx>/2)}, the phase
-    that flattens the transform of a distribution adapted to the subspace."""
-    d = len(field.axes) // 2
+def _lambda_twist(Y: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """The form Q of the twist e^{-i (<proj-complement(Y) x, xi> + <x, Fx>/2)}
+    on the axes (x, xi), the phase that flattens the transform of a
+    distribution adapted to the subspace."""
+    d = len(F)
     P = np.eye(d) - Y @ Y.T if Y.size else np.eye(d)
     P, F = (np.where(np.abs(M) > 1e-14, M, 0.0) for M in (P, F))
-    # axes (x, xi): the x-x block carries <x, Fx>/2, the x-xi block <Px, xi>
-    Q = np.block([[0.5 * F, P.T], [np.zeros((d, 2 * d))]])
-    return _quadratic_twist(field, Q)
+    # the x-x block carries <x, Fx>/2, the x-xi block <Px, xi>
+    return np.block([[0.5 * F, P.T], [np.zeros((d, 2 * d))]])
 
 
 def _product_subspace(P: np.ndarray, Q: np.ndarray, param=None) -> LagrangianSubspace:
@@ -160,27 +159,33 @@ def _membership_field(u: GridFunction) -> Field4D:
     raise ValueError("membership fields are implemented for d <= 2")
 
 
-def lagrangian_membership_test(u: GridFunction, lam: LagrangianSubspace,
-                               m: float, rho: float = 1.0) -> ProfileReport:
-    """Twisted phase-space test of membership: rapid decay off the subspace
-    and growth at most like order m (minus rho per derivative) along it.
+def _membership_report(field: Field4D, lam: LagrangianSubspace, m: float,
+                       rho: float) -> ProfileReport:
+    """Twisted phase-space test of membership on the phase-space field of a
+    distribution (_membership_field): rapid decay off the subspace and growth
+    at most like order m (minus rho per derivative) along it.
 
     The parametrizing matrix F is projected onto Y on both sides first, so
     the twist never sees the irrelevant action of F on Y-perp.
     """
     d = lam.n
-    if u.spec.d != d:
-        raise ValueError(f"grid dimension {u.spec.d} differs from subspace "
-                         f"dimension {d}")
     Y, F = lagrangian_param(lam)
     piY = Y @ Y.T if Y.size else np.zeros((d, d))
     F_proj = piY @ F @ piY
     projected = bool(np.max(np.abs(F_proj - F), initial=0.0) > 1e-12)
-    field = _lambda_twist(_membership_field(u), Y, F_proj)
     # Y-perp x Y is transversal to {(X, FX + Z)} once F kills Y-perp
     vlam = _product_subspace(orthogonal_complement(Y), Y)
-    return profile_report(decay_profile(field, lam, vlam), m, rho,
-                          projected_F=projected)
+    return profile_report(decay_profile(field, _lambda_twist(Y, F_proj), lam, vlam),
+                          m, rho, projected_F=projected)
+
+
+def lagrangian_membership_test(u: GridFunction, lam: LagrangianSubspace,
+                               m: float, rho: float = 1.0) -> ProfileReport:
+    """The membership test of _membership_report on the field of u."""
+    if u.spec.d != lam.n:
+        raise ValueError(f"grid dimension {u.spec.d} differs from subspace "
+                         f"dimension {lam.n}")
+    return _membership_report(_membership_field(u), lam, m, rho)
 
 
 def chirp_invariance_check(u: GridFunction, Y: np.ndarray, F: np.ndarray,
@@ -204,14 +209,15 @@ def chirp_invariance_check(u: GridFunction, Y: np.ndarray, F: np.ndarray,
     }
 
 
-def kernel_equals_lagrangian_check(K: GridFunction, chi: SymplecticMatrix,
+def kernel_equals_lagrangian_check(field: Field4D, chi: SymplecticMatrix,
                                    m: float) -> dict:
     """The operator-kernel test and the subspace-membership test applied to
-    one kernel must return the same verdict: the kernel belongs to the class
-    over chi exactly when it is adapted to the twisted graph subspace."""
-    kernel_rep = kernel_characterization_check(K, chi, m, 1.0)
+    the field of one kernel (gabor.kernel_fbi_field) must return the same
+    verdict: the kernel belongs to the class over chi exactly when it is
+    adapted to the twisted graph subspace."""
+    kernel_rep = kernel_characterization_check(field, chi, m, 1.0)
     lam = twisted_graph_lagrangian(chi)
-    member_rep = lagrangian_membership_test(K, lam, m)
+    member_rep = _membership_report(field, lam, m, 1.0)
     agree = kernel_rep.status == member_rep.status
     status = kernel_rep.status if agree else "inconclusive"
     return {

@@ -34,6 +34,10 @@ class ShubinSymbol:
         if self.kind not in ("constant", "polynomial", "gaussian_modulated",
                              "harmonic_oscillator", "custom"):
             raise ValueError(f"unknown symbol kind {self.kind!r}")
+        for _, e in self.params.get("terms", ()):
+            if len(e) > self.dim:  # a shorter exponent is padded with zeros
+                raise ValueError(f"term exponent {tuple(e)} has more than "
+                                 f"{self.dim} entries")
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         """Evaluate at points; z has shape (..., dim)."""

@@ -78,9 +78,12 @@ def test_malformed_json_is_an_input_error(tmp_path):
     (["fio-kernel", "{bad}"], "spec.json",
      '{"form": ["factored"], "order": 0, "rho": 1, "chi": [[0, 1], [-1, 0]],'
      ' "b": {"dim": 2, "order": 0, "rho": 1, "kind": "constant"}}'),
+    (["weyl-quantize", "{bad}", "--grid-n", "16"], "symbol.json",
+     '{"dim": 2, "order": 0, "rho": 1, "kind": "polynomial",'
+     ' "params": {"terms": [[1, 0, [5, 5, 5]]]}}'),
 ], ids=["phase-list", "spec-list", "subspace-list", "symbol-list", "chi-number",
         "chi-entry-number", "phase-list-d", "csv-short-header", "symbol-kind-list",
-        "spec-form-list"])
+        "spec-form-list", "symbol-exponent-too-long"])
 def test_malformed_inputs_are_input_errors(tmp_path, capsys, argv, name, text):
     bad = tmp_path / name
     bad.write_text(text)

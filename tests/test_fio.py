@@ -14,6 +14,7 @@ from fiocalc.fio import (
     wf_kernel_check,
     wf_propagation_check,
 )
+from fiocalc.gabor import kernel_fbi_field
 from fiocalc.grids import GridFunction, GridSpec, gaussian_window
 from fiocalc.phases import QuadraticPhase, phase_from_free_matrix, pseudodifferential_phase
 from fiocalc.serialize import fio_spec_from_dict, fio_spec_to_dict
@@ -217,10 +218,11 @@ def test_kernel_characterization_pass_and_fail():
     J = standard_j(1)
     spec = FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=J)
     K, _ = fio_kernel(spec, g)
-    good = kernel_characterization_check(K, J, 0.0, 1.0)
+    field = kernel_fbi_field(K)
+    good = kernel_characterization_check(field, J, 0.0, 1.0)
     assert good.status == "pass"
     eye = SymplecticMatrix(1, np.eye(2))
-    bad = kernel_characterization_check(K, eye, 0.0, 1.0)
+    bad = kernel_characterization_check(field, eye, 0.0, 1.0)
     assert bad.status == "fail"
 
 
@@ -229,9 +231,10 @@ def test_kernel_cone_containment():
     J = standard_j(1)
     spec = FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=J)
     K, _ = fio_kernel(spec, g)
-    assert wf_kernel_check(K, J)["status"] == "pass"
+    field = kernel_fbi_field(K)
+    assert wf_kernel_check(field, J)["status"] == "pass"
     eye = SymplecticMatrix(1, np.eye(2))
-    assert wf_kernel_check(K, eye)["status"] == "fail"
+    assert wf_kernel_check(field, eye)["status"] == "fail"
 
 
 def test_propagation_maps_point_mass_sectors():

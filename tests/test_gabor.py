@@ -7,6 +7,7 @@ from fiocalc import fio, lagdist
 from fiocalc.fio import FioSpec, fio_kernel, kernel_characterization_check
 from fiocalc.gabor import (
     ALONG_CAP,
+    INTERIOR_FRAC,
     K_MAX,
     N_SHELLS,
     OFF_CAP,
@@ -15,7 +16,8 @@ from fiocalc.gabor import (
     DecayProfile,
     Field4D,
     N_SECTORS,
-    _interior,
+    _interior_box,
+    _quadratic_twist,
     _span_distance,
     chi_twist_field,
     decay_profile,
@@ -35,6 +37,7 @@ from fiocalc.symplectic import (
     lagrangian_with_param,
     scaling_matrix,
     standard_j,
+    twisted_graph_lagrangian,
 )
 
 def delta(grid):
@@ -111,7 +114,8 @@ def test_directional_derivative_of_separable_gaussian():
     err = np.nan
     for i in range(len(ax)):
         where[i] = True
-        d0 = directional_derivative(field, np.array([1.0, 0.0, 0.0, 0.0]), where)
+        d0 = directional_derivative(field, np.array([1.0, 0.0, 0.0, 0.0]), where,
+                                    field.steps())
         where[i] = False
         ref = -mesh[0][i] * vals[i]
         err = np.fmax(err, np.fmax.reduce(np.abs(d0 - ref.reshape(-1))))
@@ -130,7 +134,7 @@ def test_chi_twist_matches_its_closed_form():
            @ chirp_matrix(np.array([[0.5]])) @ scaling_matrix(np.array([[1.3]])))
     assert np.abs(chi.entries).min() > 0.1
     field = random_field((5, 6, 7, 8))
-    out = chi_twist_field(field, chi)
+    out = _quadratic_twist(field, chi_twist_field(chi))
     z1, z2, c1, c2 = np.meshgrid(*field.axes, indexing="ij")
     (A, B), (C, D) = chi.entries
     # chi applied to (z2, -zeta2), paired with (z1, zeta1) by the symplectic form
@@ -141,7 +145,7 @@ def test_chi_twist_matches_its_closed_form():
 
 def test_chi_twist_refuses_chi_of_another_dimension():
     with pytest.raises(DimensionError):
-        chi_twist_field(random_field((4, 4, 4, 4)), standard_j(2))
+        chi_twist_field(standard_j(2))
 
 
 @pytest.mark.parametrize("rank", [2, 0])
@@ -181,12 +185,24 @@ def full_field_derivative(field, direction):
     return out
 
 
-def full_field_decay_profile(field, lam, vlam):
-    """decay_profile with every derivative taken over the whole box by
-    full_field_derivative and only then read on the strip."""
+def whole_box_interior(axes):
+    """Grid points within INTERIOR_FRAC of every axis extent, over the whole
+    grid."""
+    inside = np.ones([len(a) for a in axes], dtype=bool)
+    for a in np.ix_(*axes):
+        inside &= np.abs(a) <= INTERIOR_FRAC * np.abs(a).max()
+    return inside
+
+
+def full_field_decay_profile(field, Q, lam, vlam):
+    """decay_profile over the whole box: the whole field twisted, the interior
+    mask and the distances taken at every grid point, the peak read from the
+    twisted field, and every derivative taken by full_field_derivative and
+    only then read on the strip."""
+    field = _quadratic_twist(field, Q)
     dist_l = _span_distance(field.axes, lam.basis)
     dist_v = _span_distance(field.axes, vlam.basis)
-    interior = _interior(field.axes)
+    interior = whole_box_interior(field.axes)
     mag0 = np.abs(field.values)
     peak = mag0.max() or 1.0
 
@@ -264,7 +280,7 @@ def test_directional_derivative_is_the_full_field_one_at_the_mask(shape, layout)
     field = layouts(shape, seed=len(shape))[layout]
     for name, where in masks(shape, seed=7).items():
         for direction in DIRECTIONS[len(shape)]:
-            got = directional_derivative(field, np.array(direction), where)
+            got = directional_derivative(field, np.array(direction), where, field.steps())
             ref = full_field_derivative(field, np.array(direction))[where]
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes(), (name, direction)
@@ -274,8 +290,10 @@ def test_directional_derivative_is_the_full_field_one_at_the_mask(shape, layout)
 def test_directional_derivative_skips_negligible_components():
     field = layouts((6, 7, 8, 9), seed=1)["transposed"]
     where = masks((6, 7, 8, 9), seed=2)["border"]
-    got = directional_derivative(field, np.array([0.0, 1e-14, 1.0, 0.0]), where)
-    ref = directional_derivative(field, np.array([0.0, 0.0, 1.0, 0.0]), where)
+    got = directional_derivative(field, np.array([0.0, 1e-14, 1.0, 0.0]), where,
+                                 field.steps())
+    ref = directional_derivative(field, np.array([0.0, 0.0, 1.0, 0.0]), where,
+                                 field.steps())
     assert got.tobytes() == ref.tobytes()
     # nan only where axis 2 is within two layers of its edge
     i2 = np.nonzero(where)[2]
@@ -296,9 +314,9 @@ def bits(value):
 def assert_profiles_bit_equal(seen):
     """Every DecayProfile field to the bit; returns the order-1 slopes."""
     slopes = []
-    for field, lam, vlam in seen:
-        got = decay_profile(field, lam, vlam)
-        ref = full_field_decay_profile(field, lam, vlam)
+    for field, Q, lam, vlam in seen:
+        got = decay_profile(field, Q, lam, vlam)
+        ref = full_field_decay_profile(field, Q, lam, vlam)
         for f in dataclasses.fields(DecayProfile):
             assert bits(getattr(got, f.name)) == bits(getattr(ref, f.name)), f.name
         slopes.append(got.along_slopes[1])
@@ -308,9 +326,9 @@ def assert_profiles_bit_equal(seen):
 def capture_profile_inputs(monkeypatch, module):
     seen = []
 
-    def spy(field, lam, vlam):
-        seen.append((field, lam, vlam))
-        return decay_profile(field, lam, vlam)
+    def spy(field, Q, lam, vlam):
+        seen.append((field, Q, lam, vlam))
+        return decay_profile(field, Q, lam, vlam)
 
     monkeypatch.setattr(module, "decay_profile", spy)
     return seen
@@ -324,7 +342,7 @@ def test_membership_profile_is_bit_equal_to_the_full_field_loop(monkeypatch):
     for amplitude, m in ((np.ones_like(x), 0.0), (x, 1.0)):
         u = GridFunction(grid, amplitude * np.exp(0.5j * x ** 2))
         assert lagrangian_membership_test(u, lam, m).status == "pass"
-    assert [len(f.axes) for f, _, _ in seen] == [2, 2]
+    assert [len(f.axes) for f, *_ in seen] == [2, 2]
     # the unit chirp's derivative sits at the noise floor; x times it is fitted
     slopes = assert_profiles_bit_equal(seen)
     assert slopes[0] == -np.inf and np.isfinite(slopes[1])
@@ -335,7 +353,70 @@ def test_kernel_profile_is_bit_equal_to_the_full_field_loop(monkeypatch):
     grid = GridSpec(1, 64, 7.0)
     J = standard_j(1)
     K, _ = fio_kernel(FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=J), grid)
-    kernel_characterization_check(K, J, 0.0, 1.0)
-    kernel_characterization_check(K, SymplecticMatrix(1, np.eye(2)), 0.0, 1.0)
-    assert [len(f.axes) for f, _, _ in seen] == [4, 4]
+    field = kernel_fbi_field(K)
+    kernel_characterization_check(field, J, 0.0, 1.0)
+    kernel_characterization_check(field, SymplecticMatrix(1, np.eye(2)), 0.0, 1.0)
+    assert [len(f.axes) for f, *_ in seen] == [4, 4]
     assert all(np.isfinite(assert_profiles_bit_equal(seen)))
+
+
+# -- the interior box a profile reads --------------------------------------
+
+
+def box_slices(field, view):
+    """The slice of each whole axis that the box view covers."""
+    box = []
+    for a, b in zip(field.axes, view.axes):
+        lo = int(np.flatnonzero(a == b[0])[0])
+        box.append(slice(lo, lo + len(b)))
+    return tuple(box)
+
+
+@pytest.mark.parametrize("shape", [(23, 7), (11, 7, 13, 30)])
+def test_interior_box_holds_the_interior(shape):
+    field = layouts(shape, seed=len(shape))["transposed"]
+    view, inside = _interior_box(field)
+    box = box_slices(field, view)
+    whole = whole_box_interior(field.axes)
+    assert np.shares_memory(view.values, field.values)
+    assert np.array_equal(view.values, field.values[box])
+    assert np.array_equal(inside, whole[box])
+    outside = whole.copy()
+    outside[box] = False
+    assert not outside.any()
+    # the interior of the 7-point axis runs from sample 1 to sample 5, so its
+    # box is clipped at both grid edges; some box edge keeps the full reach
+    inner = np.flatnonzero(whole.any(axis=tuple(j for j in range(len(shape)) if j != 1)))
+    assert (inner[0], inner[-1]) == (1, 5) and box[1] == slice(0, 7)
+    assert any(s != slice(0, n) for s, n in zip(box, shape))
+    for direction in DIRECTIONS[len(shape)]:
+        got = directional_derivative(view, np.array(direction), inside, field.steps())
+        ref = full_field_derivative(field, np.array(direction))[whole]
+        assert got.tobytes() == ref.tobytes(), direction
+        assert np.array_equal(np.isnan(got), np.isnan(ref))
+
+
+def test_clipped_box_profile_is_bit_equal_to_the_whole_box_one():
+    # 7 samples over [-10, 10]: the interior starts one sample in, so the box
+    # is clipped and the derivatives there are nan; the other axes keep the
+    # reach, and on the second the box's first step differs from the whole
+    # axis's in the last bit
+    shape = (7, 15, 7, 9)
+    axes = tuple(np.linspace(-10.0, 9.0 if n == 15 else 10.0, n) for n in shape)
+    rng = np.random.default_rng(8)  # a seed whose slope moves with that last bit
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    envelope = np.exp(-0.02 * sum(m ** 2 for m in mesh))
+    field = Field4D(axes, envelope * (rng.standard_normal(shape)
+                                      + 1j * rng.standard_normal(shape)))
+    view, inside = _interior_box(field)
+    assert [len(a) for a in view.axes] == [7, 14, 7, 9]
+    assert view.steps()[1] != field.steps()[1]
+    assert whole_box_interior(axes)[1].any()
+    J = standard_j(1)
+    lam = twisted_graph_lagrangian(J)
+    vlam = twisted_graph_lagrangian(SymplecticMatrix(1, -J.entries))
+    strip = inside & (_span_distance(view.axes, lam.basis) <= ALONG_CAP)
+    assert any(np.isnan(directional_derivative(view, v, strip, field.steps())).any()
+               for v in lam.basis.T)
+    slopes = assert_profiles_bit_equal([(field, chi_twist_field(J), lam, vlam)])
+    assert np.isfinite(slopes[0])

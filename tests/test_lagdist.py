@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fiocalc.fio import FioSpec
-from fiocalc.gabor import Field4D
+from fiocalc.gabor import Field4D, _quadratic_twist
 from fiocalc.grids import GridFunction, GridSpec, hermite_grid_function
 from fiocalc.lagdist import (
     LagrangianDistSpec,
@@ -135,7 +135,7 @@ def test_lambda_twist_matches_its_closed_form():
     F = np.array([[0.3, -0.7], [-0.7, 1.1]])
     axes = tuple(np.linspace(-3.0, 3.0, n) for n in (5, 6, 7, 8))
     vals = rng.standard_normal((5, 6, 7, 8)) + 1j * rng.standard_normal((5, 6, 7, 8))
-    out = _lambda_twist(Field4D(axes, vals), Y, F)
+    out = _quadratic_twist(Field4D(axes, vals), _lambda_twist(Y, F))
     mesh = np.meshgrid(*axes, indexing="ij")
     x, xi = np.stack(mesh[:2]), np.stack(mesh[2:])
     P = np.eye(2) - Y @ Y.T

@@ -29,6 +29,14 @@ def test_polynomial_order_is_total_degree():
     assert p.order == 3.0
 
 
+def test_term_exponents_are_padded_but_never_cut():
+    z = np.array([[3.0, 2.0]])
+    assert np.allclose(polynomial_symbol(2, [(1.0, (2,))])(z), [9.0])
+    for kind in ("polynomial", "gaussian_modulated"):
+        with pytest.raises(ValueError, match="more than 2 entries"):
+            ShubinSymbol(2, 0.0, 1.0, kind, {"terms": [(1.0, (5, 5, 5))]})
+
+
 def test_serialization_round_trip():
     for sym in (constant_symbol(2, 2.5), harmonic_oscillator_symbol(2),
                 polynomial_symbol(2, [(1.0, (1, 0))]),
