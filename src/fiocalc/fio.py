@@ -30,7 +30,7 @@ from .grids import (GridFunction, GridSpec, OperatorMatrix, SizeGuardError,
                     hermite_grid_function)
 from .metaplectic import mu_general
 from .phases import QuadraticPhase, chi_from_phase
-from .symbols import ShubinSymbol, custom_symbol, shubin_decay_test
+from .symbols import ShubinSymbol, _eval_terms, custom_symbol, shubin_decay_test
 from .symplectic import (
     SymplecticMatrix,
     symplectic_inverse,
@@ -168,12 +168,6 @@ def _theta_quadrature(phase: QuadraticPhase, amplitude, X: np.ndarray) -> tuple:
     )
 
 
-def _padded_exponent(e, dim: int) -> tuple:
-    """Exponent tuple of a polynomial term, padded with zeros to dim entries
-    (ShubinSymbol refuses a longer one)."""
-    return tuple(int(k) for k in e) + (0,) * (dim - len(e))
-
-
 def _gaussian_mean_terms(terms, M: np.ndarray, offset: int):
     """Terms of e^{sum_ij M_ij d_i d_j} p, the derivatives d_i taken along
     axis offset + i; a finite sum for a polynomial p, since each power of
@@ -214,12 +208,7 @@ def _gaussian_theta_integral(phase: QuadraticPhase, amplitude: ShubinSymbol,
         raise ValueError(f"amplitude has dimension {dim}, phase needs {d2 + N}")
     params = amplitude.params
     w2 = float(params.get("width", 1.0)) ** 2
-    if not 0.0 < w2 < np.inf:
-        raise ValueError(f"gaussian width must be finite and nonzero, got "
-                         f"{params.get('width')}")
     c = np.asarray(params.get("center", np.zeros(dim)), dtype=float)
-    terms = [(complex(a), _padded_exponent(e, dim))
-             for a, e in params.get("terms", [(1.0, (0,) * dim)])]
     A_inv = np.linalg.inv(np.eye(N) / w2 - 0.5j * phase.Q)
     lam = 1.0 / w2 - 0.5j * np.linalg.eigvalsh(phase.Q)
     beta = 1j * (X @ phase.L) + 2.0 * c[d2:] / w2
@@ -227,7 +216,7 @@ def _gaussian_theta_integral(phase: QuadraticPhase, amplitude: ShubinSymbol,
     exponent = (0.5j * np.einsum("pi,ij,pj->p", X, phase.F, X)
                 - np.sum((X - c[:d2]) ** 2, axis=-1) / w2 - c[d2:] @ c[d2:] / w2
                 + 0.25 * np.einsum("pi,ij,pj->p", beta, A_inv, beta))
-    p_mean = _eval_terms(_gaussian_mean_terms(terms, 0.25 * A_inv, d2),
+    p_mean = _eval_terms(_gaussian_mean_terms(amplitude.terms(), 0.25 * A_inv, d2),
                          np.concatenate([X, mean], axis=-1))
     return np.pi ** (N / 2) * np.prod(lam ** -0.5) * np.exp(exponent) * p_mean
 
@@ -379,15 +368,10 @@ def _as_factored(spec: FioSpec, grid: GridSpec) -> FioSpec:
 def _poly_terms(sym):
     """Term list (coeff, (p, q)) of a polynomial phase-space symbol, or None
     when the symbol is not polynomial."""
-    if not isinstance(sym, ShubinSymbol) or sym.dim != 2:
+    if not isinstance(sym, ShubinSymbol) or sym.dim != 2 \
+            or sym.kind == "gaussian_modulated":
         return None
-    if sym.kind == "constant":
-        return [(complex(sym.params.get("c", 1.0)), (0, 0))]
-    if sym.kind == "harmonic_oscillator":
-        return [(1.0 + 0j, (2, 0)), (1.0 + 0j, (0, 2))]
-    if sym.kind == "polynomial":
-        return [(complex(c), tuple(e)) for c, e in sym.params["terms"]]
-    return None
+    return sym.terms()
 
 
 def _transform_terms(terms, M: np.ndarray):
@@ -411,16 +395,6 @@ def _diff_terms(terms, axis: int):
             e2 = list(e)
             e2[axis] -= 1
             out.append((c * e[axis], tuple(e2)))
-    return out
-
-
-def _eval_terms(terms, z: np.ndarray) -> np.ndarray:
-    out = np.zeros(z.shape[:-1], dtype=complex)
-    for c, e in terms:
-        term = c
-        for axis, k in enumerate(e):
-            term = term * z[..., axis] ** k
-        out = out + term
     return out
 
 
@@ -536,9 +510,8 @@ def _swapped_amplitude(amp: ShubinSymbol, d: int) -> ShubinSymbol:
     if "center" in params:
         params["center"] = np.asarray(params["center"], dtype=float)[perm]
     if "terms" in params:
-        params["terms"] = [
-            (complex(c).conjugate(), tuple(_padded_exponent(e, dim)[k] for k in perm))
-            for c, e in params["terms"]]
+        params["terms"] = [(c.conjugate(), tuple(e[k] for k in perm))
+                           for c, e in amp.terms()]
     return replace(amp, params=params)
 
 
@@ -606,11 +579,6 @@ def wf_kernel_check(field: Field4D, chi: SymplecticMatrix) -> dict:
     }
 
 
-def _sector_directions(sectors) -> np.ndarray:
-    angles = (np.asarray(sectors, dtype=float) + 0.5) * 2 * np.pi / N_SECTORS
-    return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-
-
 WF_TOL_BINS = 3  # angular bins allowed between output and mapped input sectors
 # non-decaying sectors here have decay exponents above -6.0; the `wf` command
 # and the wave front acceptance check use 4.0
@@ -627,7 +595,8 @@ def wf_propagation_check(spec: FioSpec, u: GridFunction) -> dict:
         ok = not rep_out.nondecaying
         return {"status": "pass" if ok else "fail",
                 "in_sectors": [], "out_sectors": rep_out.nondecaying}
-    dirs = _sector_directions(rep_in.nondecaying) @ spec.chi.entries.T
+    angles = rep_in.angles[rep_in.nondecaying]
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1) @ spec.chi.entries.T
     mapped = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2 * np.pi)
     mapped_bins = np.floor(mapped / (2 * np.pi) * N_SECTORS).astype(int)
     ok = all(np.min(np.abs((sct - mapped_bins + N_SECTORS // 2)

@@ -9,6 +9,7 @@ checks sampled data empirically by shell-maximum regression.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,31 +35,43 @@ class ShubinSymbol:
         if self.kind not in ("constant", "polynomial", "gaussian_modulated",
                              "harmonic_oscillator", "custom"):
             raise ValueError(f"unknown symbol kind {self.kind!r}")
-        for _, e in self.params.get("terms", ()):
-            if len(e) > self.dim:  # a shorter exponent is padded with zeros
-                raise ValueError(f"term exponent {tuple(e)} has more than "
-                                 f"{self.dim} entries")
+        if self.kind == "gaussian_modulated":
+            width = float(self.params.get("width", 1.0))
+            if not 0.0 < width * width < np.inf:
+                raise ValueError(f"gaussian width must be nonzero and finite when "
+                                 f"squared, got {width!r}")
+        self.terms()  # refuses a malformed exponent
+
+    def terms(self):
+        """Term list (coefficient, exponent of dim entries) of the polynomial
+        part: the whole symbol for constant, harmonic_oscillator and
+        polynomial, the factor of the Gaussian for gaussian_modulated; None for
+        custom.  A given exponent is at most dim non-negative integers (2.0
+        counts) and is padded with zeros; anything else is a ValueError."""
+        zero = (0,) * self.dim
+        if self.kind == "custom":
+            return None
+        if self.kind == "constant":
+            return [(complex(self.params.get("c", 1.0)), zero)]
+        if self.kind == "harmonic_oscillator":
+            return [(1.0 + 0j, zero[:i] + (2,) + zero[i + 1:]) for i in range(self.dim)]
+        given = self.params["terms"] if self.kind == "polynomial" \
+            else self.params.get("terms", [(1.0, zero)])
+        return [(complex(c), _padded_exponent(e, self.dim)) for c, e in given]
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         """Evaluate at points; z has shape (..., dim)."""
         z = np.asarray(z, dtype=float)
         if z.shape[-1] != self.dim:
             raise ValueError(f"points have dimension {z.shape[-1]}, symbol has {self.dim}")
-        if self.kind == "constant":
-            c = self.params.get("c", 1.0)
-            return np.full(z.shape[:-1], c, dtype=complex)
-        if self.kind == "harmonic_oscillator":
-            return np.asarray(np.sum(z**2, axis=-1), dtype=complex)
-        if self.kind == "polynomial":
-            return _eval_poly(self.params["terms"], z)
+        if self.kind == "custom":
+            return np.asarray(self.params["func"](z), dtype=complex)
+        out = _eval_terms(self.terms(), z)
         if self.kind == "gaussian_modulated":
             center = np.asarray(self.params.get("center", np.zeros(self.dim)), dtype=float)
             width = float(self.params.get("width", 1.0))
-            poly = self.params.get("terms", [(1.0, (0,) * self.dim)])
-            shifted = z - center
-            gauss = np.exp(-np.sum(shifted**2, axis=-1) / width**2)
-            return _eval_poly(poly, z) * gauss
-        return np.asarray(self.params["func"](z), dtype=complex)
+            out = out * np.exp(-np.sum((z - center) ** 2, axis=-1) / width**2)
+        return out
 
     def to_dict(self) -> dict:
         if self.kind == "custom":
@@ -85,20 +98,32 @@ class ShubinSymbol:
             if "terms" in params:
                 params["terms"] = [(complex(t[0], t[1]), tuple(t[2]))
                                    for t in params["terms"]]
-            dim, order, rho = int(data["dim"]), float(data["order"]), float(data["rho"])
+            return cls(int(data["dim"]), float(data["order"]), float(data["rho"]),
+                       data["kind"], params)
         except (TypeError, IndexError) as exc:
             raise ValueError(f"malformed symbol: {exc}") from exc
-        return cls(dim, order, rho, data["kind"], params)
 
 
-def _eval_poly(terms, z: np.ndarray) -> np.ndarray:
+def _padded_exponent(e, dim: int) -> tuple:
+    e = tuple(e)
+    if len(e) > dim:
+        raise ValueError(f"term exponent {e} has more than {dim} entries")
+    if not all(isinstance(k, numbers.Real) and k >= 0 and float(k).is_integer()
+               for k in e):
+        raise ValueError(f"term exponent {e} has an entry that is not a "
+                         f"non-negative integer")
+    return tuple(int(k) for k in e) + (0,) * (dim - len(e))
+
+
+def _eval_terms(terms, z: np.ndarray) -> np.ndarray:
+    """Sum of c z_0^e_0 z_1^e_1 ... over the (c, e) of terms, at points z of
+    shape (..., dim); each term is multiplied up left to right from c."""
     out = np.zeros(z.shape[:-1], dtype=complex)
-    for coeff, exponents in terms:
-        mono = np.ones(z.shape[:-1])
-        for axis, e in enumerate(exponents):
-            if e:
-                mono = mono * z[..., axis] ** e
-        out = out + coeff * mono
+    for c, e in terms:
+        term = c
+        for axis, k in enumerate(e):
+            term = term * z[..., axis] ** k
+        out = out + term
     return out
 
 
@@ -154,7 +179,7 @@ class DecayReport:
     status: str  # pass, fail, inconclusive
     slopes: dict  # multi-index -> fitted log-log slope
     bounds: dict  # multi-index -> allowed slope m - rho |alpha| + margin
-    shells: list  # (radius, count) per shell
+    shells: list  # (radius, shell maximum) per nonempty shell
 
     def to_dict(self) -> dict:
         return {

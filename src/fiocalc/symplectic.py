@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-# Exact small-integer inputs are checked at the tight tolerance; floating
-# compositions get the looser one scaled by operator norms.
-TOL_EXACT = 1e-12
+# Tolerance of the symplectic, rank and symmetry tests, scaled by operator norms.
 TOL_FLOAT = 1e-10
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from fiocalc.serialize import (
     write_json,
 )
 from fiocalc.fio import FioSpec
-from fiocalc.symbols import constant_symbol, gaussian_symbol, harmonic_oscillator_symbol
+from fiocalc.symbols import (constant_symbol, gaussian_symbol, harmonic_oscillator_symbol,
+                              polynomial_symbol)
 from fiocalc.symplectic import SymplecticMatrix, chirp_matrix, standard_j
 from pgm_reader import read_pgm
 
@@ -64,6 +67,14 @@ def test_malformed_json_is_an_input_error(tmp_path):
                      "--out", str(tmp_path / "out")]) == 3
 
 
+def oscillatory_spec_text(**amplitude_params):
+    """JSON of an oscillatory spec whose Gaussian amplitude has these params."""
+    data = fio_spec_to_dict(FioSpec("oscillatory", 0.0, 1.0, phase=pseudodifferential_phase(1),
+                                    amplitude=gaussian_symbol(3)))
+    data["amplitude"]["params"].update(amplitude_params)
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize("argv, name, text", [
     (["reduce-phase", "{bad}"], "phase.json", "[1, 2]"),
     (["fio-kernel", "{bad}"], "spec.json", "[1, 2]"),
@@ -81,9 +92,24 @@ def test_malformed_json_is_an_input_error(tmp_path):
     (["weyl-quantize", "{bad}", "--grid-n", "16"], "symbol.json",
      '{"dim": 2, "order": 0, "rho": 1, "kind": "polynomial",'
      ' "params": {"terms": [[1, 0, [5, 5, 5]]]}}'),
+    (["weyl-quantize", "{bad}", "--grid-n", "16"], "symbol.json",
+     '{"dim": 2, "order": 1, "rho": 1, "kind": "polynomial",'
+     ' "params": {"terms": [[1, 0, [1.5, 0]]]}}'),
+    (["weyl-quantize", "{bad}", "--grid-n", "16"], "symbol.json",
+     '{"dim": 2, "order": 1, "rho": 1, "kind": "polynomial",'
+     ' "params": {"terms": [[1, 0, [-1, 0]]]}}'),
+    (["fio-kernel", "{bad}", "--grid-n", "16"], "spec.json",
+     oscillatory_spec_text(terms=[[1, 0, [1.5, 0, 0]]])),
+    (["weyl-quantize", "{bad}", "--grid-n", "16"], "symbol.json",
+     '{"dim": 2, "order": 0, "rho": 1, "kind": "gaussian_modulated",'
+     ' "params": {"width": 0.0}}'),
+    (["fio-kernel", "{bad}", "--grid-n", "16"], "spec.json", oscillatory_spec_text(width=0.0)),
 ], ids=["phase-list", "spec-list", "subspace-list", "symbol-list", "chi-number",
         "chi-entry-number", "phase-list-d", "csv-short-header", "symbol-kind-list",
-        "spec-form-list", "symbol-exponent-too-long"])
+        "spec-form-list", "symbol-exponent-too-long", "symbol-exponent-fraction",
+        "symbol-exponent-negative", "amplitude-exponent-fraction", "symbol-width-zero",
+        "amplitude-width-zero"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # refused before any numerics
 def test_malformed_inputs_are_input_errors(tmp_path, capsys, argv, name, text):
     bad = tmp_path / name
     bad.write_text(text)
@@ -200,6 +226,24 @@ def test_compose_reports_product(tmp_path):
     assert cli.main(["compose", str(s1), str(s2), "--out", str(out)]) == 0
     rep = read_json(str(out / "compose.json"))
     assert rep["order"] == 4.0 and rep["status"] == "pass"
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["left", "right"])
+def test_compose_pads_a_short_exponent(tmp_path, side):
+    # b(x, xi) = x, written with a one-entry and with a full exponent
+    residuals = []
+    for exponent in [(1,), (1, 0)]:
+        specs = [FioSpec("factored", 2.0, 1.0, b=harmonic_oscillator_symbol(2),
+                         chi=chirp_matrix(np.array([[0.8]])))] * 2
+        specs[side] = FioSpec("factored", 1.0, 1.0, chi=standard_j(1),
+                              b=polynomial_symbol(2, [(1.0, exponent)]))
+        paths = [str(tmp_path / f"s{i}.json") for i in range(2)]
+        for spec, path in zip(specs, paths):
+            write_json(fio_spec_to_dict(spec), path)
+        out = tmp_path / f"out{len(exponent)}"
+        assert cli.main(["compose", *paths, "--out", str(out)]) == 0
+        residuals.append(read_json(str(out / "compose.json"))["residual"])
+    assert residuals[0] == residuals[1]
 
 
 def test_wf_reports_frequency_axis_for_point_mass(tmp_path):

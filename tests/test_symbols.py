@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiocalc.symbols import (
     ShubinSymbol,
@@ -35,6 +39,66 @@ def test_term_exponents_are_padded_but_never_cut():
     for kind in ("polynomial", "gaussian_modulated"):
         with pytest.raises(ValueError, match="more than 2 entries"):
             ShubinSymbol(2, 0.0, 1.0, kind, {"terms": [(1.0, (5, 5, 5))]})
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("polynomial", {"terms": [(1.0, (1.5, 0))]}),
+    ("polynomial", {"terms": [(1.0, (-1,))]}),
+    ("polynomial", {"terms": [(1.0, ("1", 0))]}),
+    ("gaussian_modulated", {"terms": [(1.0, (0, 2.5))]}),
+    ("gaussian_modulated", {"width": 0.0}),
+    ("gaussian_modulated", {"width": np.inf}),
+    ("gaussian_modulated", {"width": np.nan}),
+    ("gaussian_modulated", {"width": 1e200}),
+], ids=["fraction", "negative", "string", "gaussian-fraction", "width-zero",
+        "width-inf", "width-nan", "width-square-overflows"])
+def test_malformed_exponents_and_widths_are_refused(kind, params):
+    match = "width" if "width" in params else "not a non-negative integer"
+    with pytest.raises(ValueError, match=match):
+        ShubinSymbol(2, 0.0, 1.0, kind, params)
+
+
+def test_integral_float_exponents_are_integers():
+    sym = polynomial_symbol(2, [(1.0, (2.0, 1.0))])
+    assert sym.terms() == [(1.0 + 0j, (2, 1))]
+    assert sym.params["terms"] == [(1.0, (2.0, 1.0))]
+
+
+@st.composite
+def symbol_and_points(draw):
+    dim = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["constant", "harmonic_oscillator", "polynomial",
+                                 "gaussian_modulated"]))
+    term = st.tuples(
+        st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+        st.lists(st.integers(0, 3) | st.integers(0, 3).map(float), max_size=dim).map(tuple))
+    terms = draw(st.lists(term, min_size=1, max_size=4))
+    coord = st.floats(-5.0, 5.0)
+    if kind == "constant":
+        sym = constant_symbol(dim, draw(st.floats(-10.0, 10.0)))
+    elif kind == "harmonic_oscillator":
+        sym = harmonic_oscillator_symbol(dim)
+    elif kind == "polynomial":
+        sym = polynomial_symbol(dim, terms)
+    else:
+        sym = gaussian_symbol(dim, center=draw(st.lists(coord, min_size=dim, max_size=dim)),
+                              width=draw(st.floats(0.5, 4.0)),
+                              terms=draw(st.none() | st.just(terms)))
+    z = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=5))
+    return sym, np.array(z)
+
+
+@settings(deadline=None)
+@given(symbol_and_points())
+def test_terms_are_padded_and_serialization_is_exact(case):
+    sym, z = case
+    assert all(len(e) == sym.dim for _, e in sym.terms())
+    back = ShubinSymbol.from_dict(json.loads(json.dumps(sym.to_dict())))
+    assert back(z).tobytes() == sym(z).tobytes()
+    if sym.kind == "constant":
+        assert np.array_equal(sym(z), np.full(len(z), sym.params["c"], dtype=complex))
+    if sym.kind == "harmonic_oscillator":
+        assert np.array_equal(sym(z), np.sum(z ** 2, axis=-1))
 
 
 def test_serialization_round_trip():
