@@ -32,7 +32,7 @@ from .fio import (
     fio_kernel,
     kernel_characterization_check,
 )
-from .gabor import Field4D, gabor_transform, kernel_fbi_field, wavefront_estimate
+from .gabor import _kernel_field_slabs, gabor_transform, kernel_fbi_field, wavefront_estimate
 from .grids import GridFunction, GridSpec, SizeGuardError, gaussian_window
 from .lagdist import lagrangian_membership_test, lagrangian_param
 from .metaplectic import mu_general
@@ -245,15 +245,18 @@ def cmd_adjoint(args) -> int:
     return EXIT_PASS
 
 
-def _kernel_heatmap(field: Field4D) -> np.ndarray:
-    """2D map for a 4D kernel field: slice the second position axis at the
-    sample nearest zero, then maximize over the second frequency axis.  The
-    result is indexed (first frequency, first position) with the frequency
-    axis increasing upward."""
-    z2 = field.axes[1]
-    j = int(np.argmin(np.abs(z2)))
-    sub = np.abs(field.values[:, j, :, :]).max(axis=2)  # (z1, zeta1)
-    return sub.T[::-1]
+def _kernel_heatmap(K: GridFunction, stride: int) -> tuple:
+    """2D map for the 4D field of a kernel, reduced slab by slab
+    (gabor._kernel_field_slabs): slice the second position axis at the
+    sample nearest zero, then maximize over the second frequency axis.
+    Returns the position and frequency axes and the map, indexed (first
+    frequency, first position) with the frequency axis increasing upward."""
+    z, zeta, slabs = _kernel_field_slabs(K, stride)
+    j = int(np.argmin(np.abs(z)))
+    sub = np.empty((len(z), len(zeta)))  # (z1, zeta1)
+    for i, S in slabs:
+        sub[i:i + len(S)] = np.abs(S[:, :, j, :]).max(axis=2)
+    return z, zeta, sub.T[::-1]
 
 
 def cmd_fbi_map(args) -> int:
@@ -266,16 +269,15 @@ def cmd_fbi_map(args) -> int:
             "kind": "function", "grid": u.spec.to_dict(), "stride": args.stride,
         })
     elif u.spec.d == 2:
-        field = kernel_fbi_field(u, stride=args.stride)
-        heat = _kernel_heatmap(field)
+        z, zeta, heat = _kernel_heatmap(u, args.stride)
         _emit_pgm(args, "fbi_map.pgm", heat)
         _emit_json(args, "fbi_map.json", {
             "kind": "kernel", "grid": u.spec.to_dict(), "stride": args.stride,
             "heatmap": "rows: first frequency axis (descending), "
                        "columns: first position axis; second position fixed "
                        "at 0, maximized over second frequency",
-            "axis_position": [float(a) for a in field.axes[0]],
-            "axis_frequency": [float(a) for a in field.axes[2]],
+            "axis_position": [float(a) for a in z],
+            "axis_frequency": [float(a) for a in zeta],
         })
     else:
         raise ValueError("fbi-map expects a function (d=1) or kernel (d=2)")

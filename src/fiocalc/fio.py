@@ -18,8 +18,8 @@ import numpy as np
 from .gabor import (
     N_SECTORS,
     Field4D,
+    InteriorBox,
     ProfileReport,
-    _interior_box,
     _span_distance,
     chi_twist_field,
     decay_profile,
@@ -262,7 +262,7 @@ def fio_operator(spec: FioSpec, grid: GridSpec) -> OperatorMatrix:
         if isinstance(spec.b, ShubinSymbol) and spec.b.kind == "constant":
             c = complex(spec.b.params.get("c", 1.0))
             return OperatorMatrix(grid, c * mu.entries)
-        bw = weyl_kernel(symbol_callable(spec.b), grid)
+        bw = weyl_kernel(spec.b, grid)
         return bw.compose(mu)
     K, _ = fio_kernel(spec, grid)
     return OperatorMatrix(grid, K.values.reshape(grid.n, grid.n))
@@ -340,7 +340,7 @@ def fio_factorize(K: GridFunction, chi: SymplecticMatrix, m: float,
     w = _domain_taper(grid)
     Bop = Kop.compose(OperatorMatrix(grid, w[:, None] * mu.matrix().entries.conj().T))
     b = symbol_from_kernel(Bop)
-    rebuilt = weyl_kernel(symbol_callable(b), grid).compose(mu.matrix())
+    rebuilt = weyl_kernel(b, grid).compose(mu.matrix())
     residual = _vector_residual(Kop, rebuilt)
     scale = float(np.abs(b.values[interior_mask(b)]).max())
     decay = shubin_decay_test(b.values, b.axes, m, rho, noise=residual * scale)
@@ -534,12 +534,12 @@ def fio_adjoint(spec: FioSpec) -> FioSpec:
 # -- phase space characterization ------------------------------------------
 
 
-def kernel_characterization_check(field: Field4D, chi: SymplecticMatrix,
+def kernel_characterization_check(field: InteriorBox, chi: SymplecticMatrix,
                                   m: float, rho: float) -> ProfileReport:
     """Twisted phase-space test of kernel membership on the kernel's field
-    (gabor.kernel_fbi_field): rapid decay off the twisted graph subspace of
-    chi and controlled growth along it, including directional derivatives up
-    to order gabor.K_MAX."""
+    (gabor.kernel_fbi_field, its interior box): rapid decay off the twisted
+    graph subspace of chi and controlled growth along it, including
+    directional derivatives up to order gabor.K_MAX."""
     lam = twisted_graph_lagrangian(chi)
     vlam = twisted_graph_lagrangian(SymplecticMatrix(chi.d, -chi.entries))
     return profile_report(decay_profile(field, chi_twist_field(chi), lam, vlam), m, rho)
@@ -551,11 +551,11 @@ CONE_ANGLE = 0.35  # cone aperture around the twisted graph subspace
 CONE_COLLAR = 4.0  # transverse collar for the window's own width
 
 
-def wf_kernel_check(field: Field4D, chi: SymplecticMatrix) -> dict:
-    """All phase-space points where the kernel's field (gabor.kernel_fbi_field)
-    is non-negligible at radius > CONE_R_MIN lie in a cone around the twisted
-    graph subspace.  Only the interior box is read; the peak is the whole
-    field's.
+def wf_kernel_check(field: InteriorBox, chi: SymplecticMatrix) -> dict:
+    """All phase-space points where the kernel's field (gabor.kernel_fbi_field,
+    its interior box) is non-negligible at radius > CONE_R_MIN lie in a cone
+    around the twisted graph subspace.  Only the interior points are read;
+    the peak is the whole field's, field.peak.
 
     The cone has aperture CONE_ANGLE plus a fixed transverse collar: the
     window gives the field a transverse profile of width about one, so even
@@ -563,13 +563,13 @@ def wf_kernel_check(field: Field4D, chi: SymplecticMatrix) -> dict:
     finite radius before the conic picture takes over.
     """
     lam = twisted_graph_lagrangian(chi)
-    peak = np.abs(field.values).max() or 1.0
-    view, interior = _interior_box(field)
-    r = _span_distance(view.axes, np.zeros((len(view.axes), 0)))
-    sel = (r > CONE_R_MIN) & (np.abs(view.values) > CONE_REL_THRESHOLD * peak) & interior
+    peak = field.peak or 1.0
+    r = _span_distance(field.axes, np.zeros((len(field.axes), 0)))
+    sel = (r > CONE_R_MIN) & (np.abs(field.values) > CONE_REL_THRESHOLD * peak) \
+        & field.interior
     if not np.any(sel):
         return {"status": "pass", "worst_excess": 0.0, "points": 0}
-    dist = _span_distance(view.axes, lam.basis, sel)
+    dist = _span_distance(field.axes, lam.basis, sel)
     allowed = CONE_COLLAR + np.sin(CONE_ANGLE) * r[sel]
     worst = float((dist - allowed).max())
     return {

@@ -22,6 +22,7 @@ from .symplectic import (DimensionError, LagrangianSubspace, SymplecticMatrix,
 
 POINT_CHUNK = 2048  # phase-space points per block of the point evaluator
 KERNEL_STRIDE = 2  # decimation of the 4-D kernel field: (n / stride)^4 entries
+SLAB_Z1 = 4  # z1 values per slab of the kernel field, each with all other axes
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,18 @@ class Field4D:
 
     def steps(self) -> list:
         return [float(a[1] - a[0]) for a in self.axes]
+
+
+@dataclass(frozen=True)
+class InteriorBox(Field4D):
+    """A field kept on its interior box (_box_slices): the box axes and
+    values, the interior mask on the box, and the whole field's axis steps
+    and peak |value|.  The steps are the whole axes' because the cut axes
+    do not repeat them to the bit."""
+
+    interior: np.ndarray  # boolean, the shape of values
+    field_steps: tuple
+    peak: float
 
 
 def _window_shift_matrix(u: GridFunction, g: GridFunction) -> np.ndarray:
@@ -148,9 +161,15 @@ def wavefront_estimate(u: GridFunction, N_max: float) -> SectorReport:
     return SectorReport(slopes, angles, bad, "pass")
 
 
-def kernel_fbi_field(K: GridFunction, stride: int = KERNEL_STRIDE) -> Field4D:
-    """T_{g tensor g} K on a decimated 4D grid; K lives on a d = 2 grid.
-    Refuses with SizeGuardError past MEMORY_CAP_ENTRIES field entries."""
+def _kernel_field_slabs(K: GridFunction, stride: int) -> tuple:
+    """The axes z, zeta of T_{g tensor g} K on the grid decimated by stride
+    (K lives on a d = 2 grid) and a generator of the field in slabs (i, S)
+    of SLAB_Z1 values of z1: S[a, m, j, p] is the field at
+    (z1, z2, zeta1, zeta2) = (z[i + a], z[j], zeta[m], zeta[p]).  A slab is
+    whole rows of M K M^T, rows (z1, zeta1) and columns (z2, zeta2), so its
+    entries equal those of the whole product to the bit; the whole field is
+    never held.  Refuses with SizeGuardError past MEMORY_CAP_ENTRIES field
+    entries."""
     spec = K.spec
     if spec.d != 2:
         raise ValueError("kernel field needs a d = 2 grid function")
@@ -166,11 +185,35 @@ def kernel_fbi_field(K: GridFunction, stride: int = KERNEL_STRIDE) -> Field4D:
     M = (2 * np.pi) ** (-0.5) * spec.h * (win[:, None, :] * mod[None, :, :])
     M = M * row_phase[:, :, None]
     M = M.reshape(len(z) * len(zeta), spec.n)
-    Kmat = K.reshaped()
-    field = M @ Kmat @ M.T  # rows (z1, zeta1), cols (z2, zeta2)
-    field = field.reshape(len(z), len(zeta), len(z), len(zeta))
-    field = np.transpose(field, (0, 2, 1, 3))  # (z1, z2, zeta1, zeta2)
-    return Field4D((z, z, zeta, zeta), field)
+    MK = M @ K.reshaped()
+
+    def slabs():
+        for i in range(0, len(z), SLAB_Z1):
+            S = MK[i * len(zeta):(i + SLAB_Z1) * len(zeta)] @ M.T
+            yield i, S.reshape(-1, len(zeta), len(z), len(zeta))
+
+    return z, zeta, slabs()
+
+
+def kernel_fbi_field(K: GridFunction, stride: int = KERNEL_STRIDE) -> InteriorBox:
+    """T_{g tensor g} K on a decimated 4D grid, axes (z1, z2, zeta1, zeta2),
+    kept on its interior box (_box_slices) with the whole field's peak: built
+    from the slabs of _kernel_field_slabs, so the whole field is never held.
+    Refuses with SizeGuardError past MEMORY_CAP_ENTRIES field entries."""
+    z, zeta, slabs = _kernel_field_slabs(K, stride)
+    axes = (z, z, zeta, zeta)
+    box, interior = _box_slices(axes)
+    s1, s2, s3, s4 = box
+    values = np.empty(interior.shape, dtype=complex)
+    peak = 0.0
+    for i, S in slabs:
+        peak = max(peak, float(np.abs(S).max()))
+        lo, hi = max(i, s1.start), min(i + len(S), s1.stop)
+        if lo < hi:  # the slab's z1 rows in the box, reordered to (z1, z2, zeta1, zeta2)
+            values[lo - s1.start:hi - s1.start] = \
+                S[lo - i:hi - i, s3, s2, s4].transpose(0, 2, 1, 3)
+    return InteriorBox(tuple(a[s] for a, s in zip(axes, box)), values, interior,
+                       tuple(float(a[1] - a[0]) for a in axes), peak)
 
 
 def _quadratic_twist(field: Field4D, Q: np.ndarray) -> Field4D:
@@ -230,26 +273,33 @@ def _span_distance(axes, basis: np.ndarray, where=None) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def _interior_box(field: Field4D) -> tuple:
+def _box_slices(axes) -> tuple:
     """The grid points within INTERIOR_FRAC of every axis extent lie in a
     box, one slice per axis.  Each slice is widened by the STENCIL_REACH of
     directional_derivative and clipped at the grid edge, so an interior
     point is as far from the box edge as from the grid edge, or at least
-    STENCIL_REACH.  Returns the field on the box and the interior mask on
-    the box, taken from the whole axes."""
+    STENCIL_REACH.  Returns the slices and the interior mask on the box,
+    taken from the whole axes."""
     box, inside = [], []
-    for a in field.axes:
+    for a in axes:
         keep = np.abs(a) <= INTERIOR_FRAC * np.abs(a).max()
         hit = np.flatnonzero(keep)  # never empty: every axis holds or straddles 0
-        s = slice(max(hit[0] - STENCIL_REACH, 0), hit[-1] + 1 + STENCIL_REACH)
+        s = slice(max(hit[0] - STENCIL_REACH, 0),
+                  min(hit[-1] + 1 + STENCIL_REACH, len(a)))
         box.append(s)
         inside.append(keep[s])
-    box = tuple(box)
     mask = np.ones([len(k) for k in inside], dtype=bool)
     for k in np.meshgrid(*inside, indexing="ij", sparse=True):
         mask &= k
-    view = Field4D(tuple(a[s] for a, s in zip(field.axes, box)), field.values[box])
-    return view, mask
+    return tuple(box), mask
+
+
+def _interior_box(field: Field4D) -> InteriorBox:
+    """The field on its interior box (_box_slices), a view, with the whole
+    field's steps and peak."""
+    box, interior = _box_slices(field.axes)
+    return InteriorBox(tuple(a[s] for a, s in zip(field.axes, box)), field.values[box],
+                       interior, tuple(field.steps()), float(np.abs(field.values).max()))
 
 
 def directional_derivative(field: Field4D, direction: np.ndarray,
@@ -279,7 +329,7 @@ def directional_derivative(field: Field4D, direction: np.ndarray,
     return out
 
 
-def decay_profile(field: Field4D, Q: np.ndarray, lam: LagrangianSubspace,
+def decay_profile(field: InteriorBox, Q: np.ndarray, lam: LagrangianSubspace,
                   vlam: LagrangianSubspace) -> DecayProfile:
     """Off-subspace decay and along-subspace growth of a field twisted by
     e^{-i sum_jk Q_jk w_j w_k} (see _quadratic_twist).
@@ -292,17 +342,18 @@ def decay_profile(field: Field4D, Q: np.ndarray, lam: LagrangianSubspace,
     axis extent are excluded: near the position boundary the field sees
     truncation of the sampled kernel, and near the frequency boundary it
     sees quadrature aliasing, neither of which reflects the kernel itself.
-    So only the interior box is twisted and profiled, and |field| is taken
-    only at the points the shells read; the peak that the derivatives are
-    compared with is that of the whole untwisted field.
+    So field is the untwisted field on its interior box, which alone is
+    twisted and profiled, and |field| is taken only at the points the shells
+    read; the peak that the derivatives are compared with is field.peak, the
+    whole untwisted field's, and they are taken with the whole field's steps.
     """
-    peak = np.abs(field.values).max() or 1.0
-    view, interior = _interior_box(field)
-    dist_l = _span_distance(view.axes, lam.basis)
-    dist_v = _span_distance(view.axes, vlam.basis)
+    peak = field.peak or 1.0
+    interior = field.interior
+    dist_l = _span_distance(field.axes, lam.basis)
+    dist_v = _span_distance(field.axes, vlam.basis)
     # twisted after the distances, so its copy of the box never coexists
     # with their temporaries
-    view = _quadratic_twist(view, Q)
+    view = _quadratic_twist(field, Q)
 
     edges = np.geomspace(*OFF_RANGE, N_SHELLS + 1)
     radii = np.sqrt(edges[:-1] * edges[1:])
@@ -321,7 +372,7 @@ def decay_profile(field: Field4D, Q: np.ndarray, lam: LagrangianSubspace,
     # vector of lam, both read on the strip only
     for k in (0, 1):
         mags = ([np.abs(view.values[strip])] if k == 0 else
-                (np.abs(directional_derivative(view, v, strip, field.steps()))
+                (np.abs(directional_derivative(view, v, strip, field.field_steps))
                  for v in lam.basis.T))
         worst = None
         for mag in mags:

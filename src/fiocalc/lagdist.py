@@ -19,7 +19,9 @@ import numpy as np
 from .fio import FioSpec, fio_operator, kernel_characterization_check
 from .gabor import (
     Field4D,
+    InteriorBox,
     ProfileReport,
+    _interior_box,
     decay_profile,
     gabor_transform,
     kernel_fbi_field,
@@ -140,11 +142,11 @@ def _product_subspace(P: np.ndarray, Q: np.ndarray, param=None) -> LagrangianSub
     return LagrangianSubspace.from_span(span, param=param)
 
 
-def _membership_field(u: GridFunction) -> Field4D:
-    """Phase-space field of u at stride 1 for d = 1 (the finer steps keep the
-    directional-difference floor below the vanishing threshold) and at
-    KERNEL_STRIDE for d = 2, where the field is four-dimensional and
-    memory-bound."""
+def _membership_field(u: GridFunction) -> InteriorBox:
+    """Phase-space field of u, kept on its interior box: at stride 1 for
+    d = 1 (the finer steps keep the directional-difference floor below the
+    vanishing threshold) and at KERNEL_STRIDE for d = 2, where the field is
+    four-dimensional and memory-bound."""
     spec = u.spec
     if spec.d == 1:
         field = gabor_transform(u, gaussian_window(spec), stride=1)
@@ -153,13 +155,13 @@ def _membership_field(u: GridFunction) -> Field4D:
         # synthesized inputs carry no genuine content beyond it, so the outer
         # dual band would contribute a spurious edge to the along-axis fit
         keep = np.abs(xi) <= spec.R + 1e-9
-        return Field4D((x, xi[keep]), field.values[:, keep])
+        return _interior_box(Field4D((x, xi[keep]), field.values[:, keep]))
     if spec.d == 2:
         return kernel_fbi_field(u)
     raise ValueError("membership fields are implemented for d <= 2")
 
 
-def _membership_report(field: Field4D, lam: LagrangianSubspace, m: float,
+def _membership_report(field: InteriorBox, lam: LagrangianSubspace, m: float,
                        rho: float) -> ProfileReport:
     """Twisted phase-space test of membership on the phase-space field of a
     distribution (_membership_field): rapid decay off the subspace and growth
@@ -209,12 +211,12 @@ def chirp_invariance_check(u: GridFunction, Y: np.ndarray, F: np.ndarray,
     }
 
 
-def kernel_equals_lagrangian_check(field: Field4D, chi: SymplecticMatrix,
+def kernel_equals_lagrangian_check(field: InteriorBox, chi: SymplecticMatrix,
                                    m: float) -> dict:
     """The operator-kernel test and the subspace-membership test applied to
-    the field of one kernel (gabor.kernel_fbi_field) must return the same
-    verdict: the kernel belongs to the class over chi exactly when it is
-    adapted to the twisted graph subspace."""
+    the field of one kernel (gabor.kernel_fbi_field, its interior box) must
+    return the same verdict: the kernel belongs to the class over chi
+    exactly when it is adapted to the twisted graph subspace."""
     kernel_rep = kernel_characterization_check(field, chi, m, 1.0)
     lam = twisted_graph_lagrangian(chi)
     member_rep = _membership_report(field, lam, m, 1.0)

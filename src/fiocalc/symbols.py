@@ -40,6 +40,12 @@ class ShubinSymbol:
             if not 0.0 < width * width < np.inf:
                 raise ValueError(f"gaussian width must be nonzero and finite when "
                                  f"squared, got {width!r}")
+            center = np.shape(self.params.get("center", np.zeros(self.dim)))
+            if center != (self.dim,):
+                raise ValueError(f"gaussian center must have {self.dim} entries, "
+                                 f"got shape {center}")
+        if self.kind == "polynomial" and "terms" not in self.params:
+            raise ValueError("polynomial symbol needs params 'terms'")
         self.terms()  # refuses a malformed exponent
 
     def terms(self):

@@ -23,7 +23,9 @@ def _check_d1(spec: GridSpec):
 
 
 def weyl_kernel(a, spec: GridSpec) -> OperatorMatrix:
-    """Operator matrix of a^w(x, D) for a symbol callable on R^2.
+    """Operator matrix of a^w(x, D) for a symbol callable on R^2, or for
+    sampled symbol values (a Field4D), whose splines (_splines) are evaluated
+    on the tensor grid at once, not point by point.
 
     The symbol is evaluated at midpoints (x_k + x_l)/2, which form a grid of
     2n - 1 points, so assembly is O(n^2) evaluations plus one matrix product.
@@ -34,8 +36,12 @@ def weyl_kernel(a, spec: GridSpec) -> OperatorMatrix:
     n, h, R = spec.n, spec.h, spec.R
     xi = spec.dual_points()
     mids = -R + 0.5 * h * np.arange(2 * n - 1)
-    pts = np.stack(np.meshgrid(mids, xi, indexing="ij"), axis=-1)
-    A = np.asarray(a(pts), dtype=complex)  # (2n-1, n)
+    if isinstance(a, Field4D):
+        re, im = _splines(a)
+        A = re(mids, xi) + 1j * im(mids, xi)  # (2n-1, n)
+    else:
+        pts = np.stack(np.meshgrid(mids, xi, indexing="ij"), axis=-1)
+        A = np.asarray(a(pts), dtype=complex)
     tvals = np.arange(-(n - 1), n)
     E = np.exp(1j * h * np.outer(tvals, xi))  # (2n-1, n)
     B = (spec.dual_h / (2 * np.pi)) * (A @ E.T)
@@ -75,14 +81,19 @@ def interior_mask(symbol: Field4D) -> np.ndarray:
     return (np.abs(x)[:, None] <= bound) & (np.abs(xi)[None, :] <= bound)
 
 
-def _interpolant(symbol: Field4D):
-    """Quintic spline through symbol samples a(x_k, xi_m), as a symbol
-    callable on R^2."""
+def _splines(symbol: Field4D) -> tuple:
+    """Quintic splines through the real and imaginary parts of symbol
+    samples a(x_k, xi_m)."""
     from scipy.interpolate import RectBivariateSpline
 
     x, xi = symbol.axes
-    re = RectBivariateSpline(x, xi, symbol.values.real, kx=5, ky=5)
-    im = RectBivariateSpline(x, xi, symbol.values.imag, kx=5, ky=5)
+    return (RectBivariateSpline(x, xi, symbol.values.real, kx=5, ky=5),
+            RectBivariateSpline(x, xi, symbol.values.imag, kx=5, ky=5))
+
+
+def _interpolant(symbol: Field4D):
+    """The splines of _splines, as a symbol callable on R^2."""
+    re, im = _splines(symbol)
 
     def func(z):
         z = np.asarray(z, dtype=float)

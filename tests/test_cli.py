@@ -75,6 +75,10 @@ def oscillatory_spec_text(**amplitude_params):
     return json.dumps(data)
 
 
+SHORT_CENTER = ('{"dim": 2, "order": 0, "rho": 1, "kind": "gaussian_modulated",'
+                ' "params": {"center": [3.0]}}')
+
+
 @pytest.mark.parametrize("argv, name, text", [
     (["reduce-phase", "{bad}"], "phase.json", "[1, 2]"),
     (["fio-kernel", "{bad}"], "spec.json", "[1, 2]"),
@@ -104,11 +108,14 @@ def oscillatory_spec_text(**amplitude_params):
      '{"dim": 2, "order": 0, "rho": 1, "kind": "gaussian_modulated",'
      ' "params": {"width": 0.0}}'),
     (["fio-kernel", "{bad}", "--grid-n", "16"], "spec.json", oscillatory_spec_text(width=0.0)),
+    (["weyl-quantize", "{bad}", "--grid-n", "16"], "symbol.json", SHORT_CENTER),
+    (["fio-kernel", "{bad}", "--grid-n", "16"], "spec.json",
+     oscillatory_spec_text(center=[3.0])),
 ], ids=["phase-list", "spec-list", "subspace-list", "symbol-list", "chi-number",
         "chi-entry-number", "phase-list-d", "csv-short-header", "symbol-kind-list",
         "spec-form-list", "symbol-exponent-too-long", "symbol-exponent-fraction",
         "symbol-exponent-negative", "amplitude-exponent-fraction", "symbol-width-zero",
-        "amplitude-width-zero"])
+        "amplitude-width-zero", "symbol-center-short", "amplitude-center-short"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # refused before any numerics
 def test_malformed_inputs_are_input_errors(tmp_path, capsys, argv, name, text):
     bad = tmp_path / name
@@ -120,6 +127,20 @@ def test_malformed_inputs_are_input_errors(tmp_path, capsys, argv, name, text):
     err = capsys.readouterr().err
     assert err.startswith("input error:") and len(err.strip().splitlines()) == 1
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("text, names", [
+    (SHORT_CENTER, ("gaussian center", "2 entries")),
+    ('{"dim": 2, "order": 0, "rho": 1, "kind": "polynomial", "params": {}}',
+     ("polynomial", "'terms'")),
+], ids=["center-short", "polynomial-without-terms"])
+def test_symbol_input_errors_name_the_field(tmp_path, capsys, text, names):
+    bad = tmp_path / "symbol.json"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["weyl-quantize", str(bad), "--grid-n", "16", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert all(name in err for name in names), err
 
 
 def run_check_phase(tmp_path, name, phase):

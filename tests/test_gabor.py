@@ -1,13 +1,16 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fiocalc import fio, lagdist
+from fiocalc.cli import _kernel_heatmap
 from fiocalc.fio import FioSpec, fio_kernel, kernel_characterization_check
 from fiocalc.gabor import (
     ALONG_CAP,
     INTERIOR_FRAC,
+    KERNEL_STRIDE,
     K_MAX,
     N_SHELLS,
     OFF_CAP,
@@ -15,6 +18,7 @@ from fiocalc.gabor import (
     REL_FLOOR,
     DecayProfile,
     Field4D,
+    InteriorBox,
     N_SECTORS,
     _interior_box,
     _quadratic_twist,
@@ -24,12 +28,14 @@ from fiocalc.gabor import (
     directional_derivative,
     gabor_transform,
     gabor_transform_points,
+    gaussian_window_at,
     kernel_fbi_field,
     wavefront_estimate,
 )
 from fiocalc.grids import GridFunction, GridSpec, gaussian_window, hermite_grid_function
 from fiocalc.lagdist import lagrangian_membership_test
-from fiocalc.symbols import _derivative, _shell_maxima, constant_symbol, shell_slope
+from fiocalc.symbols import (_derivative, _shell_maxima, constant_symbol,
+                             harmonic_oscillator_symbol, shell_slope)
 from fiocalc.symplectic import (
     DimensionError,
     SymplecticMatrix,
@@ -93,13 +99,36 @@ def test_constant_concentrates_on_position_axis():
     assert np.abs(np.sin(angles)).max() < 0.45
 
 
+def reference_kernel_field(K, stride):
+    """The whole 4-D field of a kernel in one product, M K M^T with rows
+    (z1, zeta1) and columns (z2, zeta2), returned on the axes
+    (z1, z2, zeta1, zeta2): the reference the streamed box must match."""
+    spec = K.spec
+    z = spec.points()[::stride]
+    zeta = spec.dual_points(stride)
+    xl = spec.points()
+    win = np.conj(gaussian_window_at(xl[None, :] - z[:, None]))
+    mod = np.exp(-1j * np.outer(zeta, xl))
+    row_phase = np.exp(1j * np.outer(z, zeta))
+    M = (2 * np.pi) ** (-0.5) * spec.h * (win[:, None, :] * mod[None, :, :])
+    M = M * row_phase[:, :, None]
+    M = M.reshape(len(z) * len(zeta), spec.n)
+    field = M @ K.reshaped() @ M.T
+    field = field.reshape(len(z), len(zeta), len(z), len(zeta))
+    return Field4D((z, z, zeta, zeta), np.transpose(field, (0, 2, 1, 3)))
+
+
 def test_kernel_field_shape_and_steps():
     g2 = GridSpec(2, 64, 8.0)
-    x = g2.points()
     K = GridFunction.sample(g2, lambda a, b: np.exp(-a ** 2 - b ** 2))
     field = kernel_fbi_field(K, stride=4)
-    assert field.values.shape == (16, 16, 16, 16)
-    assert np.isclose(field.steps()[0], 4 * g2.h)
+    whole = reference_kernel_field(K, 4)
+    assert whole.values.shape == (16, 16, 16, 16)
+    assert isinstance(field, InteriorBox) and field.values.flags.c_contiguous
+    assert field.values.shape == whole.values[box_slices(whole, field)].shape
+    assert field.interior.shape == field.values.shape
+    assert np.isclose(field.field_steps[0], 4 * g2.h)
+    assert field.field_steps == tuple(whole.steps())
 
 
 def test_directional_derivative_of_separable_gaussian():
@@ -243,8 +272,8 @@ def full_field_decay_profile(field, Q, lam, vlam):
 
 
 def layouts(shape, seed):
-    """A random complex field on uneven axes, C-contiguous and in the
-    transposed layout kernel_fbi_field returns (a view of swapped axes)."""
+    """A random complex field on uneven axes, C-contiguous and in a
+    transposed layout (a view of swapped axes)."""
     rng = np.random.default_rng(seed)
     axes = tuple(np.linspace(-1.0 - j, 2.0 + 0.5 * j, n) for j, n in enumerate(shape))
     order = (0, 2, 1, 3) if len(shape) == 4 else (1, 0)
@@ -311,12 +340,14 @@ def bits(value):
     return value
 
 
-def assert_profiles_bit_equal(seen):
-    """Every DecayProfile field to the bit; returns the order-1 slopes."""
+def assert_profiles_bit_equal(cases):
+    """Every DecayProfile field of each (box, whole field, Q, lam, vlam) case
+    to the bit, decay_profile on the box against full_field_decay_profile
+    on the whole field; returns the order-1 slopes."""
     slopes = []
-    for field, Q, lam, vlam in seen:
-        got = decay_profile(field, Q, lam, vlam)
-        ref = full_field_decay_profile(field, Q, lam, vlam)
+    for box, whole, Q, lam, vlam in cases:
+        got = decay_profile(box, Q, lam, vlam)
+        ref = full_field_decay_profile(whole, Q, lam, vlam)
         for f in dataclasses.fields(DecayProfile):
             assert bits(getattr(got, f.name)) == bits(getattr(ref, f.name)), f.name
         slopes.append(got.along_slopes[1])
@@ -336,15 +367,23 @@ def capture_profile_inputs(monkeypatch, module):
 
 def test_membership_profile_is_bit_equal_to_the_full_field_loop(monkeypatch):
     seen = capture_profile_inputs(monkeypatch, lagdist)
+    wholes = []
+
+    def cut(field):  # the whole field the membership test cuts its box from
+        wholes.append(field)
+        return _interior_box(field)
+
+    monkeypatch.setattr(lagdist, "_interior_box", cut)
     grid = GridSpec(1, 128, 10.0)
     x = grid.points()
     lam = lagrangian_with_param(np.eye(1), np.array([[1.0]]), 1)
     for amplitude, m in ((np.ones_like(x), 0.0), (x, 1.0)):
         u = GridFunction(grid, amplitude * np.exp(0.5j * x ** 2))
         assert lagrangian_membership_test(u, lam, m).status == "pass"
-    assert [len(f.axes) for f, *_ in seen] == [2, 2]
+    assert [len(f.axes) for f, *_ in seen] == [2, 2] and len(wholes) == 2
     # the unit chirp's derivative sits at the noise floor; x times it is fitted
-    slopes = assert_profiles_bit_equal(seen)
+    slopes = assert_profiles_bit_equal([(box, whole, *rest)
+                                        for (box, *rest), whole in zip(seen, wholes)])
     assert slopes[0] == -np.inf and np.isfinite(slopes[1])
 
 
@@ -357,7 +396,9 @@ def test_kernel_profile_is_bit_equal_to_the_full_field_loop(monkeypatch):
     kernel_characterization_check(field, J, 0.0, 1.0)
     kernel_characterization_check(field, SymplecticMatrix(1, np.eye(2)), 0.0, 1.0)
     assert [len(f.axes) for f, *_ in seen] == [4, 4]
-    assert all(np.isfinite(assert_profiles_bit_equal(seen)))
+    whole = reference_kernel_field(K, KERNEL_STRIDE)
+    assert all(np.isfinite(assert_profiles_bit_equal([(box, whole, *rest)
+                                                      for box, *rest in seen])))
 
 
 # -- the interior box a profile reads --------------------------------------
@@ -375,9 +416,12 @@ def box_slices(field, view):
 @pytest.mark.parametrize("shape", [(23, 7), (11, 7, 13, 30)])
 def test_interior_box_holds_the_interior(shape):
     field = layouts(shape, seed=len(shape))["transposed"]
-    view, inside = _interior_box(field)
+    view = _interior_box(field)
+    inside = view.interior
     box = box_slices(field, view)
     whole = whole_box_interior(field.axes)
+    assert view.peak == np.abs(field.values).max()
+    assert view.field_steps == tuple(field.steps())
     assert np.shares_memory(view.values, field.values)
     assert np.array_equal(view.values, field.values[box])
     assert np.array_equal(inside, whole[box])
@@ -408,9 +452,11 @@ def test_clipped_box_profile_is_bit_equal_to_the_whole_box_one():
     envelope = np.exp(-0.02 * sum(m ** 2 for m in mesh))
     field = Field4D(axes, envelope * (rng.standard_normal(shape)
                                       + 1j * rng.standard_normal(shape)))
-    view, inside = _interior_box(field)
+    view = _interior_box(field)
+    inside = view.interior
     assert [len(a) for a in view.axes] == [7, 14, 7, 9]
     assert view.steps()[1] != field.steps()[1]
+    assert view.field_steps == tuple(field.steps())
     assert whole_box_interior(axes)[1].any()
     J = standard_j(1)
     lam = twisted_graph_lagrangian(J)
@@ -418,5 +464,60 @@ def test_clipped_box_profile_is_bit_equal_to_the_whole_box_one():
     strip = inside & (_span_distance(view.axes, lam.basis) <= ALONG_CAP)
     assert any(np.isnan(directional_derivative(view, v, strip, field.steps())).any()
                for v in lam.basis.T)
-    slopes = assert_profiles_bit_equal([(field, chi_twist_field(J), lam, vlam)])
+    slopes = assert_profiles_bit_equal([(view, field, chi_twist_field(J), lam, vlam)])
     assert np.isfinite(slopes[0])
+
+
+# -- the kernel field, streamed in z1 slabs --------------------------------
+
+
+def ho_fourier_kernel(n):
+    """The kernel of HO^w mu(J) on an n-point grid, whose field peaks
+    outside its interior box."""
+    grid = GridSpec(1, n, 10.0)
+    spec = FioSpec("factored", 2.0, 1.0, b=harmonic_oscillator_symbol(2), chi=standard_j(1))
+    return fio_kernel(spec, grid)[0]
+
+
+@pytest.mark.parametrize("n, clipped", [(64, False), (32, True)])
+def test_streamed_box_is_the_whole_field_box(n, clipped):
+    K = ho_fourier_kernel(n)
+    got = kernel_fbi_field(K, 2)
+    whole = reference_kernel_field(K, 2)
+    ref = _interior_box(whole)
+    box = box_slices(whole, got)
+    assert any(s.start == 0 or s.stop == len(a) for s, a in zip(box, whole.axes)) == clipped
+    assert got.values.flags.c_contiguous
+    assert got.values.tobytes() == np.ascontiguousarray(whole.values[box]).tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got.axes, ref.axes))
+    assert np.array_equal(got.interior, ref.interior)
+    assert got.field_steps == ref.field_steps
+    assert np.float64(got.peak).tobytes() == np.abs(whole.values).max().tobytes()
+    # the peak lies outside the box, so a box peak would be smaller
+    assert np.abs(got.values).max() < got.peak
+
+
+@pytest.mark.parametrize("stride", [4, 2, 1])
+def test_kernel_heatmap_is_the_whole_field_one(stride):
+    K = ho_fourier_kernel(32)
+    whole = reference_kernel_field(K, stride)
+    j = int(np.argmin(np.abs(whole.axes[1])))
+    ref = np.abs(whole.values[:, j, :, :]).max(axis=2).T[::-1]
+    z, zeta, heat = _kernel_heatmap(K, stride)
+    assert z.tobytes() == whole.axes[0].tobytes()
+    assert zeta.tobytes() == whole.axes[2].tobytes()
+    assert heat.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+def test_kernel_field_never_holds_the_whole_field():
+    # the whole field at n = 128, stride 2 is 64^4 complex entries, 268 MB;
+    # its interior box is 49^4 of them, 92 MB
+    K = ho_fourier_kernel(128)
+    tracemalloc.start()
+    try:
+        field = kernel_fbi_field(K, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert field.values.shape == (49, 49, 49, 49)
+    assert peak < 160e6

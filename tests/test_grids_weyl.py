@@ -9,8 +9,12 @@ from fiocalc.grids import (
     hermite_values,
     identity_operator,
 )
+from fiocalc.fio import FioSpec, fio_factorize, fio_kernel
+from fiocalc.symbols import harmonic_oscillator_symbol
+from fiocalc.symplectic import standard_j
 from fiocalc.weyl import (
     SizeGuardError,
+    _interpolant,
     interior_mask,
     symbol_from_kernel,
     weyl_kernel,
@@ -76,6 +80,18 @@ def test_symbol_recovery_round_trip():
     ref = np.exp(-0.3 * (X ** 2 + XI ** 2))
     mask = interior_mask(s)
     assert np.abs(s.values - ref)[mask].max() < 1e-6
+
+
+def test_sampled_symbol_is_quantized_as_its_pointwise_spline():
+    # the symbol fio_factorize recovers from the kernel of HO^w mu(J): its
+    # spline evaluated on the tensor grid at once gives the kernel that the
+    # point-by-point spline gives, to the bit
+    g = GridSpec(1, 128, 10.0)
+    spec = FioSpec("factored", 2.0, 1.0, b=harmonic_oscillator_symbol(2), chi=standard_j(1))
+    b = fio_factorize(fio_kernel(spec, g)[0], standard_j(1), 2.0).symbol
+    assert np.abs(b.values.imag).max() > 0
+    got = weyl_kernel(b, g).entries
+    assert got.tobytes() == weyl_kernel(_interpolant(b), g).entries.tobytes()
 
 
 def test_size_guard_refuses_oversized_kernels():
