@@ -9,6 +9,7 @@ fixed seed.
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass
 
@@ -25,14 +26,14 @@ from .fio import (
     wf_kernel_check,
     wf_propagation_check,
 )
-from .gabor import kernel_fbi_field, wavefront_estimate
+from .gabor import InteriorBox, ProfileReport, kernel_fbi_field, wavefront_estimate
 from .grids import (
     GridFunction,
     GridSpec,
     hermite_values,
     identity_operator,
 )
-from .lagdist import LagrangianDistSpec, kernel_equals_lagrangian_check, lagrangian_synthesize
+from .lagdist import LagrangianDistSpec, _kernel_equals_lagrangian, lagrangian_synthesize
 from .metaplectic import (
     egorov_residual,
     fbi_covariance_residual,
@@ -47,8 +48,10 @@ from .phases import (
     random_nondegenerate_phase,
     reduce_phase,
 )
+from .serialize import fio_spec_to_dict, json_dumps
 from .symbols import (
     constant_symbol,
+    custom_symbol,
     gaussian_symbol,
     harmonic_oscillator_symbol,
     polynomial_symbol,
@@ -373,8 +376,6 @@ def check_composition_adjoint(seed: int = 0, quick: bool = False) -> CheckResult
     # adjoint of an oscillatory spec: kernel equals the conjugate transpose
     kgrid = GridSpec(1, 64, 8.0)
     phi = phase_from_free_matrix(J)
-    from .symbols import custom_symbol
-
     amp = custom_symbol(2, 0.0, 1.0,
                         lambda z: np.exp(-0.25 * np.sum(np.asarray(z) ** 2, axis=-1)))
     spec = FioSpec("oscillatory", 0.0, 1.0, phase=phi, amplitude=amp)
@@ -391,10 +392,68 @@ def check_composition_adjoint(seed: int = 0, quick: bool = False) -> CheckResult
     })
 
 
+# -- kernel table: the kernel fields of checks 10-12 -----------------------------------------
+
+
+def _kernel(source: FioSpec | LagrangianDistSpec, grid: GridSpec) -> GridFunction:
+    """The kernel of an operator spec, or a distribution synthesized on a
+    d = 2 grid."""
+    if isinstance(source, LagrangianDistSpec):
+        return lagrangian_synthesize(source, grid)
+    K, _ = fio_kernel(source, grid)
+    return K
+
+
+def _kernel_key(source: FioSpec | LagrangianDistSpec, grid: GridSpec) -> str:
+    """Canonical JSON of the kernel's source and grid; the kernel values are
+    not hashed."""
+    if isinstance(source, LagrangianDistSpec):
+        data = {"lagrangian": source.lam.basis, "symbol": source.symbol.to_dict(),
+                "chi_syn": source.chi_syn.entries}
+    else:
+        data = fio_spec_to_dict(source)
+    return json_dumps({"kernel": data, "grid": grid.to_dict()})
+
+
+class KernelTable:
+    """The kernel fields of one battery run and the kernel reports read
+    from them.
+
+    A field is keyed by its kernel's source and grid (_kernel_key), and the
+    table holds at most one: a field under a new key is built only after the
+    held one is dropped, and callers keep no field across table calls.  Each
+    kernel report, kernel_characterization_check at rho = 1, is keyed by
+    (kernel key, chi, m) and kept for the run.  run_suite makes one table
+    per run; a check called without one makes its own."""
+
+    def __init__(self):
+        self._key = None
+        self._field = None
+        self._reports = {}
+
+    def field(self, source: FioSpec | LagrangianDistSpec, grid: GridSpec) -> InteriorBox:
+        key = _kernel_key(source, grid)
+        if key != self._key:
+            self._key = self._field = None
+            self._field = kernel_fbi_field(_kernel(source, grid))
+            self._key = key
+        return self._field
+
+    def kernel_report(self, source: FioSpec | LagrangianDistSpec, grid: GridSpec,
+                      chi: SymplecticMatrix, m: float) -> ProfileReport:
+        key = (_kernel_key(source, grid), tuple(chi.entries.flat), m)
+        if key not in self._reports:
+            self._reports[key] = kernel_characterization_check(
+                self.field(source, grid), chi, m, 1.0)
+        return self._reports[key]
+
+
 # -- 10: kernel characterization ----------------------------------------------------------
 
 
-def check_kernel_characterization(seed: int = 0, quick: bool = False) -> CheckResult:
+def check_kernel_characterization(seed: int = 0, quick: bool = False,
+                                  table: KernelTable | None = None) -> CheckResult:
+    table = table or KernelTable()
     grid = GridSpec(1, 128, 10.0)
     J = standard_j(1)
     cases = [("mu_fourier", constant_symbol(2), 0.0),
@@ -405,8 +464,7 @@ def check_kernel_characterization(seed: int = 0, quick: bool = False) -> CheckRe
     ok = True
     for name, sym, m in cases:
         spec = FioSpec("factored", m, 1.0, b=sym, chi=J)
-        K, _ = fio_kernel(spec, grid)
-        rep = kernel_characterization_check(kernel_fbi_field(K), J, m, 1.0)
+        rep = table.kernel_report(spec, grid, J, m)
         reports[name] = rep.to_dict()
         ok = ok and rep.status == "pass"
     return CheckResult("kernel_characterization", _status(ok), {
@@ -417,15 +475,16 @@ def check_kernel_characterization(seed: int = 0, quick: bool = False) -> CheckRe
 # -- 11: wave front sets ------------------------------------------------------------------
 
 
-def check_wavefront_sets(seed: int = 0, quick: bool = False) -> CheckResult:
+def check_wavefront_sets(seed: int = 0, quick: bool = False,
+                         table: KernelTable | None = None) -> CheckResult:
+    table = table or KernelTable()
     grid = GridSpec(1, 128, 10.0)
     delta = _delta(grid)
     rep = wavefront_estimate(delta, N_max=4.0)
     expected = [14, 15, 16, 17, 46, 47, 48, 49]
     sectors_ok = rep.nondecaying == expected
     spec = FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=standard_j(1))
-    K, _ = fio_kernel(spec, grid)
-    field = kernel_fbi_field(K)
+    field = table.field(spec, grid)
     cone = wf_kernel_check(field, standard_j(1))
     cone_neg = wf_kernel_check(field, SymplecticMatrix(1, np.eye(2)))
     prop = wf_propagation_check(spec, delta)
@@ -442,49 +501,49 @@ def check_wavefront_sets(seed: int = 0, quick: bool = False) -> CheckResult:
 # -- 12: kernel versus Lagrangian equivalence -----------------------------------------------
 
 
-def _synthesized_graph_kernel(grid2: GridSpec) -> GridFunction:
+def _graph_distribution() -> LagrangianDistSpec:
+    """The constant symbol synthesized on the twisted graph of J, a d = 2
+    distribution equal to the kernel of mu(J) up to a unit scalar."""
     lam = twisted_graph_lagrangian(standard_j(1))
     chi_syn = tensor_symplectic(standard_j(1)) @ chi_delta(1)
-    dist = LagrangianDistSpec(lam, constant_symbol(2), chi_syn=chi_syn)
-    return lagrangian_synthesize(dist, grid2)
+    return LagrangianDistSpec(lam, constant_symbol(2), chi_syn=chi_syn)
 
 
-def check_lagrangian_equivalence(seed: int = 0, quick: bool = False) -> CheckResult:
+def check_lagrangian_equivalence(seed: int = 0, quick: bool = False,
+                                 table: KernelTable | None = None) -> CheckResult:
+    table = table or KernelTable()
     grid = GridSpec(1, 128, 10.0)
     grid2 = GridSpec(2, 128, 10.0)
     J = standard_j(1)
     ch = chirp_matrix(np.array([[0.8]]))
     eye = SymplecticMatrix(1, np.eye(2))
 
-    def kernel_of(sym, m, chi):
-        spec = FioSpec("factored", m, 1.0, b=sym, chi=chi)
-        K, _ = fio_kernel(spec, grid)
-        return K
+    def spec_of(sym, m, chi):
+        return FioSpec("factored", m, 1.0, b=sym, chi=chi)
 
-    # each kernel with its cases: (name, chi, m, expected status)
+    # each kernel source and grid with its cases: (name, chi, m, expected status)
     mu_cases = [("mu_fourier|fourier", J, 0.0, "pass"),
                 ("mu_fourier|identity", eye, 0.0, "fail")]
-    kernels = [(kernel_of(constant_symbol(2), 0.0, J), mu_cases)]
+    kernels = [(spec_of(constant_symbol(2), 0.0, J), grid, mu_cases)]
     if not quick:
         mu_cases.append(("mu_fourier|chirp", ch, 0.0, "fail"))
         kernels += [
-            (kernel_of(harmonic_oscillator_symbol(2), 2.0, J),
+            (spec_of(harmonic_oscillator_symbol(2), 2.0, J), grid,
              [("ho_mu_fourier|fourier", J, 2.0, "pass")]),
-            (kernel_of(constant_symbol(2), 0.0, ch), [("mu_chirp|chirp", ch, 0.0, "pass")]),
-            (_synthesized_graph_kernel(grid2), [("synthesized|fourier", J, 0.0, "pass")]),
+            (spec_of(constant_symbol(2), 0.0, ch), grid, [("mu_chirp|chirp", ch, 0.0, "pass")]),
+            (_graph_distribution(), grid2, [("synthesized|fourier", J, 0.0, "pass")]),
         ]
     # the report lists the positive cases first
-    cases = sorted((case for _, kernel_cases in kernels for case in kernel_cases),
+    cases = sorted((case for *_, kernel_cases in kernels for case in kernel_cases),
                    key=lambda case: case[3] != "pass")
     results = dict.fromkeys(name for name, *_ in cases)
     ok = True
-    for K, cases in kernels:
-        field = kernel_fbi_field(K)  # one field per kernel, freed before the next
+    for source, kgrid, cases in kernels:
         for name, chi, m, expected in cases:
-            rep = kernel_equals_lagrangian_check(field, chi, m)
+            rep = _kernel_equals_lagrangian(table.field(source, kgrid), chi, m,
+                                            table.kernel_report(source, kgrid, chi, m))
             results[name] = {"agree": rep["agree"], "status": rep["status"]}
             ok = ok and rep["agree"] and rep["status"] == expected
-        del field
     return CheckResult("lagrangian_equivalence", _status(ok), {
         "grid": grid.to_dict(), "results": results,
     })
@@ -507,11 +566,14 @@ ALL_CHECKS = (
 
 
 def run_suite(seed: int, quick: bool, progress) -> list:
-    """Run every check; progress(result, seconds) is called after each."""
+    """Run every check; progress(result, seconds) is called after each.  The
+    checks that take a kernel table share one, which ends with the run."""
+    table = KernelTable()
     results = []
     for check in ALL_CHECKS:
         t0 = time.time()
-        res = check(seed=seed, quick=quick)
+        shared = {"table": table} if "table" in inspect.signature(check).parameters else {}
+        res = check(seed=seed, quick=quick, **shared)
         progress(res, time.time() - t0)
         results.append(res)
     return results

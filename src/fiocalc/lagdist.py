@@ -217,7 +217,15 @@ def kernel_equals_lagrangian_check(field: InteriorBox, chi: SymplecticMatrix,
     the field of one kernel (gabor.kernel_fbi_field, its interior box) must
     return the same verdict: the kernel belongs to the class over chi
     exactly when it is adapted to the twisted graph subspace."""
-    kernel_rep = kernel_characterization_check(field, chi, m, 1.0)
+    return _kernel_equals_lagrangian(field, chi, m,
+                                     kernel_characterization_check(field, chi, m, 1.0))
+
+
+def _kernel_equals_lagrangian(field: InteriorBox, chi: SymplecticMatrix, m: float,
+                              kernel_rep: ProfileReport) -> dict:
+    """kernel_equals_lagrangian_check given the kernel test's report,
+    kernel_characterization_check(field, chi, m, 1.0), which the acceptance
+    battery reads from its kernel table instead of profiling again."""
     lam = twisted_graph_lagrangian(chi)
     member_rep = _membership_report(field, lam, m, 1.0)
     agree = kernel_rep.status == member_rep.status

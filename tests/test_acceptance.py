@@ -9,20 +9,30 @@ every check at full size plus the determinism contract for the CLI suite.
 import filecmp
 import os
 import sys
+import weakref
 
 import pytest
 
-from fiocalc import acceptance, cli, gabor
+from fiocalc import acceptance, cli, gabor, lagdist
+from fiocalc.fio import FioSpec, fio_kernel, kernel_characterization_check
+from fiocalc.grids import GridSpec
+from fiocalc.symbols import constant_symbol
+from fiocalc.symplectic import standard_j
 
 
 def count_kernel_fields(monkeypatch):
-    """Calls of kernel_fbi_field, spied on in every namespace that binds it."""
+    """Calls of kernel_fbi_field, spied on in every namespace that binds it:
+    a weak reference to each field built.  Each call first asserts that no
+    field built before it is still alive, so at most one is live at a time."""
     calls = []
     original = gabor.kernel_fbi_field
 
     def spy(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+        live = sum(ref() is not None for ref in calls)
+        assert live == 0, f"{live} field(s) still alive at build {len(calls) + 1}"
+        field = original(*args, **kwargs)
+        calls.append(weakref.ref(field))
+        return field
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "fiocalc" and getattr(module, "kernel_fbi_field", None) is original:
@@ -52,6 +62,57 @@ def test_quick_kernel_checks_build_one_field(check, monkeypatch):
     calls = count_kernel_fields(monkeypatch)
     assert check(seed=3, quick=True).status == "pass"
     assert len(calls) == 1
+
+
+def count_kernel_reports(monkeypatch):
+    """Calls of kernel_characterization_check made by the battery."""
+    calls = []
+    original = acceptance.kernel_characterization_check
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "kernel_characterization_check", spy)
+    return calls
+
+
+def test_quick_suite_builds_one_field_per_run(monkeypatch):
+    """The three kernel checks share one field and its kernel report within
+    a run, and a second run builds its own."""
+    fields = count_kernel_fields(monkeypatch)
+    reports = count_kernel_reports(monkeypatch)
+    for run in (1, 2):
+        results = acceptance.run_suite(3, True, lambda *_: None)
+        assert [r.status for r in results] == ["pass"] * len(acceptance.ALL_CHECKS)
+        assert len(fields) == run
+        # (mu(J), J, 0) is profiled once for two checks, (mu(J), identity, 0) once
+        assert len(reports) == 2 * run
+
+
+def test_full_suite_builds_each_field_once_at_a_time(monkeypatch):
+    """mu(J) and HO mu(J) are each built twice, since kernel_characterization
+    moves on to HO mu(J) before wavefront_sets reads mu(J) again; mu(chirp)
+    and the synthesized kernel once.  The spy asserts one live field."""
+    fields = count_kernel_fields(monkeypatch)
+    results = acceptance.run_suite(3, False, lambda *_: None)
+    assert [r.status for r in results] == ["pass"] * len(acceptance.ALL_CHECKS)
+    assert len(fields) == 6
+
+
+def test_table_serves_the_report_of_a_fresh_field():
+    grid = GridSpec(1, 128, 10.0)
+    J = standard_j(1)
+    spec = FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=J)
+    table = acceptance.KernelTable()
+    served = table.kernel_report(spec, grid, J, 0.0)
+    assert table.kernel_report(spec, grid, J, 0.0) is served
+    K, _ = fio_kernel(spec, grid)
+    field = gabor.kernel_fbi_field(K)
+    assert served.to_dict() == kernel_characterization_check(field, J, 0.0, 1.0).to_dict()
+    # the public check is its helper with a freshly computed kernel report
+    assert lagdist.kernel_equals_lagrangian_check(field, J, 0.0) \
+        == lagdist._kernel_equals_lagrangian(field, J, 0.0, served)
 
 
 def _tree_files(root):

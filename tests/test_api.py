@@ -25,6 +25,8 @@ PACKAGE = ROOT / "src" / "fiocalc"
 ALLOWED = {
     "chirp_invariance_check": "ROADMAP item 2 wires it into the battery",
     "fio_on_lagrangian_check": "ROADMAP item 2 wires it into the battery",
+    "kernel_equals_lagrangian_check": "the public one-field form; the battery passes "
+                                      "its kernel table's report to the helper",
 }
 
 # class members that nothing in src/ or benchmarks/ reads, kept on purpose,
