@@ -462,7 +462,9 @@ def check_kernel_characterization(seed: int = 0, quick: bool = False,
         cases = cases[:1]
     reports = {}
     ok = True
-    for name, sym, m in cases:
+    # mu(J) last, so that the table still holds its field when the wave
+    # front and equivalence checks read it
+    for name, sym, m in reversed(cases):
         spec = FioSpec("factored", m, 1.0, b=sym, chi=J)
         rep = table.kernel_report(spec, grid, J, m)
         reports[name] = rep.to_dict()

@@ -20,7 +20,9 @@ from .gabor import (
     Field4D,
     InteriorBox,
     ProfileReport,
-    _span_distance,
+    _complement_forms,
+    _distance,
+    _mask_points,
     chi_twist_field,
     decay_profile,
     profile_report,
@@ -554,8 +556,8 @@ CONE_COLLAR = 4.0  # transverse collar for the window's own width
 def wf_kernel_check(field: InteriorBox, chi: SymplecticMatrix) -> dict:
     """All phase-space points where the kernel's field (gabor.kernel_fbi_field,
     its interior box) is non-negligible at radius > CONE_R_MIN lie in a cone
-    around the twisted graph subspace.  Only the interior points are read;
-    the peak is the whole field's, field.peak.
+    around the twisted graph subspace.  Only the interior points are read,
+    one z1 layer at a time; the peak is the whole field's, field.peak.
 
     The cone has aperture CONE_ANGLE plus a fixed transverse collar: the
     window gives the field a transverse profile of width about one, so even
@@ -564,18 +566,26 @@ def wf_kernel_check(field: InteriorBox, chi: SymplecticMatrix) -> dict:
     """
     lam = twisted_graph_lagrangian(chi)
     peak = field.peak or 1.0
-    r = _span_distance(field.axes, np.zeros((len(field.axes), 0)))
-    sel = (r > CONE_R_MIN) & (np.abs(field.values) > CONE_REL_THRESHOLD * peak) \
-        & field.interior
-    if not np.any(sel):
+    radius = _complement_forms(np.zeros((len(field.axes), 0)))
+    forms = _complement_forms(lam.basis)
+    worst, points = -np.inf, 0
+    for i in range(len(field.values)):
+        axes = [field.axes[0][i:i + 1], *field.axes[1:]]  # layer i of z1
+        r = _distance(np.ix_(*axes), radius)
+        sel = (r > CONE_R_MIN) & (np.abs(field.values[i:i + 1]) > CONE_REL_THRESHOLD * peak) \
+            & field.interior[i:i + 1]
+        at = _mask_points(sel)
+        if len(at[0]):
+            dist = _distance([a[j] for a, j in zip(axes, at)], forms)
+            allowed = CONE_COLLAR + np.sin(CONE_ANGLE) * r[sel]
+            worst = max(worst, float((dist - allowed).max()))
+            points += len(dist)
+    if not points:
         return {"status": "pass", "worst_excess": 0.0, "points": 0}
-    dist = _span_distance(field.axes, lam.basis, sel)
-    allowed = CONE_COLLAR + np.sin(CONE_ANGLE) * r[sel]
-    worst = float((dist - allowed).max())
     return {
         "status": "pass" if worst <= 0.0 else "fail",
         "worst_excess": worst,
-        "points": int(sel.sum()),
+        "points": points,
     }
 
 

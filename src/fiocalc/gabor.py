@@ -11,6 +11,7 @@ mu(chi) psi_0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .symplectic import (DimensionError, LagrangianSubspace, SymplecticMatrix,
 POINT_CHUNK = 2048  # phase-space points per block of the point evaluator
 KERNEL_STRIDE = 2  # decimation of the 4-D kernel field: (n / stride)^4 entries
 SLAB_Z1 = 4  # z1 values per slab of the kernel field, each with all other axes
+PROFILE_SLAB = 2 ** 16  # box entries per step of a profile: whole layers, at least one
 
 
 @dataclass(frozen=True)
@@ -216,17 +218,6 @@ def kernel_fbi_field(K: GridFunction, stride: int = KERNEL_STRIDE) -> InteriorBo
                        tuple(float(a[1] - a[0]) for a in axes), peak)
 
 
-def _quadratic_twist(field: Field4D, Q: np.ndarray) -> Field4D:
-    """Multiply by e^{-i sum_jk Q_jk w_j w_k}, w the field's coordinates:
-    one factor per axis pair, broadcast from the 1D axes."""
-    w = np.ix_(*field.axes)
-    S = np.triu(Q + Q.T, 1) + np.diag(np.diag(Q))  # same form, upper triangle
-    out = field.values.astype(complex)
-    for j, k in zip(*np.nonzero(S)):
-        out *= np.exp(-1j * S[j, k] * (w[j] * w[k]))
-    return Field4D(field.axes, out)
-
-
 def chi_twist_field(chi: SymplecticMatrix) -> np.ndarray:
     """The form Q of the twist e^{-i/2 (<z, zeta> + sigma(chi(z2, -zeta2),
     (z1, zeta1)))} on the axes (z1, z2, zeta1, zeta2) of a kernel field, with
@@ -259,17 +250,23 @@ def _mask_points(where: np.ndarray) -> tuple:
     return np.unravel_index(np.flatnonzero(where), where.shape)
 
 
-def _span_distance(axes, basis: np.ndarray, where=None) -> np.ndarray:
-    """Distance to span(basis), orthonormal columns (none: the radius), as the
-    norm of the coordinates on the orthogonal complement: at every grid point,
-    or as a 1-D array at the points of the boolean mask where."""
-    if where is None:
-        w = np.ix_(*axes)
-    else:
-        w = [a[i] for a, i in zip(axes, _mask_points(where))]
+def _complement_forms(basis: np.ndarray) -> list:
+    """The linear forms whose squares sum to the squared distance to
+    span(basis), orthonormal columns (none: the radius): one per column of
+    the orthogonal complement, as its (axis, coefficient) pairs with a
+    nonzero coefficient, round-off entries included."""
+    return [[(a, c) for a, c in enumerate(col) if c != 0.0]
+            for col in orthogonal_complement(basis).T]
+
+
+def _distance(w, forms: list) -> np.ndarray:
+    """Distance to the span of _complement_forms at the coordinates w, one
+    array per axis: np.ix_ of a layer's axes for every point of the layer,
+    or 1-D arrays for a list of points.  Each form is summed in axis order
+    and squared, and the squares are summed in form order."""
     sq = np.zeros(np.broadcast_shapes(*(x.shape for x in w)))
-    for col in orthogonal_complement(basis).T:
-        sq += sum(c * wj for c, wj in zip(col, w) if c != 0.0) ** 2
+    for form in forms:
+        sq += sum(c * w[a] for a, c in form) ** 2
     return np.sqrt(sq)
 
 
@@ -302,37 +299,47 @@ def _interior_box(field: Field4D) -> InteriorBox:
                        interior, tuple(field.steps()), float(np.abs(field.values).max()))
 
 
+def _stencil(read, shape: tuple, dtype, here: np.ndarray, direction: np.ndarray,
+             steps) -> np.ndarray:
+    """directional_derivative at the points with ascending C-order flat
+    indices here in a field of the given shape and dtype, whose values at
+    ascending flat indices g are read(g): a step along an axis is a fixed
+    step in C order."""
+    out = np.zeros(len(here), dtype=dtype)
+    for axis, c in enumerate(direction):
+        if abs(c) > 1e-14:
+            stride = math.prod(shape[axis + 1:])
+            pos = here // stride % shape[axis]
+            ok = (pos >= STENCIL_REACH) & (pos < shape[axis] - STENCIL_REACH)
+            d = np.full(len(ok), np.nan, dtype=dtype)
+            at = here[ok]
+            if len(at):
+                f = {s: read(at + s * stride) for s in (-2, -1, 1, 2)}
+                d[ok] = (-f[2] + 8 * f[1] - 8 * f[-1] + f[-2]) / (12 * steps[axis])
+            out = out + c * d
+    return out
+
+
 def directional_derivative(field: Field4D, direction: np.ndarray,
                            where: np.ndarray, steps) -> np.ndarray:
     """Derivative of the field along direction at the points of the boolean
-    mask where, as a 1-D array: the 4th-order stencil of symbols._derivative
-    gathered per axis, so no full-size array is built.  Points within
-    STENCIL_REACH layers of an edge of a differentiated axis are nan.
+    mask where, as a 1-D array in C order: the 4th-order stencil of
+    symbols._derivative read by flat index (_stencil), so no full-size array
+    is built.  Points within STENCIL_REACH layers of an edge of a
+    differentiated axis are nan.
 
     steps are the axis spacings of the whole field, field.steps(), also when
     field is a box cut from it: the cut axes do not repeat them to the bit."""
-    direction = np.asarray(direction, dtype=float)
-    values = field.values
-    idx = _mask_points(where)
-    out = np.zeros(len(idx[0]), dtype=values.dtype)
-    for axis, c in enumerate(direction):
-        if abs(c) > 1e-14:
-            ok = (idx[axis] >= STENCIL_REACH) & \
-                (idx[axis] < values.shape[axis] - STENCIL_REACH)
-            pos = [j[ok] for j in idx]
-            f = {s: values[tuple(pos[:axis] + [pos[axis] + s] + pos[axis + 1:])]
-                 for s in (-2, -1, 1, 2)}
-            inner = (-f[2] + 8 * f[1] - 8 * f[-1] + f[-2]) / (12 * steps[axis])
-            d = np.full(len(ok), np.nan, dtype=inner.dtype)
-            d[ok] = inner
-            out = out + c * d
-    return out
+    values = np.ascontiguousarray(field.values)
+    flat = values.reshape(-1)
+    return _stencil(lambda g: flat[g], values.shape, values.dtype, np.flatnonzero(where),
+                    np.asarray(direction, dtype=float), steps)
 
 
 def decay_profile(field: InteriorBox, Q: np.ndarray, lam: LagrangianSubspace,
                   vlam: LagrangianSubspace) -> DecayProfile:
     """Off-subspace decay and along-subspace growth of a field twisted by
-    e^{-i sum_jk Q_jk w_j w_k} (see _quadratic_twist).
+    e^{-i sum_jk Q_jk w_j w_k}, w the coordinates on the field's axes.
 
     Off: shell maxima of |field| binned by distance to lam, restricted to
     points near the origin of lam (distance to vlam below OFF_CAP).
@@ -342,40 +349,82 @@ def decay_profile(field: InteriorBox, Q: np.ndarray, lam: LagrangianSubspace,
     axis extent are excluded: near the position boundary the field sees
     truncation of the sampled kernel, and near the frequency boundary it
     sees quadrature aliasing, neither of which reflects the kernel itself.
-    So field is the untwisted field on its interior box, which alone is
-    twisted and profiled, and |field| is taken only at the points the shells
-    read; the peak that the derivatives are compared with is field.peak, the
-    whole untwisted field's, and they are taken with the whole field's steps.
+    So field is the untwisted field on its interior box, and |field| is taken
+    only at the points the shells read; the peak that the derivatives are
+    compared with is field.peak, the whole untwisted field's, and they are
+    taken with the whole field's steps.
+
+    The box is read in one pass over slabs of whole layers of axis 0 (z1,
+    or x for d = 1), PROFILE_SLAB entries or one layer: each slab is
+    twisted once and kept only while the derivative stencil can reach it,
+    and its distances, masks and shell maxima are taken on the slab alone,
+    so no array is larger than a slab.  The strip's distances
+    and magnitudes are kept until the pass gives the along-subspace shells
+    their outer radius.
     """
     peak = field.peak or 1.0
-    interior = field.interior
-    dist_l = _span_distance(field.axes, lam.basis)
-    dist_v = _span_distance(field.axes, vlam.basis)
-    # twisted after the distances, so its copy of the box never coexists
-    # with their temporaries
-    view = _quadratic_twist(field, Q)
+    values = field.values
+    w = np.ix_(*field.axes)
+    S = np.triu(Q + Q.T, 1) + np.diag(np.diag(Q))  # same form, upper triangle
+    # one factor per axis pair, broadcast from the two axes and multiplied
+    # in this order
+    twist = [np.exp(-1j * S[j, k] * (w[j] * w[k])) for j, k in zip(*np.nonzero(S))]
+    forms_l = _complement_forms(lam.basis)
+    forms_v = _complement_forms(vlam.basis)
+    size = math.prod(values.shape[1:])  # entries per layer
+    depth = max(1, PROFILE_SLAB // size)  # layers per slab
+    span = depth * size
+    twisted = {}
+
+    def slab(k):  # slab k twisted and flattened in C order
+        if k not in twisted:
+            out = values[k * depth:(k + 1) * depth].astype(complex)
+            for f in twist:
+                out *= f[k * depth:(k + 1) * depth] if len(f) > 1 else f
+            twisted[k] = out.reshape(-1)
+        return twisted[k]
+
+    def read(g):  # the twisted box at ascending flat indices g
+        ks = range(g[0] // span, g[-1] // span + 1)
+        if len(ks) == 1:
+            return slab(ks[0])[g - ks[0] * span]
+        parts = np.split(g, np.searchsorted(g, [k * span for k in ks[1:]]))
+        return np.concatenate([slab(k)[part - k * span] for k, part in zip(ks, parts)])
 
     edges = np.geomspace(*OFF_RANGE, N_SHELLS + 1)
     radii = np.sqrt(edges[:-1] * edges[1:])
-    sel = (dist_v <= OFF_CAP) & interior
-    maxima = _shell_maxima(dist_l[sel], np.abs(view.values[sel]), edges)
+    maxima = np.zeros(N_SHELLS)
+    r_along = 0.0
+    # on the strip: the distance to vlam, then |field| and, for K_MAX = 1,
+    # |derivative| along each basis vector of lam
+    strip_dist, strip_mags = [], [[] for _ in range(1 + lam.basis.shape[1])]
+    for k in range(-(-len(values) // depth)):
+        lo = k * depth
+        for old in [j for j in twisted if (j + 1) * depth <= lo - STENCIL_REACH]:
+            del twisted[old]  # out of the stencil's reach
+        wi = [w[0][lo:lo + depth], *w[1:]]
+        dist_l = _distance(wi, forms_l).reshape(-1)
+        dist_v = _distance(wi, forms_v).reshape(-1)
+        interior = field.interior[lo:lo + depth].reshape(-1)
+        sel = np.flatnonzero((dist_v <= OFF_CAP) & interior)
+        maxima = np.maximum(maxima, _shell_maxima(dist_l[sel], np.abs(slab(k)[sel]), edges))
+        r_along = max(r_along, float(dist_v.max(where=interior, initial=0.0)))
+        strip = np.flatnonzero((dist_l <= ALONG_CAP) & interior)
+        strip_dist.append(dist_v[strip])
+        strip_mags[0].append(np.abs(slab(k)[strip]))
+        for mags, v in zip(strip_mags[1:], lam.basis.T):
+            mags.append(np.abs(_stencil(read, values.shape, complex, lo * size + strip, v,
+                                        field.field_steps)))
     off_slope = shell_slope(radii, maxima)
     off_shells = [(float(r), float(v)) for r, v in zip(radii, maxima)]
 
-    r_along = float(dist_v.max(where=interior, initial=0.0))
     edges_a = np.geomspace(2.0, 0.8 * r_along, N_SHELLS + 1)
     radii_a = np.sqrt(edges_a[:-1] * edges_a[1:])
-    strip = (dist_l <= ALONG_CAP) & interior
-    dist_s = dist_v[strip]
+    dist_s = np.concatenate(strip_dist)
     along = {}
-    # K_MAX = 1: order 0 is |field|, order 1 the derivative along each basis
-    # vector of lam, both read on the strip only
-    for k in (0, 1):
-        mags = ([np.abs(view.values[strip])] if k == 0 else
-                (np.abs(directional_derivative(view, v, strip, field.field_steps))
-                 for v in lam.basis.T))
+    for k, orders in ((0, strip_mags[:1]), (1, strip_mags[1:])):
         worst = None
-        for mag in mags:
+        for mag in map(np.concatenate, orders):
             good = np.isfinite(mag)
             if mag[good].max(initial=0.0) <= REL_FLOOR * peak:
                 # derivative sits at the discretization noise floor: the

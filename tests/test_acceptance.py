@@ -91,13 +91,15 @@ def test_quick_suite_builds_one_field_per_run(monkeypatch):
 
 
 def test_full_suite_builds_each_field_once_at_a_time(monkeypatch):
-    """mu(J) and HO mu(J) are each built twice, since kernel_characterization
-    moves on to HO mu(J) before wavefront_sets reads mu(J) again; mu(chirp)
-    and the synthesized kernel once.  The spy asserts one live field."""
+    """HO mu(J) is built twice, since kernel_characterization profiles it
+    before mu(J) and lagrangian_equivalence reads it after; mu(J), which
+    kernel_characterization leaves in the table for wavefront_sets and
+    lagrangian_equivalence, mu(chirp) and the synthesized kernel once.  The
+    spy asserts one live field."""
     fields = count_kernel_fields(monkeypatch)
     results = acceptance.run_suite(3, False, lambda *_: None)
     assert [r.status for r in results] == ["pass"] * len(acceptance.ALL_CHECKS)
-    assert len(fields) == 6
+    assert len(fields) == 5
 
 
 def test_table_serves_the_report_of_a_fresh_field():

@@ -1,7 +1,14 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fiocalc.fio import (
+    CONE_ANGLE,
+    CONE_COLLAR,
+    CONE_R_MIN,
+    CONE_REL_THRESHOLD,
     FioSpec,
     QuadratureError,
     _theta_quadrature,
@@ -25,8 +32,10 @@ from fiocalc.symbols import (
     harmonic_oscillator_symbol,
     polynomial_symbol,
 )
-from fiocalc.symplectic import SymplecticMatrix, chirp_matrix, standard_j
+from fiocalc.symplectic import (SymplecticMatrix, chirp_matrix, standard_j,
+                                twisted_graph_lagrangian)
 from fiocalc.weyl import interior_mask, symbol_callable, symbol_from_kernel, weyl_kernel
+from whole_box import _span_distance
 
 
 def test_factored_fourier_kernel_is_oscillatory_plane_wave():
@@ -235,6 +244,79 @@ def test_kernel_cone_containment():
     assert wf_kernel_check(field, J)["status"] == "pass"
     eye = SymplecticMatrix(1, np.eye(2))
     assert wf_kernel_check(field, eye)["status"] == "fail"
+
+
+@pytest.fixture(scope="module")
+def mu_fourier_box():
+    """The interior box of the mu(J) kernel's field at n = 128, stride 2:
+    49^4 complex entries, 92 MB."""
+    spec = FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=standard_j(1))
+    K, _ = fio_kernel(spec, GridSpec(1, 128, 10.0))
+    return kernel_fbi_field(K)
+
+
+def traced_peak(func, *args):
+    """The tracemalloc peak, in bytes, of one call of func."""
+    tracemalloc.start()
+    try:
+        func(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+# One whole-box float array is half the box's bytes and a twisted copy of
+# the box a whole box: the profile and the cone check hold neither.  With
+# whole-box distance fields, twist and masks they peaked at 2.33 and 1.13
+# boxes.
+
+
+def test_kernel_profile_holds_no_whole_box_temporaries(mu_fourier_box):
+    box = mu_fourier_box.values.nbytes
+    peak = traced_peak(kernel_characterization_check, mu_fourier_box, standard_j(1), 0.0, 1.0)
+    assert peak < 0.5 * box
+
+
+def test_cone_check_holds_no_whole_box_temporaries(mu_fourier_box):
+    box = mu_fourier_box.values.nbytes
+    assert traced_peak(wf_kernel_check, mu_fourier_box, standard_j(1)) < 0.5 * box
+
+
+def whole_box_wf_kernel_check(field, chi):
+    """wf_kernel_check over the whole box at once, its body before it read
+    the box one layer at a time: the reference it must match to the bit."""
+    lam = twisted_graph_lagrangian(chi)
+    peak = field.peak or 1.0
+    r = _span_distance(field.axes, np.zeros((len(field.axes), 0)))
+    sel = (r > CONE_R_MIN) & (np.abs(field.values) > CONE_REL_THRESHOLD * peak) \
+        & field.interior
+    if not np.any(sel):
+        return {"status": "pass", "worst_excess": 0.0, "points": 0}
+    dist = _span_distance(field.axes, lam.basis, sel)
+    allowed = CONE_COLLAR + np.sin(CONE_ANGLE) * r[sel]
+    worst = float((dist - allowed).max())
+    return {
+        "status": "pass" if worst <= 0.0 else "fail",
+        "worst_excess": worst,
+        "points": int(sel.sum()),
+    }
+
+
+@pytest.mark.parametrize("case", ["fourier", "identity", "no-points"])
+def test_layered_cone_check_is_the_whole_box_one(mu_fourier_box, case):
+    field, chi = mu_fourier_box, standard_j(1)
+    if case == "identity":
+        chi = SymplecticMatrix(1, np.eye(2))
+    if case == "no-points":  # no entry reaches the threshold of this peak
+        field = dataclasses.replace(field, peak=1e6 * field.peak)
+    got = wf_kernel_check(field, chi)
+    ref = whole_box_wf_kernel_check(field, chi)
+    assert got == ref and type(got["points"]) is int
+    assert np.float64(got["worst_excess"]).tobytes() == np.float64(ref["worst_excess"]).tobytes()
+    status, points = {"fourier": ("pass", True), "identity": ("fail", True),
+                      "no-points": ("pass", False)}[case]
+    assert got["status"] == status and (got["points"] > 0) == points
 
 
 def test_propagation_maps_point_mass_sectors():

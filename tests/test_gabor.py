@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fiocalc import fio, lagdist
+from fiocalc import fio, gabor, lagdist
 from fiocalc.cli import _kernel_heatmap
 from fiocalc.fio import FioSpec, fio_kernel, kernel_characterization_check
 from fiocalc.gabor import (
@@ -20,9 +20,9 @@ from fiocalc.gabor import (
     Field4D,
     InteriorBox,
     N_SECTORS,
+    _complement_forms,
+    _distance,
     _interior_box,
-    _quadratic_twist,
-    _span_distance,
     chi_twist_field,
     decay_profile,
     directional_derivative,
@@ -45,6 +45,7 @@ from fiocalc.symplectic import (
     standard_j,
     twisted_graph_lagrangian,
 )
+from whole_box import _quadratic_twist, _span_distance
 
 def delta(grid):
     vals = np.zeros(grid.n, dtype=complex)
@@ -197,6 +198,26 @@ def test_span_distance_at_mask_points_is_the_box_one(rank):
     where = rng.random((4, 5, 6, 7)) < 0.2
     got = _span_distance(axes, basis, where)
     assert got.tobytes() == _span_distance(axes, basis)[where].tobytes()
+
+
+@pytest.mark.parametrize("basis", ["rank2", "rank0", "fourier-graph"])
+def test_layer_distances_are_the_whole_box_ones(basis):
+    """_distance on each layer of axis 0, at every point and at mask points,
+    is the whole-box _span_distance to the bit; the twisted graph of J has
+    round-off entries in its complement basis, which must be kept."""
+    rng = np.random.default_rng(3)
+    basis = {"rank2": np.linalg.qr(rng.standard_normal((4, 2)))[0],
+             "rank0": np.zeros((4, 0)),
+             "fourier-graph": twisted_graph_lagrangian(standard_j(1)).basis}[basis]
+    axes = [np.linspace(-2.0, 2.0 + 0.1 * j, n) for j, n in enumerate((4, 5, 6, 7))]
+    where = rng.random((4, 5, 6, 7)) < 0.2
+    whole = _span_distance(axes, basis)
+    forms = _complement_forms(basis)
+    for i in range(len(axes[0])):
+        layer = [axes[0][i:i + 1], *axes[1:]]
+        assert _distance(np.ix_(*layer), forms).tobytes() == whole[i:i + 1].tobytes()
+        points = [a[j] for a, j in zip(layer, np.nonzero(where[i:i + 1]))]
+        assert _distance(points, forms).tobytes() == whole[i][where[i]].tobytes()
 
 
 # -- derivatives at the points a profile reads, against the full box -------
@@ -399,6 +420,26 @@ def test_kernel_profile_is_bit_equal_to_the_full_field_loop(monkeypatch):
     whole = reference_kernel_field(K, KERNEL_STRIDE)
     assert all(np.isfinite(assert_profiles_bit_equal([(box, whole, *rest)
                                                       for box, *rest in seen])))
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3, None])
+def test_profile_is_bit_equal_for_every_slab_depth(monkeypatch, layers):
+    """Slabs of 1, 2 or 3 whole z1 layers, where the stencil reads across
+    slab edges, and the whole box in one slab (None) give the profile of the
+    full-field loop to the bit."""
+    grid = GridSpec(1, 64, 7.0)
+    J = standard_j(1)
+    K, _ = fio_kernel(FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=J), grid)
+    box = kernel_fbi_field(K)
+    layer = box.values[0].size
+    monkeypatch.setattr(gabor, "PROFILE_SLAB", layer * (layers or len(box.values)))
+    whole = reference_kernel_field(K, KERNEL_STRIDE)
+    cases = []
+    for chi in (J, SymplecticMatrix(1, np.eye(2))):
+        lam = twisted_graph_lagrangian(chi)
+        vlam = twisted_graph_lagrangian(SymplecticMatrix(1, -chi.entries))
+        cases.append((box, whole, chi_twist_field(chi), lam, vlam))
+    assert all(np.isfinite(assert_profiles_bit_equal(cases)))
 
 
 # -- the interior box a profile reads --------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fiocalc.fio import FioSpec
-from fiocalc.gabor import Field4D, _quadratic_twist
+from fiocalc.gabor import Field4D
 from fiocalc.grids import GridFunction, GridSpec, hermite_grid_function
 from fiocalc.lagdist import (
     LagrangianDistSpec,
@@ -22,6 +22,7 @@ from fiocalc.symplectic import (
     principal_angles,
     standard_j,
 )
+from whole_box import _quadratic_twist
 
 GRID = GridSpec(1, 128, 10.0)
 
