@@ -10,6 +10,8 @@ fixed seed.
 from __future__ import annotations
 
 import inspect
+import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -567,15 +569,73 @@ ALL_CHECKS = (
 )
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, or os.cpu_count()
+    where the platform has none."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_suite(seed: int, quick: bool, progress) -> list:
-    """Run every check; progress(result, seconds) is called after each.  The
-    checks that take a kernel table share one, which ends with the run."""
+    """Run every check of ALL_CHECKS, read at the call, and return their
+    results in its order.  progress(result, seconds) is called on the calling
+    thread for each check in that order, once the check and every check
+    before it have ended.  The checks that take a kernel table (the chain)
+    share one, which ends with the run.
+
+    With at least 2 usable CPUs the chain runs in its order on the calling
+    thread while the other checks run in theirs on one worker thread.  The
+    two sides share no state and each check seeds its own generator, so the
+    results are those of the serial run.  An exception on either side stops
+    both before their next check and is re-raised (the earliest check's)
+    once the worker has ended."""
+    checks = ALL_CHECKS
     table = KernelTable()
-    results = []
-    for check in ALL_CHECKS:
-        t0 = time.time()
-        shared = {"table": table} if "table" in inspect.signature(check).parameters else {}
-        res = check(seed=seed, quick=quick, **shared)
-        progress(res, time.time() - t0)
-        results.append(res)
-    return results
+    in_chain = ["table" in inspect.signature(check).parameters for check in checks]
+    done = [None] * len(checks)  # (result, seconds) of each finished check
+    errors = {}  # check index -> exception
+    stop = threading.Event()
+    reported = 0
+
+    def run(indices):
+        for i in indices:
+            if stop.is_set():
+                return
+            t0 = time.time()
+            try:
+                res = checks[i](seed=seed, quick=quick,
+                                **({"table": table} if in_chain[i] else {}))
+            except BaseException as exc:  # re-raised by run_suite
+                errors[i] = exc
+                stop.set()
+                return
+            done[i] = (res, time.time() - t0)
+
+    def report():
+        nonlocal reported
+        while reported < len(checks) and done[reported] is not None:
+            progress(*done[reported])
+            reported += 1
+
+    side = [i for i, c in enumerate(in_chain) if not c]
+    worker = None
+    if _usable_cpus() >= 2 and 0 < len(side) < len(checks):
+        worker = threading.Thread(target=run, args=(side,), name="fiocalc-suite")
+        worker.start()
+    try:
+        for i in range(len(checks)):
+            if worker is None or in_chain[i]:
+                run([i])
+                report()
+    except BaseException:  # progress raised or the run was interrupted
+        stop.set()
+        raise
+    finally:
+        if worker is not None:
+            worker.join()
+    report()
+    if errors:
+        raise errors[min(errors)]
+    return [res for res, _ in done]

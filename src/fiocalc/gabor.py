@@ -23,7 +23,7 @@ from .symplectic import (DimensionError, LagrangianSubspace, SymplecticMatrix,
 
 POINT_CHUNK = 2048  # phase-space points per block of the point evaluator
 KERNEL_STRIDE = 2  # decimation of the 4-D kernel field: (n / stride)^4 entries
-SLAB_Z1 = 4  # z1 values per slab of the kernel field, each with all other axes
+SLAB_Z1 = 2  # z1 values per slab of the kernel field, each with all other axes
 PROFILE_SLAB = 2 ** 16  # box entries per step of a profile: whole layers, at least one
 
 

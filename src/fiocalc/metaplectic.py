@@ -234,8 +234,33 @@ def gaussian_image(chi: SymplecticMatrix, spec: GridSpec) -> GridFunction:
 FREE_SHIFTS = (1.0, -1.0, 2.0, -2.0, 4.0, -4.0)
 
 
-def mu_factors(chi: SymplecticMatrix) -> tuple:
-    """Ordered factor list whose symplectic product is chi."""
+def _resolves(chi: SymplecticMatrix, spec: GridSpec) -> bool:
+    """Whether spec samples the free kernel of chi without aliasing: its
+    integrand in y has the linear frequency Fyy y + Fxy^T x, whose largest
+    component over the box |x|, |y| <= R must be at most pi / h."""
+    F = free_phase_matrix(chi)
+    d = chi.d
+    reach = np.abs(F[d:, d:]).sum(axis=1) + np.abs(F[:d, d:]).sum(axis=0)
+    return spec.R * float(reach.max()) <= np.pi / spec.h
+
+
+def _shift(chi: SymplecticMatrix, G: np.ndarray) -> SymplecticMatrix:
+    """chi UG with UG = [[I, G], [0, I]]."""
+    d = chi.d
+    return chi @ SymplecticMatrix(d, np.block([[np.eye(d), G], [np.zeros((d, d)), np.eye(d)]]))
+
+
+def _shifted_path(shifted: SymplecticMatrix, G: np.ndarray) -> tuple:
+    """The factors of chi = (chi UG) UG^{-1}, given shifted = chi UG, with
+    UG^{-1} = J^{-1} chirp(G) J."""
+    return (FreeKernelFactor(shifted), FourierFactor(+1), ChirpFactor(G), FourierFactor(-1))
+
+
+def mu_factors(chi: SymplecticMatrix, spec: GridSpec) -> tuple:
+    """Ordered factor list whose symplectic product is chi, for samples on
+    spec.  For d = 1 the free kernel of chi, or else of the first shift
+    chi UG in FREE_SHIFTS, that spec resolves (_resolves); when none does,
+    and for d > 1, a free kernel whose B is well conditioned."""
     d = chi.d
     if np.max(np.abs(chi.B)) < 1e-12:
         # lower block-triangular: an exact pointwise chirp times a linear
@@ -246,6 +271,13 @@ def mu_factors(chi: SymplecticMatrix) -> tuple:
         if np.max(np.abs(chi.A - np.eye(d))) > 1e-12:
             factors.append(LinearFactor(chi.A))
         return tuple(factors)
+    if d == 1:
+        if is_free(chi) and _resolves(chi, spec):
+            return (FreeKernelFactor(chi),)
+        for G in (t * np.eye(d) for t in FREE_SHIFTS):
+            shifted = _shift(chi, G)
+            if is_free(shifted) and _resolves(shifted, spec):
+                return _shifted_path(shifted, G)
     # the explicit kernel has frequencies ~ 1/sigma_min(B); only use it when
     # B is well conditioned, otherwise the sampled kernel aliases
     if is_free(chi) and scipy.linalg.svdvals(chi.B)[-1] > 0.25:
@@ -262,20 +294,14 @@ def mu_factors(chi: SymplecticMatrix) -> tuple:
         if sigma > best_sigma:
             best, best_sigma = G, sigma
     if best is not None and best_sigma > 1e-8:
-        G = best
-        UG = SymplecticMatrix(d, np.block([
-            [np.eye(d), G], [np.zeros((d, d)), np.eye(d)]
-        ]))
-        # chi = (chi UG) UG^{-1} and UG^{-1} = J^{-1} chirp(G) J
-        return (FreeKernelFactor(chi @ UG), FourierFactor(+1),
-                ChirpFactor(G), FourierFactor(-1))
+        return _shifted_path(_shift(chi, best), best)
     raise RuntimeError("free-factor search exhausted; input not symplectic?")
 
 
 def mu_general(chi: SymplecticMatrix, spec: GridSpec) -> MetaplecticOperator:
     """mu(chi) on the grid, its unit constant chosen so that the image of the
     standard Gaussian has a positive overlap with gaussian_image(chi)."""
-    factors = mu_factors(chi)
+    factors = mu_factors(chi, spec)
     op = MetaplecticOperator(spec, MetaplecticFactorization(chi, factors, 1.0 + 0j))
     z = op.apply(gaussian_window(spec)).inner(gaussian_image(chi, spec))
     if abs(z) < 1e-6:

@@ -7,8 +7,11 @@ every check at full size plus the determinism contract for the CLI suite.
 """
 
 import filecmp
+import functools
 import os
 import sys
+import threading
+import time
 import weakref
 
 import pytest
@@ -16,6 +19,7 @@ import pytest
 from fiocalc import acceptance, cli, gabor, lagdist
 from fiocalc.fio import FioSpec, fio_kernel, kernel_characterization_check
 from fiocalc.grids import GridSpec
+from fiocalc.serialize import json_dumps
 from fiocalc.symbols import constant_symbol
 from fiocalc.symplectic import standard_j
 
@@ -100,6 +104,124 @@ def test_full_suite_builds_each_field_once_at_a_time(monkeypatch):
     results = acceptance.run_suite(3, False, lambda *_: None)
     assert [r.status for r in results] == ["pass"] * len(acceptance.ALL_CHECKS)
     assert len(fields) == 5
+
+
+def thread_recorder(checks):
+    """Each check wrapped to record (check name, thread id) on each call,
+    keeping its signature as the benchmark tracer's wrappers do."""
+    calls = []
+
+    def wrap(check):
+        @functools.wraps(check)
+        def recorded(*args, **kwargs):
+            calls.append((check.__name__, threading.get_ident()))
+            return check(*args, **kwargs)
+        return recorded
+
+    return tuple(wrap(check) for check in checks), calls
+
+
+def run_recorded_suite(monkeypatch, cpus, checks=None):
+    """The quick suite at seed 3 with cpus usable CPUs: its results, the
+    progress calls as (result name, thread id), and the threads it left
+    running."""
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: cpus)
+    if checks is not None:
+        monkeypatch.setattr(acceptance, "ALL_CHECKS", checks)
+    progress = []
+    before = threading.active_count()
+    results = acceptance.run_suite(
+        3, True, lambda res, _dt: progress.append((res.name, threading.get_ident())))
+    return results, progress, threading.active_count() - before
+
+
+def test_concurrent_battery_is_the_serial_one(monkeypatch):
+    """With 2 CPUs the kernel-table checks run on the calling thread and
+    the other nine on one worker; results and progress are the serial
+    run's, progress is called on the calling thread only, and no thread
+    is left."""
+    serial, serial_progress, serial_left = run_recorded_suite(monkeypatch, 1)
+    checks, calls = thread_recorder(acceptance.ALL_CHECKS)
+    concurrent, progress, left = run_recorded_suite(monkeypatch, 2, checks)
+    assert [json_dumps(r.to_dict()) for r in concurrent] \
+        == [json_dumps(r.to_dict()) for r in serial]
+    names = [r.name for r in serial]
+    me = threading.get_ident()
+    assert serial_progress == progress == [(name, me) for name in names]
+    assert serial_left == left == 0
+    chain = [name for name, tid in calls if tid == me]
+    assert chain == ["check_kernel_characterization", "check_wavefront_sets",
+                     "check_lagrangian_equivalence"]
+    side = {tid for _name, tid in calls if tid != me}
+    assert len(side) == 1 and len(calls) == len(names)
+
+
+def test_suite_runs_the_checks_held_at_call_time(monkeypatch):
+    """The benchmark tracer replaces ALL_CHECKS with wrapped checks:
+    run_suite calls each wrapper once, and the wrapped kernel-table checks
+    still share one table, so the quick suite builds one field."""
+    fields = count_kernel_fields(monkeypatch)
+    checks, calls = thread_recorder(acceptance.ALL_CHECKS)
+    results, _, _ = run_recorded_suite(monkeypatch, 2, checks)
+    assert sorted(name for name, _ in calls) == sorted(c.__name__ for c in checks)
+    assert [r.status for r in results] == ["pass"] * len(checks)
+    assert len(fields) == 1
+
+
+def fake_check(name, log, events, table=False, role=None):
+    """A check that logs its start.  A "runner" then waits until the other
+    side's "raiser" has raised, and 0.2 s more, by when the raise has
+    stopped its side; a raiser waits until the runner is running, then
+    raises RuntimeError(name)."""
+    def check():
+        log.append(("start", name))
+        if role == "runner":
+            events["running"].set()
+            assert events["raised"].wait(10.0)
+            time.sleep(0.2)
+        if role == "raiser":
+            assert events["running"].wait(10.0)
+            log.append(("raise", name))
+            events["raised"].set()
+            raise RuntimeError(name)
+        return acceptance.CheckResult(name, "pass", {})
+
+    def chain_check(seed, quick, table):
+        return check()
+
+    def side_check(seed, quick):
+        return check()
+
+    return chain_check if table else side_check
+
+
+@pytest.mark.parametrize("raiser", ["w2", "c1"], ids=["worker-raises", "chain-raises"])
+def test_an_exception_on_either_side_propagates_and_stops_both(monkeypatch, raiser):
+    """One side raises while the other runs a check: the exception reaches
+    the caller once that check has ended, no check starts after the raise,
+    progress reports only the checks before the raising one, and no thread
+    is left."""
+    log = []
+    events = {"running": threading.Event(), "raised": threading.Event()}
+    runner = "c1" if raiser == "w2" else "w1"
+
+    def check(name, table=False):
+        role = {raiser: "raiser", runner: "runner"}.get(name)
+        return fake_check(name, log, events, table, role)
+
+    checks = (check("w1"), check("w2"), check("w3"),
+              check("c1", table=True), check("c2", table=True))
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(acceptance, "ALL_CHECKS", checks)
+    progress = []
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"^{raiser}$"):
+        acceptance.run_suite(3, True, lambda res, _dt: progress.append(res.name))
+    assert threading.active_count() == before
+    raised_at = log.index(("raise", raiser))
+    assert all(kind == "raise" for kind, _ in log[raised_at:])
+    assert {name for _, name in log} == ({"w1", "w2", "c1"} if raiser == "w2" else {"w1", "c1"})
+    assert progress == ["w1"]
 
 
 def test_table_serves_the_report_of_a_fresh_field():

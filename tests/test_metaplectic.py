@@ -137,14 +137,11 @@ def test_homomorphism_up_to_phase():
         assert homomorphism_residual(c1, c2, f) < 1e-4
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "c1 c2 has B = -0.287, above the 0.25 floor of mu_factors, so it is one "
-    "free-kernel factor whose y-frequency passes pi/h = 33.5 where the state "
-    "lives: the sampled kernel aliases (residual 2.3e-2 at n = 256, 2e-15 at "
-    "n = 512 with the same box)"))
 def test_homomorphism_of_the_seed_4242_pair():
     # the 2nd pair _bounded_symplectic draws from default_rng(4242 + 7), as
-    # check_metaplectic_identities(seed=4242) does
+    # check_metaplectic_identities(seed=4242) does.  c1 c2 has B = -0.287:
+    # its free kernel's y-frequency passes pi/h = 33.5 on this grid, so
+    # mu_factors takes a shifted path the grid resolves
     c1 = SymplecticMatrix(1, np.array([[0.0, 1.720498829240978],
                                        [-0.5812267831888988, 0.4095784889098528]]))
     c2 = SymplecticMatrix(1, np.array([[0.0, 0.7868312974411231],
@@ -160,9 +157,9 @@ def test_near_singular_upper_block_avoids_aliased_kernel():
     # complete to det = 1 (symplectic in one degree of freedom)
     entries[1, 1] = (1.0 + entries[0, 1] * entries[1, 0]) / entries[0, 0]
     chi = SymplecticMatrix(1, entries)
-    factors = mu_factors(chi)
-    assert len(factors) > 1
     g = GridSpec(1, 256, 12.0)
+    factors = mu_factors(chi, g)
+    assert len(factors) > 1
     f = hermite_grid_function(g, [0])
     assert unitarity_defect(mu_general(chi, g), f) < 1e-6
 
@@ -170,7 +167,7 @@ def test_near_singular_upper_block_avoids_aliased_kernel():
 def test_lower_triangular_matrices_factor_without_quadrature():
     sc = scaling_matrix(np.array([[1.3]]))
     ch = chirp_matrix(np.array([[0.8]]))
-    names = [type(f).__name__ for f in mu_factors(sc @ ch)]
+    names = [type(f).__name__ for f in mu_factors(sc @ ch, GridSpec(1, 128, 10.0))]
     assert "FreeKernelFactor" not in names and "FourierFactor" not in names
 
 
@@ -255,8 +252,8 @@ def test_dense_matrix_agrees_with_apply(d, chi, path):
 def test_dense_matrix_past_the_memory_cap_is_refused():
     # N = 128^2 grid points: the matrix would need 2^28 entries (4 GiB)
     chi = chirp_matrix(_F2)
-    op = MetaplecticOperator(GridSpec(2, 128, 10.0),
-                             MetaplecticFactorization(chi, mu_factors(chi), 1.0 + 0j))
+    g = GridSpec(2, 128, 10.0)
+    op = MetaplecticOperator(g, MetaplecticFactorization(chi, mu_factors(chi, g), 1.0 + 0j))
     with pytest.raises(SizeGuardError):
         op.matrix()
 
