@@ -85,9 +85,7 @@ from .lagdist import (
     LagrangianDistSpec,
     lagrangian_synthesize,
     lagrangian_membership_test,
-    chirp_invariance_check,
     kernel_equals_lagrangian_check,
-    fio_on_lagrangian_check,
 )
 
 __version__ = "0.1.0"

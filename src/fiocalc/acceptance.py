@@ -35,7 +35,7 @@ from .grids import (
     hermite_values,
     identity_operator,
 )
-from .lagdist import LagrangianDistSpec, _kernel_equals_lagrangian, lagrangian_synthesize
+from .lagdist import LagrangianDistSpec, kernel_equals_lagrangian_check, lagrangian_synthesize
 from .metaplectic import (
     egorov_residual,
     fbi_covariance_residual,
@@ -178,7 +178,7 @@ def check_graph_phase_estimates(seed: int = 0, quick: bool = False) -> CheckResu
             chi = random_symplectic(d, rng)
             if is_free(chi) and scipy.linalg.svdvals(chi.B)[-1] > 0.05:
                 break
-        rep = helffer_conditions(phase_from_free_matrix(chi), rng, samples=50)
+        rep = helffer_conditions(phase_from_free_matrix(chi))
         worst_sigma = min(worst_sigma, rep.left_sigma_min, rep.right_sigma_min)
         all_ok = all_ok and rep.estimates_hold
     ok = all_ok and worst_sigma > 1e-8
@@ -544,8 +544,8 @@ def check_lagrangian_equivalence(seed: int = 0, quick: bool = False,
     ok = True
     for source, kgrid, cases in kernels:
         for name, chi, m, expected in cases:
-            rep = _kernel_equals_lagrangian(table.field(source, kgrid), chi, m,
-                                            table.kernel_report(source, kgrid, chi, m))
+            rep = kernel_equals_lagrangian_check(table.field(source, kgrid), chi, m,
+                                                 table.kernel_report(source, kgrid, chi, m))
             results[name] = {"agree": rep["agree"], "status": rep["status"]}
             ok = ok and rep["agree"] and rep["status"] == expected
     return CheckResult("lagrangian_equivalence", _status(ok), {

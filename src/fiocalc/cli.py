@@ -143,12 +143,11 @@ def cmd_check_phase(args) -> int:
     status = "pass" if nondeg else "fail"
     if nondeg:
         try:
-            hel = helffer_conditions(phi, np.random.default_rng(args.seed))
+            hel = helffer_conditions(phi)
             report["estimates"] = {
                 "left_sigma_min": hel.left_sigma_min,
                 "right_sigma_min": hel.right_sigma_min,
                 "estimates_hold": hel.estimates_hold,
-                "empirical_constant": hel.empirical_constant,
             }
             if not hel.estimates_hold:
                 status = "fail"
@@ -362,7 +361,7 @@ _FLAGS = {
 # the options each command reads, and so accepts and records in its config
 _OPTIONS = {
     "reduce-phase": (),
-    "check-phase": ("seed",),
+    "check-phase": (),
     "lagrangian-of": (),
     "mu-apply": (),
     "weyl-quantize": ("grid_n", "grid_R"),

@@ -63,13 +63,15 @@ def _window_shift_matrix(u: GridFunction, g: GridFunction) -> np.ndarray:
 
 
 def gabor_transform(u: GridFunction, g: GridFunction, stride: int = 1) -> Field4D:
-    """T_g u on the phase-space grid (d = 1)."""
+    """T_g u on the phase-space grid (d = 1).  Refuses with SizeGuardError
+    past MEMORY_CAP_ENTRIES entries of its n x n window-shift matrix."""
     if u.spec != g.spec:
         raise ValueError("grid specs differ")
     spec = u.spec
     if spec.d != 1:
         raise ValueError("grid transform implemented for d = 1; use the point "
                          "evaluator for kernels")
+    SizeGuardError.check(spec.n ** 2)
     if stride < 1 or spec.n % stride:
         raise ValueError(f"stride {stride} must divide n={spec.n}")
     x = spec.points()[::stride]
@@ -273,10 +275,10 @@ def _distance(w, forms: list) -> np.ndarray:
 def _box_slices(axes) -> tuple:
     """The grid points within INTERIOR_FRAC of every axis extent lie in a
     box, one slice per axis.  Each slice is widened by the STENCIL_REACH of
-    directional_derivative and clipped at the grid edge, so an interior
-    point is as far from the box edge as from the grid edge, or at least
-    STENCIL_REACH.  Returns the slices and the interior mask on the box,
-    taken from the whole axes."""
+    _stencil and clipped at the grid edge, so an interior point is as far
+    from the box edge as from the grid edge, or at least STENCIL_REACH.
+    Returns the slices and the interior mask on the box, taken from the
+    whole axes."""
     box, inside = [], []
     for a in axes:
         keep = np.abs(a) <= INTERIOR_FRAC * np.abs(a).max()
@@ -301,10 +303,15 @@ def _interior_box(field: Field4D) -> InteriorBox:
 
 def _stencil(read, shape: tuple, dtype, here: np.ndarray, direction: np.ndarray,
              steps) -> np.ndarray:
-    """directional_derivative at the points with ascending C-order flat
-    indices here in a field of the given shape and dtype, whose values at
-    ascending flat indices g are read(g): a step along an axis is a fixed
-    step in C order."""
+    """Derivative along direction, by the 4th-order stencil of
+    symbols._derivative, at the points with ascending C-order flat indices
+    here in a field of the given shape and dtype, whose values at ascending
+    flat indices g are read(g): a step along an axis is a fixed step in C
+    order.  Points within STENCIL_REACH layers of an edge of a
+    differentiated axis are nan.
+
+    steps are the axis spacings of the whole field, also when the field is a
+    box cut from it: the cut axes do not repeat them to the bit."""
     out = np.zeros(len(here), dtype=dtype)
     for axis, c in enumerate(direction):
         if abs(c) > 1e-14:
@@ -318,22 +325,6 @@ def _stencil(read, shape: tuple, dtype, here: np.ndarray, direction: np.ndarray,
                 d[ok] = (-f[2] + 8 * f[1] - 8 * f[-1] + f[-2]) / (12 * steps[axis])
             out = out + c * d
     return out
-
-
-def directional_derivative(field: Field4D, direction: np.ndarray,
-                           where: np.ndarray, steps) -> np.ndarray:
-    """Derivative of the field along direction at the points of the boolean
-    mask where, as a 1-D array in C order: the 4th-order stencil of
-    symbols._derivative read by flat index (_stencil), so no full-size array
-    is built.  Points within STENCIL_REACH layers of an edge of a
-    differentiated axis are nan.
-
-    steps are the axis spacings of the whole field, field.steps(), also when
-    field is a box cut from it: the cut axes do not repeat them to the bit."""
-    values = np.ascontiguousarray(field.values)
-    flat = values.reshape(-1)
-    return _stencil(lambda g: flat[g], values.shape, values.dtype, np.flatnonzero(where),
-                    np.asarray(direction, dtype=float), steps)
 
 
 def decay_profile(field: InteriorBox, Q: np.ndarray, lam: LagrangianSubspace,

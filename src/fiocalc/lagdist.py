@@ -1,6 +1,6 @@
 """Distributions adapted to linear Lagrangian subspaces: synthesis from a
 symbol through a metaplectic map, phase-space membership testing, and the
-cross-checks that tie the operator-kernel picture to the Lagrangian picture.
+check that ties the operator-kernel picture to the Lagrangian picture.
 
 A subspace parametrized by (Y, F) is {(X, FX + Z): X in Y, Z in Y-perp}.
 The synthesis matrix chirp(F) * rotation(U) * partial-inverse-Fourier maps
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fio import FioSpec, fio_operator, kernel_characterization_check
 from .gabor import (
     Field4D,
     InteriorBox,
@@ -133,13 +132,13 @@ def _lambda_twist(Y: np.ndarray, F: np.ndarray) -> np.ndarray:
     return np.block([[0.5 * F, P.T], [np.zeros((d, 2 * d))]])
 
 
-def _product_subspace(P: np.ndarray, Q: np.ndarray, param=None) -> LagrangianSubspace:
+def _product_subspace(P: np.ndarray, Q: np.ndarray) -> LagrangianSubspace:
     """span(P) x span(Q): positions in span(P), frequencies in span(Q).  It
     is Lagrangian when Q spans the orthogonal complement of span(P)."""
     d = P.shape[0]
     span = np.block([[P, np.zeros((d, Q.shape[1]))],
                      [np.zeros((d, P.shape[1])), Q]])
-    return LagrangianSubspace.from_span(span, param=param)
+    return LagrangianSubspace.from_span(span)
 
 
 def _membership_field(u: GridFunction) -> InteriorBox:
@@ -190,42 +189,14 @@ def lagrangian_membership_test(u: GridFunction, lam: LagrangianSubspace,
     return _membership_report(_membership_field(u), lam, m, rho)
 
 
-def chirp_invariance_check(u: GridFunction, Y: np.ndarray, F: np.ndarray,
-                           m: float) -> dict:
-    """Multiplying by the chirp e^{i<Fx,x>/2} with Y inside the kernel of F
-    must not change the membership verdict relative to Y x Y-perp."""
-    d = u.spec.d
-    Y = np.asarray(Y, dtype=float).reshape(d, -1)
-    F = np.asarray(F, dtype=float)
-    if Y.size and np.max(np.abs(F @ Y)) > 1e-10 * max(1.0, np.abs(F).max()):
-        raise ValueError("chirp invariance needs Y inside the kernel of F")
-    lam = _product_subspace(Y, orthogonal_complement(Y), param=(Y, np.zeros((d, d))))
-    before = lagrangian_membership_test(u, lam, m)
-    v = mu_general(chirp_matrix(F), u.spec).apply(u)
-    after = lagrangian_membership_test(v, lam, m)
-    agree = before.status == after.status
-    return {
-        "status": "pass" if agree else "fail",
-        "before": before.status,
-        "after": after.status,
-    }
-
-
-def kernel_equals_lagrangian_check(field: InteriorBox, chi: SymplecticMatrix,
-                                   m: float) -> dict:
+def kernel_equals_lagrangian_check(field: InteriorBox, chi: SymplecticMatrix, m: float,
+                                   kernel_rep: ProfileReport) -> dict:
     """The operator-kernel test and the subspace-membership test applied to
     the field of one kernel (gabor.kernel_fbi_field, its interior box) must
     return the same verdict: the kernel belongs to the class over chi
-    exactly when it is adapted to the twisted graph subspace."""
-    return _kernel_equals_lagrangian(field, chi, m,
-                                     kernel_characterization_check(field, chi, m, 1.0))
-
-
-def _kernel_equals_lagrangian(field: InteriorBox, chi: SymplecticMatrix, m: float,
-                              kernel_rep: ProfileReport) -> dict:
-    """kernel_equals_lagrangian_check given the kernel test's report,
-    kernel_characterization_check(field, chi, m, 1.0), which the acceptance
-    battery reads from its kernel table instead of profiling again."""
+    exactly when it is adapted to the twisted graph subspace.  kernel_rep is
+    the kernel test's report, fio.kernel_characterization_check(field, chi,
+    m, 1.0), which the acceptance battery reads from its kernel table."""
     lam = twisted_graph_lagrangian(chi)
     member_rep = _membership_report(field, lam, m, 1.0)
     agree = kernel_rep.status == member_rep.status
@@ -235,20 +206,4 @@ def _kernel_equals_lagrangian(field: InteriorBox, chi: SymplecticMatrix, m: floa
         "agree": agree,
         "kernel_check": kernel_rep.to_dict(),
         "membership_check": member_rep.to_dict(),
-    }
-
-
-def fio_on_lagrangian_check(op_spec: FioSpec, dist: LagrangianDistSpec,
-                            grid: GridSpec) -> dict:
-    """Applying the operator to a synthesized distribution must land in the
-    class of order (operator order + symbol order) on the mapped subspace."""
-    u = lagrangian_synthesize(dist, grid)
-    v = fio_operator(op_spec, grid).apply(u)
-    mapped = LagrangianSubspace.from_span(op_spec.chi.entries @ dist.lam.basis)
-    m_out = op_spec.order + dist.symbol.order
-    rep = lagrangian_membership_test(v, mapped, m_out)
-    return {
-        "status": rep.status,
-        "order": m_out,
-        "membership": rep.to_dict(),
     }

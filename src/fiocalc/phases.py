@@ -208,10 +208,9 @@ class HelfferReport:
     left_sigma_min: float
     right_sigma_min: float
     estimates_hold: bool
-    empirical_constant: float
 
 
-def helffer_conditions(phi: QuadraticPhase, rng, samples: int = 1000) -> HelfferReport:
+def helffer_conditions(phi: QuadraticPhase) -> HelfferReport:
     """Invertibility of the two block matrices encoding the estimates
     |(x,y,theta)| <~ |(phi'_y, y, phi'_theta)| and |(x,y,theta)| <~ |(x, phi'_x, phi'_theta)|.
     """
@@ -231,23 +230,14 @@ def helffer_conditions(phi: QuadraticPhase, rng, samples: int = 1000) -> Helffer
     I = np.eye(d)
     Zdd = np.zeros((d, d))
     ZdN = np.zeros((d, N))
-    ZNd = np.zeros((N, d))
     left = np.block([[G.T, H, R], [Zdd, I, ZdN], [P.T, R.T, Q]])
     right = np.block([[I, Zdd, ZdN], [E, G, P], [P.T, R.T, Q]])
     s_left = scipy.linalg.svdvals(left)
     s_right = scipy.linalg.svdvals(right)
-    const = np.inf
-    for _ in range(samples):
-        v = rng.standard_normal(2 * d + N)
-        v /= np.linalg.norm(v)
-        const = min(const,
-                    float(np.linalg.norm(left @ v)),
-                    float(np.linalg.norm(right @ v)))
     return HelfferReport(
         left_sigma_min=float(s_left[-1]),
         right_sigma_min=float(s_right[-1]),
         estimates_hold=bool(s_left[-1] > 1e-8 and s_right[-1] > 1e-8),
-        empirical_constant=const,
     )
 
 

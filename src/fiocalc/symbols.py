@@ -96,9 +96,12 @@ class ShubinSymbol:
     @classmethod
     def from_dict(cls, data: dict) -> "ShubinSymbol":
         """The symbol of a JSON object written by to_dict; any other input is
-        a ValueError."""
+        a ValueError, kind custom included: its evaluator has no JSON form."""
         if not isinstance(data, dict):
             raise ValueError(f"a symbol is a JSON object, got {type(data).__name__}")
+        if data.get("kind") == "custom":
+            raise ValueError("symbol kind 'custom' has no JSON form: its evaluator "
+                             "is a Python function")
         try:
             params = dict(data.get("params", {}))
             if "terms" in params:

@@ -233,10 +233,12 @@ def test_table_serves_the_report_of_a_fresh_field():
     assert table.kernel_report(spec, grid, J, 0.0) is served
     K, _ = fio_kernel(spec, grid)
     field = gabor.kernel_fbi_field(K)
-    assert served.to_dict() == kernel_characterization_check(field, J, 0.0, 1.0).to_dict()
-    # the public check is its helper with a freshly computed kernel report
-    assert lagdist.kernel_equals_lagrangian_check(field, J, 0.0) \
-        == lagdist._kernel_equals_lagrangian(field, J, 0.0, served)
+    fresh = kernel_characterization_check(field, J, 0.0, 1.0)
+    assert served.to_dict() == fresh.to_dict()
+    # the equivalence check reads the served report as it would a fresh one
+    rep = lagdist.kernel_equals_lagrangian_check(field, J, 0.0, served)
+    assert rep == lagdist.kernel_equals_lagrangian_check(field, J, 0.0, fresh)
+    assert rep["agree"] and rep["status"] == "pass"
 
 
 def _tree_files(root):

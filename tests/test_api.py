@@ -2,18 +2,18 @@
 caller outside the tests, every class member is read, and every CLI option
 is read by its command.
 
-A name counts as used when a word-boundary match for it appears in src/
-outside its own definition and the package's __init__ re-exports, or
-anywhere in benchmarks/.  This is a word-level check, so it misses:
-- names that also show up in strings or comments: a function named
-  mu_fourier would pass on the acceptance case label "mu_fourier|fourier";
+A name counts as used where src/ (apart from the package's __init__
+re-exports) or benchmarks/ loads it in code: an ast.Name or ast.Attribute
+load, or an import alias, outside the definition of that name.  Strings,
+comments and docstrings do not count.  The check goes by name, so it misses:
+- names that are also loaded on other objects: a method apply would pass
+  on any x.apply;
 - names whose only callers are themselves uncalled, such as a helper called
   only by a function that only tests call.
 """
 
 import argparse
 import ast
-import re
 from pathlib import Path
 
 from fiocalc import cli
@@ -22,12 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fiocalc"
 
 # test-only names kept on purpose, each with the reason
-ALLOWED = {
-    "chirp_invariance_check": "ROADMAP item 2 wires it into the battery",
-    "fio_on_lagrangian_check": "ROADMAP item 2 wires it into the battery",
-    "kernel_equals_lagrangian_check": "the public one-field form; the battery passes "
-                                      "its kernel table's report to the helper",
-}
+ALLOWED: dict = {}
 
 # class members that nothing in src/ or benchmarks/ reads, kept on purpose,
 # each with the reason
@@ -51,21 +46,38 @@ def _defined_names():
                         yield item.name, path.name
 
 
+def _loaded_names(node, inside=frozenset()) -> set:
+    """Names the code under node loads: ast.Name and ast.Attribute loads and
+    import aliases, each outside the definitions (inside) of that name."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        inside = inside | {node.name}
+    name = None
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        name = node.id
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        name = node.attr
+    elif isinstance(node, ast.alias):
+        name = node.name.rsplit(".", 1)[-1]
+    loaded = {name} - inside if name else set()
+    for child in ast.iter_child_nodes(node):
+        loaded |= _loaded_names(child, inside)
+    return loaded
+
+
 def test_every_name_has_a_caller_outside_the_tests():
-    src = "\n".join(p.read_text() for p in sorted(PACKAGE.glob("*.py"))
-                    if p.name != "__init__.py")
-    bench = "\n".join(p.read_text() for p in sorted((ROOT / "benchmarks").glob("*.py")))
-    names = sorted(set(_defined_names()))
-    unused = []
-    for name, module in names:
-        if name in ALLOWED:
-            continue
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        definitions = len(re.findall(rf"^\s*(?:def|class)\s+{re.escape(name)}\b",
-                                     src, flags=re.MULTILINE))
-        if len(word.findall(src)) <= definitions and not word.search(bench):
-            unused.append(f"{module}:{name}")
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "benchmarks").glob("*.py"))
+    used = set().union(*(_loaded_names(ast.parse(p.read_text())) for p in paths))
+    unused = sorted(f"{module}:{name}" for name, module in set(_defined_names())
+                    if name not in used and name not in ALLOWED)
     assert not unused, f"only tests call: {', '.join(unused)}"
+
+
+def test_every_allowance_names_a_definition():
+    defined = {name for name, _module in _defined_names()}
+    members = {f"{cls}.{name}" for cls, name, _module in _class_members()}
+    stale = sorted((ALLOWED.keys() - defined) | (UNREAD_ALLOWED.keys() - members))
+    assert not stale, f"allowed but not defined: {', '.join(stale)}"
 
 
 def _class_members():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fiocalc import cli
+from fiocalc import cli, grids
 from fiocalc.gabor import gabor_transform
 from fiocalc.grids import GridFunction, GridSpec, gaussian_window, hermite_grid_function
 from fiocalc.lagdist import lagrangian_param
@@ -129,16 +129,36 @@ def test_malformed_inputs_are_input_errors(tmp_path, capsys, argv, name, text):
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("text, names", [
-    (SHORT_CENTER, ("gaussian center", "2 entries")),
-    ('{"dim": 2, "order": 0, "rho": 1, "kind": "polynomial", "params": {}}',
+CUSTOM = '{"dim": 2, "order": 0, "rho": 1, "kind": "custom", "params": {}}'
+
+
+def custom_spec_text(form):
+    """JSON of a spec whose symbol b (factored) or amplitude (oscillatory)
+    is of kind custom."""
+    if form == "factored":
+        spec = FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=standard_j(1))
+    else:
+        spec = FioSpec("oscillatory", 0.0, 1.0, phase=phase_from_free_matrix(standard_j(1)),
+                       amplitude=constant_symbol(2))
+    data = fio_spec_to_dict(spec)
+    data["b" if form == "factored" else "amplitude"] = json.loads(CUSTOM)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("command, text, names", [
+    ("weyl-quantize", SHORT_CENTER, ("gaussian center", "2 entries")),
+    ("weyl-quantize", '{"dim": 2, "order": 0, "rho": 1, "kind": "polynomial", "params": {}}',
      ("polynomial", "'terms'")),
-], ids=["center-short", "polynomial-without-terms"])
-def test_symbol_input_errors_name_the_field(tmp_path, capsys, text, names):
+    ("weyl-quantize", CUSTOM, ("'custom'", "no JSON form")),
+    ("fio-kernel", custom_spec_text("factored"), ("'custom'", "no JSON form")),
+    ("fio-kernel", custom_spec_text("oscillatory"), ("'custom'", "no JSON form")),
+], ids=["center-short", "polynomial-without-terms", "symbol-custom", "factored-b-custom",
+        "amplitude-custom"])
+def test_symbol_input_errors_name_the_field(tmp_path, capsys, command, text, names):
     bad = tmp_path / "symbol.json"
     bad.write_text(text)
     out = tmp_path / "out"
-    assert cli.main(["weyl-quantize", str(bad), "--grid-n", "16", "--out", str(out)]) == 3
+    assert cli.main([command, str(bad), "--grid-n", "16", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert all(name in err for name in names), err
 
@@ -330,7 +350,8 @@ def test_every_artifact_embeds_the_configuration(tmp_path):
     ["mu-apply", "{tmp}/chi.json", "{tmp}/psi0.csv", "--phase-fix", "none"],
     ["wf", "{tmp}/psi0.csv", "--order", "1"],
     ["fbi-map", "{tmp}/psi0.csv", "--rho", "0.5"],
-], ids=["reduce-phase", "suite", "mu-apply", "wf", "fbi-map"])
+    ["check-phase", "{tmp}/phase.json", "--seed", "1"],
+], ids=["reduce-phase", "suite", "mu-apply", "wf", "fbi-map", "check-phase"])
 def test_unread_flags_are_usage_errors(tmp_path, capsys, argv):
     # valid inputs, so only the flag the command does not read can fail
     write_json(phase_to_dict(pseudodifferential_phase(1)), str(tmp_path / "phase.json"))
@@ -373,6 +394,21 @@ def test_grid_past_the_memory_cap_is_refused_before_reading_rows(tmp_path, capsy
     out = tmp_path / "out"
     assert cli.main(["wf", str(big), "--out", str(out)]) == 3
     assert "GiB" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["wf", "fbi-map", "lag-test"])
+def test_transform_past_the_memory_cap_is_an_input_error(tmp_path, capsys, monkeypatch,
+                                                         command):
+    # the d = 1 transform builds n x n arrays: 64^2 = 4096 entries, past a cap of 2^10
+    write_psi0(tmp_path / "psi0.csv", n=64)
+    write_json({"n": 1, "Y": [[1.0]], "F": [[0.0]]}, str(tmp_path / "lam.json"))
+    inputs = [str(tmp_path / "psi0.csv")] + ([str(tmp_path / "lam.json")]
+                                             if command == "lag-test" else [])
+    monkeypatch.setattr(grids, "MEMORY_CAP_ENTRIES", 2 ** 10)
+    out = tmp_path / "out"
+    assert cli.main([command, *inputs, "--out", str(out)]) == 3
+    assert "cap is 1024" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 

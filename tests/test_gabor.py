@@ -25,7 +25,6 @@ from fiocalc.gabor import (
     _interior_box,
     chi_twist_field,
     decay_profile,
-    directional_derivative,
     gabor_transform,
     gabor_transform_points,
     gaussian_window_at,
@@ -45,7 +44,7 @@ from fiocalc.symplectic import (
     standard_j,
     twisted_graph_lagrangian,
 )
-from whole_box import _quadratic_twist, _span_distance
+from whole_box import _quadratic_twist, _span_distance, directional_derivative
 
 def delta(grid):
     vals = np.zeros(grid.n, dtype=complex)
@@ -225,7 +224,8 @@ def test_layer_distances_are_the_whole_box_ones(basis):
 
 def full_field_derivative(field, direction):
     """The directional derivative over the whole box: the reference that
-    directional_derivative must match to the bit at the points of its mask."""
+    the flat-index stencil (gabor._stencil) must match to the bit at the
+    points of its mask."""
     direction = np.asarray(direction, dtype=float)
     steps = field.steps()
     out = np.zeros_like(field.values)

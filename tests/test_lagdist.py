@@ -1,22 +1,23 @@
 import numpy as np
 import pytest
 
-from fiocalc.fio import FioSpec
+from fiocalc.fio import FioSpec, fio_operator
 from fiocalc.gabor import Field4D
 from fiocalc.grids import GridFunction, GridSpec, hermite_grid_function
 from fiocalc.lagdist import (
     LagrangianDistSpec,
     SynthesisError,
     _lambda_twist,
-    chirp_invariance_check,
-    fio_on_lagrangian_check,
     lagrangian_membership_test,
     lagrangian_param,
     lagrangian_synthesize,
     synthesis_matrix,
 )
+from fiocalc.metaplectic import mu_general
 from fiocalc.symbols import constant_symbol
 from fiocalc.symplectic import (
+    LagrangianSubspace,
+    chirp_matrix,
     lagrangian_with_param,
     orthonormal_basis,
     principal_angles,
@@ -103,25 +104,25 @@ def test_membership_is_stable_under_scalar_and_tiny_perturbation():
 
 
 def test_chirp_multiplication_preserves_membership():
-    u = one_hot_delta()
-    rep = chirp_invariance_check(u, np.zeros((1, 0)), np.array([[0.6]]), 0.0)
-    assert rep["status"] == "pass"
-    psi0 = hermite_grid_function(GRID, [0])
-    rep = chirp_invariance_check(psi0, np.eye(1), np.array([[0.0]]), 0.0)
-    assert rep["status"] == "pass"
-
-
-def test_chirp_invariance_requires_compatible_subspace():
-    with pytest.raises(ValueError):
-        chirp_invariance_check(one_hot_delta(), np.eye(1), np.array([[0.6]]), 0.0)
+    # multiplying by the chirp e^{i<Fx,x>/2}, with Y inside the kernel of F,
+    # keeps the verdict relative to Y x Y-perp
+    for u, lam, F in ((one_hot_delta(), COTANGENT_FIBER, 0.6),
+                      (hermite_grid_function(GRID, [0]), POSITION_AXIS, 0.0)):
+        v = mu_general(chirp_matrix(np.array([[F]])), GRID).apply(u)
+        assert lagrangian_membership_test(v, lam, 0.0).status \
+            == lagrangian_membership_test(u, lam, 0.0).status
 
 
 def test_operator_maps_subspace_distributions_forward():
+    # the operator carries a distribution on a subspace into the class of
+    # order (operator order + symbol order) on the subspace's image
     op = FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=standard_j(1))
     dist = LagrangianDistSpec(COTANGENT_FIBER, constant_symbol(1))
-    rep = fio_on_lagrangian_check(op, dist, GRID)
-    assert rep["status"] == "pass"
-    assert rep["order"] == 0.0
+    v = fio_operator(op, GRID).apply(lagrangian_synthesize(dist, GRID))
+    mapped = LagrangianSubspace.from_span(op.chi.entries @ dist.lam.basis)
+    order = op.order + dist.symbol.order
+    assert order == 0.0
+    assert lagrangian_membership_test(v, mapped, order).status == "pass"
 
 
 def test_spec_rejects_mismatched_synthesis_matrix():

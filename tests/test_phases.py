@@ -77,10 +77,9 @@ def test_graph_phase_recovers_matrix():
 
 def test_estimate_matrices_invertible_for_graph_phases():
     phi = phase_from_free_matrix(standard_j(1))
-    rep = helffer_conditions(phi, np.random.default_rng(8), samples=100)
+    rep = helffer_conditions(phi)
     assert rep.estimates_hold
     assert rep.left_sigma_min > 1e-8 and rep.right_sigma_min > 1e-8
-    assert rep.empirical_constant > 0
 
 
 def test_phase_dict_round_trip():

@@ -4,12 +4,13 @@ These are the twist and the distance field over a whole box, every grid
 point at once, that decay_profile and wf_kernel_check replaced by one pass
 over the layers of axis 0.  They keep the names and arithmetic of the
 functions they replaced, so the tests can compare the layered code with
-them to the bit.
+them to the bit.  directional_derivative runs the profile's derivative
+stencil on a whole field's values, for the tests of that stencil.
 """
 
 import numpy as np
 
-from fiocalc.gabor import Field4D
+from fiocalc.gabor import Field4D, _stencil
 from fiocalc.symplectic import orthogonal_complement
 
 
@@ -36,3 +37,14 @@ def _span_distance(axes, basis, where=None):
     for col in orthogonal_complement(basis).T:
         sq += sum(c * wj for c, wj in zip(col, w) if c != 0.0) ** 2
     return np.sqrt(sq)
+
+
+def directional_derivative(field, direction, where, steps):
+    """Derivative of the field along direction at the points of the boolean
+    mask where, as a 1-D array in C order: gabor._stencil read by flat index
+    from the field's values.  steps are the axis spacings of the whole
+    field, also when field is a box cut from it."""
+    values = np.ascontiguousarray(field.values)
+    flat = values.reshape(-1)
+    return _stencil(lambda g: flat[g], values.shape, values.dtype, np.flatnonzero(where),
+                    np.asarray(direction, dtype=float), steps)
