@@ -58,7 +58,7 @@ from .gabor import (
     Field4D,
     gabor_transform,
     wavefront_estimate,
-    kernel_fbi_field,
+    sweep_kernel_field,
     decay_profile,
 )
 from .symbols import (
@@ -85,6 +85,7 @@ from .lagdist import (
     LagrangianDistSpec,
     lagrangian_synthesize,
     lagrangian_membership_test,
+    kernel_membership_check,
     kernel_equals_lagrangian_check,
 )
 

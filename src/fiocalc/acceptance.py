@@ -28,14 +28,15 @@ from .fio import (
     wf_kernel_check,
     wf_propagation_check,
 )
-from .gabor import InteriorBox, ProfileReport, kernel_fbi_field, wavefront_estimate
+from .gabor import sweep_kernel_field, wavefront_estimate
 from .grids import (
     GridFunction,
     GridSpec,
     hermite_values,
     identity_operator,
 )
-from .lagdist import LagrangianDistSpec, kernel_equals_lagrangian_check, lagrangian_synthesize
+from .lagdist import (LagrangianDistSpec, kernel_equals_lagrangian_check,
+                      kernel_membership_check, lagrangian_synthesize)
 from .metaplectic import (
     egorov_residual,
     fbi_covariance_residual,
@@ -394,7 +395,7 @@ def check_composition_adjoint(seed: int = 0, quick: bool = False) -> CheckResult
     })
 
 
-# -- kernel table: the kernel fields of checks 10-12 -----------------------------------------
+# -- kernel table: the kernel reads of checks 10-12 --------------------------------------------
 
 
 def _kernel(source: FioSpec | LagrangianDistSpec, grid: GridSpec) -> GridFunction:
@@ -417,92 +418,32 @@ def _kernel_key(source: FioSpec | LagrangianDistSpec, grid: GridSpec) -> str:
     return json_dumps({"kernel": data, "grid": grid.to_dict()})
 
 
-class KernelTable:
-    """The kernel fields of one battery run and the kernel reports read
-    from them.
+@dataclass(frozen=True)
+class KernelRead:
+    """One read that a check makes of a kernel's field: the kernel test
+    (fio.kernel_characterization_check at rho = 1), the membership test
+    (lagdist.kernel_membership_check) or the cone check
+    (fio.wf_kernel_check), against chi at order m; case names it in the
+    check's report, and expected is the status the check expects."""
 
-    A field is keyed by its kernel's source and grid (_kernel_key), and the
-    table holds at most one: a field under a new key is built only after the
-    held one is dropped, and callers keep no field across table calls.  Each
-    kernel report, kernel_characterization_check at rho = 1, is keyed by
-    (kernel key, chi, m) and kept for the run.  run_suite makes one table
-    per run; a check called without one makes its own."""
+    check: str
+    case: str
+    kind: str  # "kernel", "membership" or "cone"
+    chi: SymplecticMatrix
+    m: float = 0.0
+    expected: str = "pass"
 
-    def __init__(self):
-        self._key = None
-        self._field = None
-        self._reports = {}
+    @property
+    def key(self) -> tuple:
+        """What the result depends on besides the kernel."""
+        return (self.kind, tuple(self.chi.entries.flat), self.m)
 
-    def field(self, source: FioSpec | LagrangianDistSpec, grid: GridSpec) -> InteriorBox:
-        key = _kernel_key(source, grid)
-        if key != self._key:
-            self._key = self._field = None
-            self._field = kernel_fbi_field(_kernel(source, grid))
-            self._key = key
-        return self._field
-
-    def kernel_report(self, source: FioSpec | LagrangianDistSpec, grid: GridSpec,
-                      chi: SymplecticMatrix, m: float) -> ProfileReport:
-        key = (_kernel_key(source, grid), tuple(chi.entries.flat), m)
-        if key not in self._reports:
-            self._reports[key] = kernel_characterization_check(
-                self.field(source, grid), chi, m, 1.0)
-        return self._reports[key]
-
-
-# -- 10: kernel characterization ----------------------------------------------------------
-
-
-def check_kernel_characterization(seed: int = 0, quick: bool = False,
-                                  table: KernelTable | None = None) -> CheckResult:
-    table = table or KernelTable()
-    grid = GridSpec(1, 128, 10.0)
-    J = standard_j(1)
-    cases = [("mu_fourier", constant_symbol(2), 0.0),
-             ("ho_mu_fourier", harmonic_oscillator_symbol(2), 2.0)]
-    if quick:
-        cases = cases[:1]
-    reports = {}
-    ok = True
-    # mu(J) last, so that the table still holds its field when the wave
-    # front and equivalence checks read it
-    for name, sym, m in reversed(cases):
-        spec = FioSpec("factored", m, 1.0, b=sym, chi=J)
-        rep = table.kernel_report(spec, grid, J, m)
-        reports[name] = rep.to_dict()
-        ok = ok and rep.status == "pass"
-    return CheckResult("kernel_characterization", _status(ok), {
-        "grid": grid.to_dict(), "reports": reports,
-    })
-
-
-# -- 11: wave front sets ------------------------------------------------------------------
-
-
-def check_wavefront_sets(seed: int = 0, quick: bool = False,
-                         table: KernelTable | None = None) -> CheckResult:
-    table = table or KernelTable()
-    grid = GridSpec(1, 128, 10.0)
-    delta = _delta(grid)
-    rep = wavefront_estimate(delta, N_max=4.0)
-    expected = [14, 15, 16, 17, 46, 47, 48, 49]
-    sectors_ok = rep.nondecaying == expected
-    spec = FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=standard_j(1))
-    field = table.field(spec, grid)
-    cone = wf_kernel_check(field, standard_j(1))
-    cone_neg = wf_kernel_check(field, SymplecticMatrix(1, np.eye(2)))
-    prop = wf_propagation_check(spec, delta)
-    ok = sectors_ok and cone["status"] == "pass" \
-        and cone_neg["status"] == "fail" and prop["status"] == "pass"
-    return CheckResult("wavefront_sets", _status(ok), {
-        "grid": grid.to_dict(),
-        "delta_sectors": rep.nondecaying, "expected_sectors": expected,
-        "kernel_cone": cone, "kernel_cone_negative_status": cone_neg["status"],
-        "propagation": prop,
-    })
-
-
-# -- 12: kernel versus Lagrangian equivalence -----------------------------------------------
+    def reader(self):
+        if self.kind == "kernel":
+            return kernel_characterization_check(self.chi, self.m, 1.0)
+        if self.kind == "membership":
+            return kernel_membership_check(self.chi, self.m)
+        return wf_kernel_check(self.chi)
 
 
 def _graph_distribution() -> LagrangianDistSpec:
@@ -513,43 +454,135 @@ def _graph_distribution() -> LagrangianDistSpec:
     return LagrangianDistSpec(lam, constant_symbol(2), chi_syn=chi_syn)
 
 
-def check_lagrangian_equivalence(seed: int = 0, quick: bool = False,
-                                 table: KernelTable | None = None) -> CheckResult:
-    table = table or KernelTable()
+def kernel_reads(quick: bool) -> list:
+    """The kernels that checks 10-12 read, each as (source, grid, reads)
+    with the KernelRead of every case of every check on it.  The quick
+    checks read the mu(J) kernel alone."""
     grid = GridSpec(1, 128, 10.0)
-    grid2 = GridSpec(2, 128, 10.0)
     J = standard_j(1)
-    ch = chirp_matrix(np.array([[0.8]]))
     eye = SymplecticMatrix(1, np.eye(2))
+    ch = chirp_matrix(np.array([[0.8]]))
 
     def spec_of(sym, m, chi):
         return FioSpec("factored", m, 1.0, b=sym, chi=chi)
 
-    # each kernel source and grid with its cases: (name, chi, m, expected status)
-    mu_cases = [("mu_fourier|fourier", J, 0.0, "pass"),
-                ("mu_fourier|identity", eye, 0.0, "fail")]
-    kernels = [(spec_of(constant_symbol(2), 0.0, J), grid, mu_cases)]
+    def equivalence(case, chi, m, expected="pass"):  # both tests of one case
+        return [KernelRead("lagrangian_equivalence", case, kind, chi, m, expected)
+                for kind in ("kernel", "membership")]
+
+    mu = [KernelRead("kernel_characterization", "mu_fourier", "kernel", J),
+          KernelRead("wavefront_sets", "kernel_cone", "cone", J),
+          KernelRead("wavefront_sets", "kernel_cone_negative", "cone", eye, expected="fail"),
+          *equivalence("mu_fourier|fourier", J, 0.0),
+          *equivalence("mu_fourier|identity", eye, 0.0, "fail")]
+    kernels = [(spec_of(constant_symbol(2), 0.0, J), grid, mu)]
     if not quick:
-        mu_cases.append(("mu_fourier|chirp", ch, 0.0, "fail"))
+        mu += equivalence("mu_fourier|chirp", ch, 0.0, "fail")
         kernels += [
             (spec_of(harmonic_oscillator_symbol(2), 2.0, J), grid,
-             [("ho_mu_fourier|fourier", J, 2.0, "pass")]),
-            (spec_of(constant_symbol(2), 0.0, ch), grid, [("mu_chirp|chirp", ch, 0.0, "pass")]),
-            (_graph_distribution(), grid2, [("synthesized|fourier", J, 0.0, "pass")]),
+             [KernelRead("kernel_characterization", "ho_mu_fourier", "kernel", J, 2.0),
+              *equivalence("ho_mu_fourier|fourier", J, 2.0)]),
+            (spec_of(constant_symbol(2), 0.0, ch), grid, equivalence("mu_chirp|chirp", ch, 0.0)),
+            (_graph_distribution(), GridSpec(2, 128, 10.0),
+             equivalence("synthesized|fourier", J, 0.0)),
         ]
-    # the report lists the positive cases first
-    cases = sorted((case for *_, kernel_cases in kernels for case in kernel_cases),
-                   key=lambda case: case[3] != "pass")
-    results = dict.fromkeys(name for name, *_ in cases)
+    return kernels
+
+
+class KernelTable:
+    """The results of the kernel reads (kernel_reads) of one battery run,
+    for every check or for one.
+
+    Each kernel is swept once (gabor.sweep_kernel_field), at the first read
+    of it, with a reader for each distinct read the table serves of it, and
+    the table keeps the results, never a field.  run_suite makes one table
+    per run; a check called without one makes its own, for its reads
+    alone."""
+
+    def __init__(self, quick: bool, check: str | None = None):
+        self._reads = [(_kernel_key(source, grid), source, grid, read)
+                       for source, grid, reads in kernel_reads(quick)
+                       for read in reads if check in (None, read.check)]
+        self._results = {}
+
+    def results(self, check: str) -> list:
+        """(read, result) for each read that check makes, in order."""
+        return [(read, self._result(kernel, source, grid, read))
+                for kernel, source, grid, read in self._reads if read.check == check]
+
+    def _result(self, kernel: str, source, grid: GridSpec, read: KernelRead):
+        if (kernel, read.key) not in self._results:
+            todo = {r.key: r for k, _, _, r in self._reads
+                    if k == kernel and (k, r.key) not in self._results}
+            results = sweep_kernel_field(_kernel(source, grid),
+                                         [r.reader() for r in todo.values()])
+            self._results.update(((kernel, key), res) for key, res in zip(todo, results))
+        return self._results[(kernel, read.key)]
+
+
+# -- 10: kernel characterization ----------------------------------------------------------
+
+
+def check_kernel_characterization(seed: int = 0, quick: bool = False,
+                                  table: KernelTable | None = None) -> CheckResult:
+    table = table or KernelTable(quick, "kernel_characterization")
+    reports = {}
     ok = True
-    for source, kgrid, cases in kernels:
-        for name, chi, m, expected in cases:
-            rep = kernel_equals_lagrangian_check(table.field(source, kgrid), chi, m,
-                                                 table.kernel_report(source, kgrid, chi, m))
-            results[name] = {"agree": rep["agree"], "status": rep["status"]}
-            ok = ok and rep["agree"] and rep["status"] == expected
+    for read, rep in table.results("kernel_characterization"):
+        reports[read.case] = rep.to_dict()
+        ok = ok and rep.status == read.expected
+    return CheckResult("kernel_characterization", _status(ok), {
+        "grid": GridSpec(1, 128, 10.0).to_dict(), "reports": reports,
+    })
+
+
+# -- 11: wave front sets ------------------------------------------------------------------
+
+
+def check_wavefront_sets(seed: int = 0, quick: bool = False,
+                         table: KernelTable | None = None) -> CheckResult:
+    table = table or KernelTable(quick, "wavefront_sets")
+    grid = GridSpec(1, 128, 10.0)
+    delta = _delta(grid)
+    rep = wavefront_estimate(delta, N_max=4.0)
+    expected = [14, 15, 16, 17, 46, 47, 48, 49]
+    ok = rep.nondecaying == expected
+    cones = {}
+    for read, cone in table.results("wavefront_sets"):
+        cones[read.case] = cone
+        ok = ok and cone["status"] == read.expected
+    spec = FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=standard_j(1))
+    prop = wf_propagation_check(spec, delta)
+    ok = ok and prop["status"] == "pass"
+    return CheckResult("wavefront_sets", _status(ok), {
+        "grid": grid.to_dict(),
+        "delta_sectors": rep.nondecaying, "expected_sectors": expected,
+        "kernel_cone": cones["kernel_cone"],
+        "kernel_cone_negative_status": cones["kernel_cone_negative"]["status"],
+        "propagation": prop,
+    })
+
+
+# -- 12: kernel versus Lagrangian equivalence -----------------------------------------------
+
+
+def check_lagrangian_equivalence(seed: int = 0, quick: bool = False,
+                                 table: KernelTable | None = None) -> CheckResult:
+    table = table or KernelTable(quick, "lagrangian_equivalence")
+    reports, expected = {}, {}  # case -> {kind: report}, case -> expected status
+    for read, rep in table.results("lagrangian_equivalence"):
+        reports.setdefault(read.case, {})[read.kind] = rep
+        expected[read.case] = read.expected
+    results = {}
+    ok = True
+    # the report lists the positive cases first
+    for case in sorted(reports, key=lambda case: expected[case] != "pass"):
+        rep = kernel_equals_lagrangian_check(reports[case]["kernel"],
+                                             reports[case]["membership"])
+        results[case] = {"agree": rep["agree"], "status": rep["status"]}
+        ok = ok and rep["agree"] and rep["status"] == expected[case]
     return CheckResult("lagrangian_equivalence", _status(ok), {
-        "grid": grid.to_dict(), "results": results,
+        "grid": GridSpec(1, 128, 10.0).to_dict(), "results": results,
     })
 
 
@@ -592,7 +625,7 @@ def run_suite(seed: int, quick: bool, progress) -> list:
     both before their next check and is re-raised (the earliest check's)
     once the worker has ended."""
     checks = ALL_CHECKS
-    table = KernelTable()
+    table = KernelTable(quick)
     in_chain = ["table" in inspect.signature(check).parameters for check in checks]
     done = [None] * len(checks)  # (result, seconds) of each finished check
     errors = {}  # check index -> exception

@@ -32,7 +32,7 @@ from .fio import (
     fio_kernel,
     kernel_characterization_check,
 )
-from .gabor import _kernel_field_slabs, gabor_transform, kernel_fbi_field, wavefront_estimate
+from .gabor import _kernel_field_slabs, gabor_transform, sweep_kernel_field, wavefront_estimate
 from .grids import GridFunction, GridSpec, SizeGuardError, gaussian_window
 from .lagdist import lagrangian_membership_test, lagrangian_param
 from .metaplectic import mu_general
@@ -287,8 +287,8 @@ def cmd_fbi_map(args) -> int:
 def cmd_char_check(args) -> int:
     K = grid_function_from_csv(args.inputs[0])
     chi = _load_chi(args.inputs[1])
-    rep = kernel_characterization_check(kernel_fbi_field(K, stride=args.stride), chi,
-                                        args.order, args.rho)
+    rep, = sweep_kernel_field(K, [kernel_characterization_check(chi, args.order, args.rho)],
+                              stride=args.stride)
     _emit_json(args, "char_check.json", rep.to_dict())
     print(f"kernel characterization: {rep.status}")
     return _STATUS_EXIT[rep.status]

@@ -18,7 +18,6 @@ import numpy as np
 from .gabor import (
     N_SECTORS,
     Field4D,
-    InteriorBox,
     ProfileReport,
     _complement_forms,
     _distance,
@@ -536,15 +535,16 @@ def fio_adjoint(spec: FioSpec) -> FioSpec:
 # -- phase space characterization ------------------------------------------
 
 
-def kernel_characterization_check(field: InteriorBox, chi: SymplecticMatrix,
-                                  m: float, rho: float) -> ProfileReport:
-    """Twisted phase-space test of kernel membership on the kernel's field
-    (gabor.kernel_fbi_field, its interior box): rapid decay off the twisted
-    graph subspace of chi and controlled growth along it, including
-    directional derivatives up to order gabor.K_MAX."""
+def kernel_characterization_check(chi: SymplecticMatrix, m: float, rho: float):
+    """Twisted phase-space test of kernel membership, as a reader of the
+    kernel's field (gabor.sweep_kernel_field) whose result is the
+    ProfileReport: rapid decay off the twisted graph subspace of chi and
+    controlled growth along it, including directional derivatives up to
+    order gabor.K_MAX."""
     lam = twisted_graph_lagrangian(chi)
     vlam = twisted_graph_lagrangian(SymplecticMatrix(chi.d, -chi.entries))
-    return profile_report(decay_profile(field, chi_twist_field(chi), lam, vlam), m, rho)
+    return decay_profile(chi_twist_field(chi), lam, vlam,
+                         lambda prof: profile_report(prof, m, rho))
 
 
 CONE_R_MIN = 4.0  # the kernel cone is tested beyond this phase-space radius
@@ -553,40 +553,72 @@ CONE_ANGLE = 0.35  # cone aperture around the twisted graph subspace
 CONE_COLLAR = 4.0  # transverse collar for the window's own width
 
 
-def wf_kernel_check(field: InteriorBox, chi: SymplecticMatrix) -> dict:
-    """All phase-space points where the kernel's field (gabor.kernel_fbi_field,
-    its interior box) is non-negligible at radius > CONE_R_MIN lie in a cone
-    around the twisted graph subspace.  Only the interior points are read,
-    one z1 layer at a time; the peak is the whole field's, field.peak.
+def wf_kernel_check(chi: SymplecticMatrix):
+    """All phase-space points where the kernel's field is non-negligible at
+    radius > CONE_R_MIN lie in a cone around the twisted graph subspace: a
+    reader of the field (gabor.sweep_kernel_field) whose result is the
+    report dict.  Only interior points are read, and non-negligible means
+    above CONE_REL_THRESHOLD of the whole field's peak.
 
     The cone has aperture CONE_ANGLE plus a fixed transverse collar: the
     window gives the field a transverse profile of width about one, so even
     a field supported exactly on the subspace spills over a few units at any
     finite radius before the conic picture takes over.
     """
-    lam = twisted_graph_lagrangian(chi)
-    peak = field.peak or 1.0
-    radius = _complement_forms(np.zeros((len(field.axes), 0)))
-    forms = _complement_forms(lam.basis)
-    worst, points = -np.inf, 0
-    for i in range(len(field.values)):
-        axes = [field.axes[0][i:i + 1], *field.axes[1:]]  # layer i of z1
-        r = _distance(np.ix_(*axes), radius)
-        sel = (r > CONE_R_MIN) & (np.abs(field.values[i:i + 1]) > CONE_REL_THRESHOLD * peak) \
-            & field.interior[i:i + 1]
-        at = _mask_points(sel)
-        if len(at[0]):
-            dist = _distance([a[j] for a, j in zip(axes, at)], forms)
-            allowed = CONE_COLLAR + np.sin(CONE_ANGLE) * r[sel]
-            worst = max(worst, float((dist - allowed).max()))
-            points += len(dist)
-    if not points:
-        return {"status": "pass", "worst_excess": 0.0, "points": 0}
-    return {
-        "status": "pass" if worst <= 0.0 else "fail",
-        "worst_excess": worst,
-        "points": points,
-    }
+    return _ConeReader(_complement_forms(twisted_graph_lagrangian(chi).basis))
+
+
+def _cone_points(sweep, lo: int, hi: int, peak: float) -> tuple:
+    """The interior points of the layers lo:hi beyond CONE_R_MIN and above
+    CONE_REL_THRESHOLD of peak, which every cone check reads: their
+    coordinates, one array per axis, their |value| and the allowed distance
+    CONE_COLLAR + sin(CONE_ANGLE) r at their radius r."""
+    axes = [sweep.box.axes[0][lo:hi], *sweep.box.axes[1:]]
+    mag = np.abs(sweep.layers(lo, hi))
+    r = sweep.distance(_complement_forms(np.zeros((len(axes), 0)))).reshape(mag.shape)
+    sel = (r > CONE_R_MIN) & (mag > CONE_REL_THRESHOLD * peak) & sweep.interior
+    points = [a[j] for a, j in zip(axes, _mask_points(sel))]
+    return points, mag[sel], CONE_COLLAR + np.sin(CONE_ANGLE) * r[sel]
+
+
+class _ConeReader:
+    """The reader of wf_kernel_check.  The peak is known only once the sweep
+    ends, so reads keep each point above the threshold of the running peak,
+    which is never above the final one: its |value|, for the count, and its
+    excess over the cone unless another kept point has at least its |value|
+    and at least its excess, for the worst excess.  finish counts the points
+    above the final threshold and takes the worst excess among them."""
+
+    def __init__(self, forms: list):
+        self.forms = forms
+
+    def start(self, box) -> None:
+        self.mags = []  # shared with the other cone checks of the sweep
+        self.front = (np.zeros(0), np.zeros(0))  # (|value|, excess), |value| descending
+
+    def read(self, lo: int, hi: int, sweep, peak: float) -> None:
+        points, mag, allowed = sweep.shared(_cone_points,
+                                            lambda: _cone_points(sweep, lo, hi, peak))
+        if len(mag):
+            self.mags.append(mag)
+            m = np.concatenate([self.front[0], mag])
+            e = np.concatenate([self.front[1], _distance(points, self.forms) - allowed])
+            order = np.argsort(-m)
+            e = e[order]
+            keep = np.concatenate([[True], e[1:] > np.maximum.accumulate(e)[:-1]])
+            self.front = (m[order][keep], e[keep])
+
+    def finish(self, peak: float) -> dict:
+        threshold = CONE_REL_THRESHOLD * (peak or 1.0)
+        points = sum(int(np.count_nonzero(m > threshold)) for m in self.mags)
+        if not points:
+            return {"status": "pass", "worst_excess": 0.0, "points": 0}
+        worst = float(self.front[1][self.front[0] > threshold].max())
+        return {
+            "status": "pass" if worst <= 0.0 else "fail",
+            "worst_excess": worst,
+            "points": points,
+        }
 
 
 WF_TOL_BINS = 3  # angular bins allowed between output and mapped input sectors

@@ -1,5 +1,6 @@
-"""FBI-type transforms, wavefront estimation, the chi-twisted kernel field,
-and decay profiling against Lagrangian subspaces with its verdict.
+"""FBI-type transforms, wavefront estimation, the chi-twisted kernel field
+swept slab by slab into its readers, and decay profiling against
+Lagrangian subspaces with its verdict.
 
 T_g u(x, xi) = (2 pi)^{-d/2} (u, T_x M_xi g); the magnitude equals that of the
 short-time Fourier transform, and the chi twist multiplies by a unimodular
@@ -24,7 +25,7 @@ from .symplectic import (DimensionError, LagrangianSubspace, SymplecticMatrix,
 POINT_CHUNK = 2048  # phase-space points per block of the point evaluator
 KERNEL_STRIDE = 2  # decimation of the 4-D kernel field: (n / stride)^4 entries
 SLAB_Z1 = 2  # z1 values per slab of the kernel field, each with all other axes
-PROFILE_SLAB = 2 ** 16  # box entries per step of a profile: whole layers, at least one
+PROFILE_SLAB = 2 ** 16  # box entries per read of a sweep: whole layers, at least one
 
 
 @dataclass(frozen=True)
@@ -37,20 +38,30 @@ class Field4D:
     axes: tuple  # 1D coordinate arrays
     values: np.ndarray  # one dimension per axis
 
-    def steps(self) -> list:
-        return [float(a[1] - a[0]) for a in self.axes]
-
 
 @dataclass(frozen=True)
-class InteriorBox(Field4D):
-    """A field kept on its interior box (_box_slices): the box axes and
-    values, the interior mask on the box, and the whole field's axis steps
-    and peak |value|.  The steps are the whole axes' because the cut axes
-    do not repeat them to the bit."""
+class InteriorBox:
+    """The box of a field's grid that profiles and cone checks read
+    (_interior_box): the box axes, cut from the whole axes; which box points
+    are interior, one boolean array per axis; and the whole field's axis
+    steps, which the cut axes do not repeat to the bit.  It holds no values:
+    a sweep (_Sweep) passes them to its readers a few layers at a time."""
 
-    interior: np.ndarray  # boolean, the shape of values
+    axes: tuple
+    inside: tuple
     field_steps: tuple
-    peak: float
+
+    @property
+    def shape(self) -> tuple:
+        return tuple(len(a) for a in self.axes)
+
+    def interior(self, lo: int, hi: int) -> np.ndarray:
+        """The interior mask on the layers lo:hi of axis 0."""
+        mask = np.ones((hi - lo, *self.shape[1:]), dtype=bool)
+        for k in np.meshgrid(self.inside[0][lo:hi], *self.inside[1:], indexing="ij",
+                             sparse=True):
+            mask &= k
+        return mask
 
 
 def _window_shift_matrix(u: GridFunction, g: GridFunction) -> np.ndarray:
@@ -191,33 +202,12 @@ def _kernel_field_slabs(K: GridFunction, stride: int) -> tuple:
     M = M.reshape(len(z) * len(zeta), spec.n)
     MK = M @ K.reshaped()
 
-    def slabs():
+    def slabs():  # holds no slab between yields
         for i in range(0, len(z), SLAB_Z1):
-            S = MK[i * len(zeta):(i + SLAB_Z1) * len(zeta)] @ M.T
-            yield i, S.reshape(-1, len(zeta), len(z), len(zeta))
+            yield i, (MK[i * len(zeta):(i + SLAB_Z1) * len(zeta)] @ M.T).reshape(
+                -1, len(zeta), len(z), len(zeta))
 
     return z, zeta, slabs()
-
-
-def kernel_fbi_field(K: GridFunction, stride: int = KERNEL_STRIDE) -> InteriorBox:
-    """T_{g tensor g} K on a decimated 4D grid, axes (z1, z2, zeta1, zeta2),
-    kept on its interior box (_box_slices) with the whole field's peak: built
-    from the slabs of _kernel_field_slabs, so the whole field is never held.
-    Refuses with SizeGuardError past MEMORY_CAP_ENTRIES field entries."""
-    z, zeta, slabs = _kernel_field_slabs(K, stride)
-    axes = (z, z, zeta, zeta)
-    box, interior = _box_slices(axes)
-    s1, s2, s3, s4 = box
-    values = np.empty(interior.shape, dtype=complex)
-    peak = 0.0
-    for i, S in slabs:
-        peak = max(peak, float(np.abs(S).max()))
-        lo, hi = max(i, s1.start), min(i + len(S), s1.stop)
-        if lo < hi:  # the slab's z1 rows in the box, reordered to (z1, z2, zeta1, zeta2)
-            values[lo - s1.start:hi - s1.start] = \
-                S[lo - i:hi - i, s3, s2, s4].transpose(0, 2, 1, 3)
-    return InteriorBox(tuple(a[s] for a, s in zip(axes, box)), values, interior,
-                       tuple(float(a[1] - a[0]) for a in axes), peak)
 
 
 def chi_twist_field(chi: SymplecticMatrix) -> np.ndarray:
@@ -272,65 +262,163 @@ def _distance(w, forms: list) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def _box_slices(axes) -> tuple:
+def _interior_box(axes) -> tuple:
     """The grid points within INTERIOR_FRAC of every axis extent lie in a
     box, one slice per axis.  Each slice is widened by the STENCIL_REACH of
     _stencil and clipped at the grid edge, so an interior point is as far
     from the box edge as from the grid edge, or at least STENCIL_REACH.
-    Returns the slices and the interior mask on the box, taken from the
-    whole axes."""
-    box, inside = [], []
+    Returns the InteriorBox, its interior taken from the whole axes, and the
+    slices."""
+    slices, inside = [], []
     for a in axes:
         keep = np.abs(a) <= INTERIOR_FRAC * np.abs(a).max()
         hit = np.flatnonzero(keep)  # never empty: every axis holds or straddles 0
         s = slice(max(hit[0] - STENCIL_REACH, 0),
                   min(hit[-1] + 1 + STENCIL_REACH, len(a)))
-        box.append(s)
+        slices.append(s)
         inside.append(keep[s])
-    mask = np.ones([len(k) for k in inside], dtype=bool)
-    for k in np.meshgrid(*inside, indexing="ij", sparse=True):
-        mask &= k
-    return tuple(box), mask
+    box = InteriorBox(tuple(a[s] for a, s in zip(axes, slices)), tuple(inside),
+                      tuple(float(a[1] - a[0]) for a in axes))
+    return box, tuple(slices)
 
 
-def _interior_box(field: Field4D) -> InteriorBox:
-    """The field on its interior box (_box_slices), a view, with the whole
-    field's steps and peak."""
-    box, interior = _box_slices(field.axes)
-    return InteriorBox(tuple(a[s] for a, s in zip(field.axes, box)), field.values[box],
-                       interior, tuple(field.steps()), float(np.abs(field.values).max()))
-
-
-def _stencil(read, shape: tuple, dtype, here: np.ndarray, direction: np.ndarray,
-             steps) -> np.ndarray:
-    """Derivative along direction, by the 4th-order stencil of
+def _stencil(read, shape: tuple, dtype, here: np.ndarray, directions, steps) -> list:
+    """Derivatives along each of directions, by the 4th-order stencil of
     symbols._derivative, at the points with ascending C-order flat indices
     here in a field of the given shape and dtype, whose values at ascending
     flat indices g are read(g): a step along an axis is a fixed step in C
-    order.  Points within STENCIL_REACH layers of an edge of a
-    differentiated axis are nan.
+    order.  Each axis's difference is taken once, for every direction with
+    a component along it.  Points within STENCIL_REACH layers of an edge of
+    a differentiated axis are nan.
 
     steps are the axis spacings of the whole field, also when the field is a
     box cut from it: the cut axes do not repeat them to the bit."""
-    out = np.zeros(len(here), dtype=dtype)
-    for axis, c in enumerate(direction):
-        if abs(c) > 1e-14:
-            stride = math.prod(shape[axis + 1:])
-            pos = here // stride % shape[axis]
-            ok = (pos >= STENCIL_REACH) & (pos < shape[axis] - STENCIL_REACH)
-            d = np.full(len(ok), np.nan, dtype=dtype)
-            at = here[ok]
-            if len(at):
-                f = {s: read(at + s * stride) for s in (-2, -1, 1, 2)}
-                d[ok] = (-f[2] + 8 * f[1] - 8 * f[-1] + f[-2]) / (12 * steps[axis])
-            out = out + c * d
+    diffs = {}
+    for axis in sorted({a for v in directions for a, c in enumerate(v) if abs(c) > 1e-14}):
+        stride = math.prod(shape[axis + 1:])
+        pos = here // stride % shape[axis]
+        ok = (pos >= STENCIL_REACH) & (pos < shape[axis] - STENCIL_REACH)
+        d = np.full(len(ok), np.nan, dtype=dtype)
+        at = here[ok]
+        if len(at):
+            f = {s: read(at + s * stride) for s in (-2, -1, 1, 2)}
+            d[ok] = (-f[2] + 8 * f[1] - 8 * f[-1] + f[-2]) / (12 * steps[axis])
+        diffs[axis] = d
+    out = []
+    for v in directions:
+        dv = np.zeros(len(here), dtype=dtype)
+        for axis, c in enumerate(v):
+            if abs(c) > 1e-14:
+                dv = dv + c * diffs[axis]
+        out.append(dv)
     return out
 
 
-def decay_profile(field: InteriorBox, Q: np.ndarray, lam: LagrangianSubspace,
-                  vlam: LagrangianSubspace) -> DecayProfile:
-    """Off-subspace decay and along-subspace growth of a field twisted by
-    e^{-i sum_jk Q_jk w_j w_k}, w the coordinates on the field's axes.
+class _Sweep:
+    """One pass over the interior box of a field along axis 0 that feeds
+    every reader of the field.
+
+    The box's values arrive in blocks of whole layers (push).  Layers are
+    read, by each reader in turn, once the STENCIL_REACH layers after them
+    have arrived or the box has ended, and a block is dropped once no layer
+    still to be read is within STENCIL_REACH of it, so the sweep holds a few
+    layers, never the box.  A reader has three methods: start(box) ahead of
+    the first layer; read(lo, hi, sweep, peak) for the layers lo:hi, where
+    sweep.layers returns the values of layers held, sweep.interior is
+    the interior mask on lo:hi, and sweep.shared and sweep.distance give
+    what is taken once per read for all readers; and finish(peak),
+    whose value is the reader's result.  peak is the largest |value| of the
+    field so far: in read, up to the last block pushed, and in finish, of
+    the whole field, box or not."""
+
+    def __init__(self, box: InteriorBox, readers: list):
+        self.box, self.readers = box, readers
+        self.size = math.prod(box.shape[1:])  # entries per layer
+        self.depth = max(1, PROFILE_SLAB // self.size)  # layers per read
+        self._w = np.ix_(*box.axes)
+        self._blocks = []  # (first layer, C-contiguous values of its layers)
+        self._pushed = self._read = 0
+        for reader in readers:
+            reader.start(box)
+
+    def push(self, layers: np.ndarray, peak: float) -> None:
+        """The next layers of the box, axis 0 first, and the running peak."""
+        self._blocks.append((self._pushed, np.ascontiguousarray(layers)))
+        self._pushed += len(layers)
+        n = self.box.shape[0]
+        ready = n if self._pushed == n else self._pushed - STENCIL_REACH
+        while self._read < ready:
+            lo, self._read = self._read, min(self._read + self.depth, ready)
+            self.interior = self.box.interior(lo, self._read)
+            self._layer_axes = [self._w[0][lo:self._read], *self._w[1:]]
+            self._shared = {}
+            for reader in self.readers:
+                reader.read(lo, self._read, self, peak)
+            self._blocks = [(at, b) for at, b in self._blocks
+                            if at + len(b) > self._read - STENCIL_REACH] if self._read < n else []
+
+    def finish(self, peak: float) -> list:
+        return [reader.finish(peak) for reader in self.readers]
+
+    def shared(self, key, compute):
+        """compute(), taken once per read for every reader that asks for
+        key."""
+        if key not in self._shared:
+            self._shared[key] = compute()
+        return self._shared[key]
+
+    def distance(self, forms: list) -> np.ndarray:
+        """_distance to the span of forms on the layers being read,
+        flattened."""
+        return self.shared(tuple(map(tuple, forms)),
+                           lambda: _distance(self._layer_axes, forms).reshape(-1))
+
+    def layers(self, lo: int, hi: int) -> np.ndarray:
+        """The values of the layers lo:hi, all held."""
+        parts = [b[max(lo - at, 0):hi - at] for at, b in self._blocks
+                 if at < hi and at + len(b) > lo]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def sweep_field(field: Field4D, readers: list) -> list:
+    """The readers' results on a field held whole (the d = 1 transform of a
+    membership test): its interior box in one block, with its peak."""
+    box, slices = _interior_box(field.axes)
+    peak = float(np.abs(field.values).max())
+    sweep = _Sweep(box, readers)
+    sweep.push(field.values[slices], peak)
+    return sweep.finish(peak)
+
+
+def sweep_kernel_field(K: GridFunction, readers: list, stride: int = KERNEL_STRIDE) -> list:
+    """The readers' results on the field T_{g tensor g} K of a kernel on a
+    d = 2 grid, axes (z1, z2, zeta1, zeta2), decimated by stride: one pass
+    over the slabs of _kernel_field_slabs, each slab's box layers going to
+    every reader as one block (_Sweep), so neither the field nor its
+    interior box is held.  Refuses with SizeGuardError past
+    MEMORY_CAP_ENTRIES field entries."""
+    z, zeta, slabs = _kernel_field_slabs(K, stride)
+    box, (s1, s2, s3, s4) = _interior_box((z, z, zeta, zeta))
+    sweep = _Sweep(box, readers)
+    peak = 0.0
+    for i, S in slabs:
+        peak = max(peak, *(float(np.abs(row).max()) for row in S))
+        lo, hi = max(i, s1.start), min(i + len(S), s1.stop)
+        # the slab's z1 rows in the box, reordered to (z1, z2, zeta1, zeta2);
+        # a copy, so that no slab is held while the readers run or the next
+        # slab is built
+        block = np.ascontiguousarray(S[lo - i:hi - i, s3, s2, s4].transpose(0, 2, 1, 3))
+        del S
+        if len(block):
+            sweep.push(block, peak)
+    return sweep.finish(peak)
+
+
+def decay_profile(Q: np.ndarray, lam: LagrangianSubspace, vlam: LagrangianSubspace,
+                  report):
+    """The reader (see _Sweep) of the off-subspace decay and along-subspace
+    growth of a field twisted by e^{-i sum_jk Q_jk w_j w_k}, w the
+    coordinates on the field's axes.  Its result is report(the DecayProfile).
 
     Off: shell maxima of |field| binned by distance to lam, restricted to
     points near the origin of lam (distance to vlam below OFF_CAP).
@@ -340,100 +428,131 @@ def decay_profile(field: InteriorBox, Q: np.ndarray, lam: LagrangianSubspace,
     axis extent are excluded: near the position boundary the field sees
     truncation of the sampled kernel, and near the frequency boundary it
     sees quadrature aliasing, neither of which reflects the kernel itself.
-    So field is the untwisted field on its interior box, and |field| is taken
-    only at the points the shells read; the peak that the derivatives are
-    compared with is field.peak, the whole untwisted field's, and they are
-    taken with the whole field's steps.
-
-    The box is read in one pass over slabs of whole layers of axis 0 (z1,
-    or x for d = 1), PROFILE_SLAB entries or one layer: each slab is
-    twisted once and kept only while the derivative stencil can reach it,
-    and its distances, masks and shell maxima are taken on the slab alone,
-    so no array is larger than a slab.  The strip's distances
-    and magnitudes are kept until the pass gives the along-subspace shells
-    their outer radius.
+    So the reader reads the untwisted field on its interior box, twists the
+    layers it reads and, in the layers around them, only the points the
+    derivative stencil reads; the peak that the derivatives are compared
+    with is the whole untwisted field's, and they are taken with the whole
+    field's steps.  Distances, masks and shell maxima are taken on the
+    layers being read alone; the strip's distances and magnitudes are kept
+    until the end gives the along-subspace shells their outer radius.
     """
-    peak = field.peak or 1.0
-    values = field.values
-    w = np.ix_(*field.axes)
-    S = np.triu(Q + Q.T, 1) + np.diag(np.diag(Q))  # same form, upper triangle
-    # one factor per axis pair, broadcast from the two axes and multiplied
-    # in this order
-    twist = [np.exp(-1j * S[j, k] * (w[j] * w[k])) for j, k in zip(*np.nonzero(S))]
-    forms_l = _complement_forms(lam.basis)
-    forms_v = _complement_forms(vlam.basis)
-    size = math.prod(values.shape[1:])  # entries per layer
-    depth = max(1, PROFILE_SLAB // size)  # layers per slab
-    span = depth * size
-    twisted = {}
+    return _ProfileReader(Q, lam, vlam, report)
 
-    def slab(k):  # slab k twisted and flattened in C order
-        if k not in twisted:
-            out = values[k * depth:(k + 1) * depth].astype(complex)
-            for f in twist:
-                out *= f[k * depth:(k + 1) * depth] if len(f) > 1 else f
-            twisted[k] = out.reshape(-1)
-        return twisted[k]
 
-    def read(g):  # the twisted box at ascending flat indices g
-        ks = range(g[0] // span, g[-1] // span + 1)
-        if len(ks) == 1:
-            return slab(ks[0])[g - ks[0] * span]
-        parts = np.split(g, np.searchsorted(g, [k * span for k in ks[1:]]))
-        return np.concatenate([slab(k)[part - k * span] for k, part in zip(ks, parts)])
+class _ProfileReader:
+    """The reader of decay_profile."""
 
-    edges = np.geomspace(*OFF_RANGE, N_SHELLS + 1)
-    radii = np.sqrt(edges[:-1] * edges[1:])
-    maxima = np.zeros(N_SHELLS)
-    r_along = 0.0
-    # on the strip: the distance to vlam, then |field| and, for K_MAX = 1,
-    # |derivative| along each basis vector of lam
-    strip_dist, strip_mags = [], [[] for _ in range(1 + lam.basis.shape[1])]
-    for k in range(-(-len(values) // depth)):
-        lo = k * depth
-        for old in [j for j in twisted if (j + 1) * depth <= lo - STENCIL_REACH]:
-            del twisted[old]  # out of the stencil's reach
-        wi = [w[0][lo:lo + depth], *w[1:]]
-        dist_l = _distance(wi, forms_l).reshape(-1)
-        dist_v = _distance(wi, forms_v).reshape(-1)
-        interior = field.interior[lo:lo + depth].reshape(-1)
-        sel = np.flatnonzero((dist_v <= OFF_CAP) & interior)
-        maxima = np.maximum(maxima, _shell_maxima(dist_l[sel], np.abs(slab(k)[sel]), edges))
-        r_along = max(r_along, float(dist_v.max(where=interior, initial=0.0)))
-        strip = np.flatnonzero((dist_l <= ALONG_CAP) & interior)
-        strip_dist.append(dist_v[strip])
-        strip_mags[0].append(np.abs(slab(k)[strip]))
-        for mags, v in zip(strip_mags[1:], lam.basis.T):
-            mags.append(np.abs(_stencil(read, values.shape, complex, lo * size + strip, v,
-                                        field.field_steps)))
-    off_slope = shell_slope(radii, maxima)
-    off_shells = [(float(r), float(v)) for r, v in zip(radii, maxima)]
+    def __init__(self, Q, lam, vlam, report):
+        self.Q, self.lam, self.vlam, self.report = Q, lam, vlam, report
 
-    edges_a = np.geomspace(2.0, 0.8 * r_along, N_SHELLS + 1)
-    radii_a = np.sqrt(edges_a[:-1] * edges_a[1:])
-    dist_s = np.concatenate(strip_dist)
-    along = {}
-    for k, orders in ((0, strip_mags[:1]), (1, strip_mags[1:])):
-        worst = None
-        for mag in map(np.concatenate, orders):
-            good = np.isfinite(mag)
-            if mag[good].max(initial=0.0) <= REL_FLOOR * peak:
-                # derivative sits at the discretization noise floor: the
-                # finite differences cannot resolve anything this small,
-                # so it decays faster than measurable
-                if worst is None:
-                    worst = -np.inf
+    def start(self, box: InteriorBox) -> None:
+        self.box = box
+        self.forms_l = _complement_forms(self.lam.basis)
+        self.forms_v = _complement_forms(self.vlam.basis)
+        w = np.ix_(*box.axes)
+        Q = self.Q
+        S = np.triu(Q + Q.T, 1) + np.diag(np.diag(Q))  # same form, upper triangle
+        # one factor per axis pair, broadcast from the two axes; a point is
+        # twisted by the factors at its indices, multiplied in this order
+        self.twist = [np.exp(-1j * S[j, k] * (w[j] * w[k])) for j, k in zip(*np.nonzero(S))]
+        self.edges = np.geomspace(*OFF_RANGE, N_SHELLS + 1)
+        self.maxima = np.zeros(N_SHELLS)
+        self.r_along = 0.0
+        # on the strip: the distance to vlam, then |field| and, for K_MAX = 1,
+        # |derivative| along each basis vector of lam
+        self.strip_dist = []
+        self.strip_mags = [[] for _ in range(1 + self.lam.basis.shape[1])]
+
+    def _twisted(self, sweep: _Sweep, g: np.ndarray, cache: dict) -> np.ndarray:
+        """The twisted field at the ascending flat box indices g.  Per
+        layer, the points' indices into each factor on a layer and the
+        factors that do not vary along axis 0 are looked up in cache, by
+        the points' positions in the layer, or stored there."""
+        size, parts = sweep.size, [np.zeros(0, complex)]
+        for layer in range(g[0] // size, g[-1] // size + 1) if len(g) else ():
+            part = g[np.searchsorted(g, layer * size):np.searchsorted(g, (layer + 1) * size)]
+            if not len(part):
                 continue
-            slope = shell_slope(radii_a, _shell_maxima(dist_s[good], mag[good], edges_a))
-            if slope is None:
-                worst = None
-                break
-            worst = slope if worst is None else max(worst, slope)
-        along[k] = worst
+            r = part - layer * size  # positions in the layer
+            key = (r[0], len(r))
+            if key not in cache or not np.array_equal(cache[key][0], r):
+                at = np.unravel_index(r, self.box.shape[1:])
+                index = [sum(i * math.prod(f.shape[a + 2:]) for a, i in enumerate(at)
+                             if f.shape[a + 1] > 1) for f in self.twist]
+                fixed = [None if len(f) > 1 else f.reshape(-1)[i]
+                         for f, i in zip(self.twist, index)]
+                cache[key] = r, index, fixed
+            _, index, fixed = cache[key]
+            out = sweep.layers(layer, layer + 1).reshape(-1)[r]
+            for f, i, c in zip(self.twist, index, fixed):
+                out *= f[layer].reshape(-1)[i] if c is None else c
+            parts.append(out)
+        return np.concatenate(parts)
 
-    status = "inconclusive" if off_slope is None or None in along.values() else "pass"
-    return DecayProfile(off_slope if off_slope is not None else np.nan,
-                        along, off_shells, status)
+    def read(self, lo: int, hi: int, sweep: _Sweep, peak: float) -> None:
+        # the layers read, twisted whole; the stencil's points in the layers
+        # around them are twisted one by one
+        twisted = sweep.layers(lo, hi)
+        for k, f in enumerate(f[lo:hi] if len(f) > 1 else f for f in self.twist):
+            # a new array, then in place: the held layers stay untwisted
+            twisted = twisted * f if k == 0 else np.multiply(twisted, f, out=twisted)
+        twisted = twisted.reshape(-1)
+        first, end = lo * sweep.size, hi * sweep.size  # flat indices of the layers read
+        cache = {}
+
+        def read(g):  # the twisted field at the ascending flat indices g
+            a, b = np.searchsorted(g, (first, end))
+            if a == 0 and b == len(g):
+                return twisted[g - first]
+            return np.concatenate([self._twisted(sweep, g[:a], cache), twisted[g[a:b] - first],
+                                   self._twisted(sweep, g[b:], cache)])
+
+        dist_l = sweep.distance(self.forms_l)
+        dist_v = sweep.distance(self.forms_v)
+        interior = sweep.interior.reshape(-1)
+        sel = np.flatnonzero((dist_v <= OFF_CAP) & interior)
+        self.maxima = np.maximum(self.maxima, _shell_maxima(dist_l[sel], np.abs(twisted[sel]),
+                                                            self.edges))
+        self.r_along = max(self.r_along, float(dist_v.max(where=interior, initial=0.0)))
+        strip = np.flatnonzero((dist_l <= ALONG_CAP) & interior)
+        self.strip_dist.append(dist_v[strip])
+        self.strip_mags[0].append(np.abs(twisted[strip]))
+        derivatives = _stencil(read, self.box.shape, complex, first + strip, self.lam.basis.T,
+                               self.box.field_steps)
+        for mags, dv in zip(self.strip_mags[1:], derivatives):
+            mags.append(np.abs(dv))
+
+    def finish(self, peak: float):
+        peak = peak or 1.0
+        radii = np.sqrt(self.edges[:-1] * self.edges[1:])
+        off_slope = shell_slope(radii, self.maxima)
+        off_shells = [(float(r), float(v)) for r, v in zip(radii, self.maxima)]
+
+        edges_a = np.geomspace(2.0, 0.8 * self.r_along, N_SHELLS + 1)
+        radii_a = np.sqrt(edges_a[:-1] * edges_a[1:])
+        dist_s = np.concatenate(self.strip_dist)
+        along = {}
+        for k, orders in ((0, self.strip_mags[:1]), (1, self.strip_mags[1:])):
+            worst = None
+            for mag in map(np.concatenate, orders):
+                good = np.isfinite(mag)
+                if mag[good].max(initial=0.0) <= REL_FLOOR * peak:
+                    # derivative sits at the discretization noise floor: the
+                    # finite differences cannot resolve anything this small,
+                    # so it decays faster than measurable
+                    if worst is None:
+                        worst = -np.inf
+                    continue
+                slope = shell_slope(radii_a, _shell_maxima(dist_s[good], mag[good], edges_a))
+                if slope is None:
+                    worst = None
+                    break
+                worst = slope if worst is None else max(worst, slope)
+            along[k] = worst
+
+        status = "inconclusive" if off_slope is None or None in along.values() else "pass"
+        return self.report(DecayProfile(off_slope if off_slope is not None else np.nan,
+                                        along, off_shells, status))
 
 
 # Profile thresholds, shared by the kernel characterization and the

@@ -18,13 +18,12 @@ import numpy as np
 
 from .gabor import (
     Field4D,
-    InteriorBox,
     ProfileReport,
-    _interior_box,
     decay_profile,
     gabor_transform,
-    kernel_fbi_field,
     profile_report,
+    sweep_field,
+    sweep_kernel_field,
 )
 from .grids import GridFunction, GridSpec, gaussian_window
 from .metaplectic import mu_general
@@ -141,30 +140,11 @@ def _product_subspace(P: np.ndarray, Q: np.ndarray) -> LagrangianSubspace:
     return LagrangianSubspace.from_span(span)
 
 
-def _membership_field(u: GridFunction) -> InteriorBox:
-    """Phase-space field of u, kept on its interior box: at stride 1 for
-    d = 1 (the finer steps keep the directional-difference floor below the
-    vanishing threshold) and at KERNEL_STRIDE for d = 2, where the field is
-    four-dimensional and memory-bound."""
-    spec = u.spec
-    if spec.d == 1:
-        field = gabor_transform(u, gaussian_window(spec), stride=1)
-        x, xi = field.axes
-        # profile only over frequencies up to the position box half-width:
-        # synthesized inputs carry no genuine content beyond it, so the outer
-        # dual band would contribute a spurious edge to the along-axis fit
-        keep = np.abs(xi) <= spec.R + 1e-9
-        return _interior_box(Field4D((x, xi[keep]), field.values[:, keep]))
-    if spec.d == 2:
-        return kernel_fbi_field(u)
-    raise ValueError("membership fields are implemented for d <= 2")
-
-
-def _membership_report(field: InteriorBox, lam: LagrangianSubspace, m: float,
-                       rho: float) -> ProfileReport:
-    """Twisted phase-space test of membership on the phase-space field of a
-    distribution (_membership_field): rapid decay off the subspace and growth
-    at most like order m (minus rho per derivative) along it.
+def _membership_reader(lam: LagrangianSubspace, m: float, rho: float):
+    """Twisted phase-space test of membership, as a reader of the
+    phase-space field of a distribution (see lagrangian_membership_test)
+    whose result is the ProfileReport: rapid decay off the subspace and
+    growth at most like order m (minus rho per derivative) along it.
 
     The parametrizing matrix F is projected onto Y on both sides first, so
     the twist never sees the irrelevant action of F on Y-perp.
@@ -176,29 +156,49 @@ def _membership_report(field: InteriorBox, lam: LagrangianSubspace, m: float,
     projected = bool(np.max(np.abs(F_proj - F), initial=0.0) > 1e-12)
     # Y-perp x Y is transversal to {(X, FX + Z)} once F kills Y-perp
     vlam = _product_subspace(orthogonal_complement(Y), Y)
-    return profile_report(decay_profile(field, _lambda_twist(Y, F_proj), lam, vlam),
-                          m, rho, projected_F=projected)
+    return decay_profile(_lambda_twist(Y, F_proj), lam, vlam,
+                         lambda prof: profile_report(prof, m, rho, projected_F=projected))
 
 
 def lagrangian_membership_test(u: GridFunction, lam: LagrangianSubspace,
                                m: float, rho: float = 1.0) -> ProfileReport:
-    """The membership test of _membership_report on the field of u."""
-    if u.spec.d != lam.n:
-        raise ValueError(f"grid dimension {u.spec.d} differs from subspace "
+    """The membership test of _membership_reader on the phase-space field of
+    u: at stride 1 for d = 1 (the finer steps keep the directional-difference
+    floor below the vanishing threshold), held whole, and at KERNEL_STRIDE
+    for d = 2, where the field is four-dimensional and swept slab by slab."""
+    spec = u.spec
+    if spec.d != lam.n:
+        raise ValueError(f"grid dimension {spec.d} differs from subspace "
                          f"dimension {lam.n}")
-    return _membership_report(_membership_field(u), lam, m, rho)
+    if spec.d == 1:
+        field = gabor_transform(u, gaussian_window(spec), stride=1)
+        x, xi = field.axes
+        # profile only over frequencies up to the position box half-width:
+        # synthesized inputs carry no genuine content beyond it, so the outer
+        # dual band would contribute a spurious edge to the along-axis fit
+        keep = np.abs(xi) <= spec.R + 1e-9
+        field = Field4D((x, xi[keep]), field.values[:, keep])
+        return sweep_field(field, [_membership_reader(lam, m, rho)])[0]
+    if spec.d == 2:
+        return sweep_kernel_field(u, [_membership_reader(lam, m, rho)])[0]
+    raise ValueError("membership fields are implemented for d <= 2")
 
 
-def kernel_equals_lagrangian_check(field: InteriorBox, chi: SymplecticMatrix, m: float,
-                                   kernel_rep: ProfileReport) -> dict:
-    """The operator-kernel test and the subspace-membership test applied to
-    the field of one kernel (gabor.kernel_fbi_field, its interior box) must
-    return the same verdict: the kernel belongs to the class over chi
-    exactly when it is adapted to the twisted graph subspace.  kernel_rep is
-    the kernel test's report, fio.kernel_characterization_check(field, chi,
-    m, 1.0), which the acceptance battery reads from its kernel table."""
-    lam = twisted_graph_lagrangian(chi)
-    member_rep = _membership_report(field, lam, m, 1.0)
+def kernel_membership_check(chi: SymplecticMatrix, m: float):
+    """The subspace-membership test of a kernel against the twisted graph
+    subspace of chi at rho = 1, as a reader of the kernel's field
+    (gabor.sweep_kernel_field)."""
+    return _membership_reader(twisted_graph_lagrangian(chi), m, 1.0)
+
+
+def kernel_equals_lagrangian_check(kernel_rep: ProfileReport,
+                                   member_rep: ProfileReport) -> dict:
+    """The operator-kernel test and the subspace-membership test of one
+    kernel's field must return the same verdict: the kernel belongs to the
+    class over chi exactly when it is adapted to the twisted graph subspace.
+    kernel_rep is the report of fio.kernel_characterization_check(chi, m,
+    1.0) and member_rep that of kernel_membership_check(chi, m), read in
+    one sweep of the field."""
     agree = kernel_rep.status == member_rep.status
     status = kernel_rep.status if agree else "inconclusive"
     return {

@@ -12,50 +12,54 @@ import os
 import sys
 import threading
 import time
-import weakref
 
 import pytest
 
 from fiocalc import acceptance, cli, gabor, lagdist
 from fiocalc.fio import FioSpec, fio_kernel, kernel_characterization_check
+from fiocalc.gabor import sweep_kernel_field
 from fiocalc.grids import GridSpec
 from fiocalc.serialize import json_dumps
 from fiocalc.symbols import constant_symbol
 from fiocalc.symplectic import standard_j
 
 
-def count_kernel_fields(monkeypatch):
-    """Calls of kernel_fbi_field, spied on in every namespace that binds it:
-    a weak reference to each field built.  Each call first asserts that no
-    field built before it is still alive, so at most one is live at a time."""
-    calls = []
-    original = gabor.kernel_fbi_field
+def count_kernel_sweeps(monkeypatch):
+    """Sweeps of a kernel field, spied on in every namespace that binds
+    sweep_kernel_field: the number of readers of each.  Each sweep first
+    asserts that no other is running, so at most one field is swept, and
+    none held, at a time."""
+    sweeps, running = [], []
+    original = gabor.sweep_kernel_field
 
-    def spy(*args, **kwargs):
-        live = sum(ref() is not None for ref in calls)
-        assert live == 0, f"{live} field(s) still alive at build {len(calls) + 1}"
-        field = original(*args, **kwargs)
-        calls.append(weakref.ref(field))
-        return field
+    def spy(K, readers, *args, **kwargs):
+        assert not running, f"sweep {len(sweeps) + 1} starts inside another"
+        running.append(1)
+        try:
+            return original(K, readers, *args, **kwargs)
+        finally:
+            running.pop()
+            sweeps.append(len(readers))
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "fiocalc" and getattr(module, "kernel_fbi_field", None) is original:
-            monkeypatch.setattr(module, "kernel_fbi_field", spy)
-    return calls
+        if name.split(".")[0] == "fiocalc" and \
+                getattr(module, "sweep_kernel_field", None) is original:
+            monkeypatch.setattr(module, "sweep_kernel_field", spy)
+    return sweeps
 
 
-# kernel fields a full check builds: one per distinct kernel
-FULL_MODE_FIELDS = {"check_kernel_characterization": 2, "check_wavefront_sets": 1,
+# kernel sweeps a full check makes: one per distinct kernel
+FULL_MODE_SWEEPS = {"check_kernel_characterization": 2, "check_wavefront_sets": 1,
                     "check_lagrangian_equivalence": 4}
 
 
 @pytest.mark.parametrize("check", acceptance.ALL_CHECKS,
                          ids=lambda c: c.__name__)
 def test_acceptance_check(check, monkeypatch):
-    calls = count_kernel_fields(monkeypatch)
+    sweeps = count_kernel_sweeps(monkeypatch)
     result = check(seed=0, quick=False)
     assert result.status == "pass", result.details
-    assert len(calls) == FULL_MODE_FIELDS.get(check.__name__, 0)
+    assert len(sweeps) == FULL_MODE_SWEEPS.get(check.__name__, 0)
 
 
 @pytest.mark.parametrize("check", [acceptance.check_kernel_characterization,
@@ -63,9 +67,12 @@ def test_acceptance_check(check, monkeypatch):
                                    acceptance.check_lagrangian_equivalence],
                          ids=lambda c: c.__name__)
 def test_quick_kernel_checks_build_one_field(check, monkeypatch):
-    calls = count_kernel_fields(monkeypatch)
+    """A quick kernel check called alone sweeps the mu(J) field once, for
+    its own reads only."""
+    sweeps = count_kernel_sweeps(monkeypatch)
     assert check(seed=3, quick=True).status == "pass"
-    assert len(calls) == 1
+    assert sweeps == [{"check_kernel_characterization": 1, "check_wavefront_sets": 2,
+                       "check_lagrangian_equivalence": 4}[check.__name__]]
 
 
 def count_kernel_reports(monkeypatch):
@@ -82,28 +89,27 @@ def count_kernel_reports(monkeypatch):
 
 
 def test_quick_suite_builds_one_field_per_run(monkeypatch):
-    """The three kernel checks share one field and its kernel report within
-    a run, and a second run builds its own."""
-    fields = count_kernel_fields(monkeypatch)
+    """The three kernel checks read the mu(J) field in one sweep with six
+    readers, one per distinct read, and a second run sweeps it again."""
+    sweeps = count_kernel_sweeps(monkeypatch)
     reports = count_kernel_reports(monkeypatch)
     for run in (1, 2):
         results = acceptance.run_suite(3, True, lambda *_: None)
         assert [r.status for r in results] == ["pass"] * len(acceptance.ALL_CHECKS)
-        assert len(fields) == run
+        assert sweeps == [6] * run
         # (mu(J), J, 0) is profiled once for two checks, (mu(J), identity, 0) once
         assert len(reports) == 2 * run
 
 
 def test_full_suite_builds_each_field_once_at_a_time(monkeypatch):
-    """HO mu(J) is built twice, since kernel_characterization profiles it
-    before mu(J) and lagrangian_equivalence reads it after; mu(J), which
-    kernel_characterization leaves in the table for wavefront_sets and
-    lagrangian_equivalence, mu(chirp) and the synthesized kernel once.  The
-    spy asserts one live field."""
-    fields = count_kernel_fields(monkeypatch)
+    """Each of the four kernels is swept once, with a reader for every read
+    the three checks make of it: mu(J) 8 (3 kernel tests, 3 membership
+    tests, 2 cone checks), HO mu(J), mu(chirp) and the synthesized kernel 2
+    each.  The spy asserts one sweep at a time."""
+    sweeps = count_kernel_sweeps(monkeypatch)
     results = acceptance.run_suite(3, False, lambda *_: None)
     assert [r.status for r in results] == ["pass"] * len(acceptance.ALL_CHECKS)
-    assert len(fields) == 5
+    assert sweeps == [8, 2, 2, 2]
 
 
 def thread_recorder(checks):
@@ -159,13 +165,13 @@ def test_concurrent_battery_is_the_serial_one(monkeypatch):
 def test_suite_runs_the_checks_held_at_call_time(monkeypatch):
     """The benchmark tracer replaces ALL_CHECKS with wrapped checks:
     run_suite calls each wrapper once, and the wrapped kernel-table checks
-    still share one table, so the quick suite builds one field."""
-    fields = count_kernel_fields(monkeypatch)
+    still share one table, so the quick suite sweeps one field."""
+    sweeps = count_kernel_sweeps(monkeypatch)
     checks, calls = thread_recorder(acceptance.ALL_CHECKS)
     results, _, _ = run_recorded_suite(monkeypatch, 2, checks)
     assert sorted(name for name, _ in calls) == sorted(c.__name__ for c in checks)
     assert [r.status for r in results] == ["pass"] * len(checks)
-    assert len(fields) == 1
+    assert sweeps == [6]
 
 
 def fake_check(name, log, events, table=False, role=None):
@@ -228,16 +234,20 @@ def test_table_serves_the_report_of_a_fresh_field():
     grid = GridSpec(1, 128, 10.0)
     J = standard_j(1)
     spec = FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=J)
-    table = acceptance.KernelTable()
-    served = table.kernel_report(spec, grid, J, 0.0)
-    assert table.kernel_report(spec, grid, J, 0.0) is served
+    table = acceptance.KernelTable(True, "lagrangian_equivalence")
+    (kernel_read, served), (member_read, member_served), *_ = \
+        table.results("lagrangian_equivalence")
+    assert (kernel_read.case, kernel_read.kind, member_read.kind) \
+        == ("mu_fourier|fourier", "kernel", "membership")
+    assert table.results("lagrangian_equivalence")[0][1] is served
     K, _ = fio_kernel(spec, grid)
-    field = gabor.kernel_fbi_field(K)
-    fresh = kernel_characterization_check(field, J, 0.0, 1.0)
+    fresh, member = sweep_kernel_field(K, [kernel_characterization_check(J, 0.0, 1.0),
+                                           lagdist.kernel_membership_check(J, 0.0)])
     assert served.to_dict() == fresh.to_dict()
-    # the equivalence check reads the served report as it would a fresh one
-    rep = lagdist.kernel_equals_lagrangian_check(field, J, 0.0, served)
-    assert rep == lagdist.kernel_equals_lagrangian_check(field, J, 0.0, fresh)
+    assert member_served.to_dict() == member.to_dict()
+    # the equivalence check reads the served reports as it would fresh ones
+    rep = lagdist.kernel_equals_lagrangian_check(served, member_served)
+    assert rep == lagdist.kernel_equals_lagrangian_check(fresh, member)
     assert rep["agree"] and rep["status"] == "pass"
 
 

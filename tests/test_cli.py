@@ -6,22 +6,25 @@ import pytest
 from fiocalc import cli, grids
 from fiocalc.gabor import gabor_transform
 from fiocalc.grids import GridFunction, GridSpec, gaussian_window, hermite_grid_function
-from fiocalc.lagdist import lagrangian_param
+from fiocalc.lagdist import _membership_reader, lagrangian_param
 from fiocalc.phases import (lagrangian_of_phase, phase_from_free_matrix, phase_to_dict,
                             pseudodifferential_phase)
 from fiocalc.serialize import (
     fio_spec_to_dict,
     grid_function_from_csv,
     grid_function_to_csv,
+    json_dumps,
     read_json,
     symplectic_to_list,
     write_json,
 )
-from fiocalc.fio import FioSpec
+from fiocalc.fio import FioSpec, kernel_characterization_check
 from fiocalc.symbols import (constant_symbol, gaussian_symbol, harmonic_oscillator_symbol,
                               polynomial_symbol)
-from fiocalc.symplectic import SymplecticMatrix, chirp_matrix, standard_j
+from fiocalc.symplectic import (SymplecticMatrix, chirp_matrix, lagrangian_with_param,
+                                standard_j, twisted_graph_lagrangian)
 from pgm_reader import read_pgm
+from whole_box import full_field_decay_profile, reference_kernel_field
 
 
 def write_psi0(path, n=128, R=10.0):
@@ -219,6 +222,32 @@ def test_char_check_exit_codes(tmp_path):
                      "--out", str(tmp_path / "o1")]) == 0
     assert cli.main(["char-check", str(kernel), str(bad),
                      "--out", str(tmp_path / "o2")]) == 1
+
+
+@pytest.mark.parametrize("command", ["char-check", "lag-test"])
+def test_kernel_commands_read_the_whole_box_reports(tmp_path, command):
+    """char-check and the d = 2 lag-test sweep their kernel's field with one
+    reader; at n = 64 their JSON is the report of the whole-field profile."""
+    kernel = tmp_path / "kernel.csv"
+    fourier_kernel_csv(kernel, n=64)
+    J = standard_j(1)
+    second = tmp_path / "second.json"
+    if command == "char-check":
+        write_chi(second, J)
+        reader = kernel_characterization_check(J, 0.0, 1.0)
+    else:
+        Y, F = lagrangian_param(twisted_graph_lagrangian(J))
+        write_json({"n": 2, "Y": Y.tolist(), "F": F.tolist()}, str(second))
+        reader = _membership_reader(lagrangian_with_param(Y, F, 2), 0.0, 1.0)
+    out = tmp_path / "out"
+    assert cli.main([command, str(kernel), str(second), "--out", str(out)]) == 0
+    name = {"char-check": "char_check.json", "lag-test": "lag_test.json"}[command]
+    got = read_json(str(out / name))
+    del got["config"]
+    whole = reference_kernel_field(grid_function_from_csv(str(kernel)), 2)
+    ref = reader.report(full_field_decay_profile(whole, reader.Q, reader.lam, reader.vlam))
+    assert got == json.loads(json_dumps(ref.to_dict()))
+    assert ref.status == "pass"
 
 
 def test_lag_test_point_mass_on_cotangent_fiber(tmp_path):

@@ -1,14 +1,9 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fiocalc.fio import (
-    CONE_ANGLE,
-    CONE_COLLAR,
-    CONE_R_MIN,
-    CONE_REL_THRESHOLD,
     FioSpec,
     QuadratureError,
     _theta_quadrature,
@@ -21,7 +16,7 @@ from fiocalc.fio import (
     wf_kernel_check,
     wf_propagation_check,
 )
-from fiocalc.gabor import kernel_fbi_field
+from fiocalc.gabor import sweep_kernel_field
 from fiocalc.grids import GridFunction, GridSpec, gaussian_window
 from fiocalc.phases import QuadraticPhase, phase_from_free_matrix, pseudodifferential_phase
 from fiocalc.serialize import fio_spec_from_dict, fio_spec_to_dict
@@ -32,10 +27,9 @@ from fiocalc.symbols import (
     harmonic_oscillator_symbol,
     polynomial_symbol,
 )
-from fiocalc.symplectic import (SymplecticMatrix, chirp_matrix, standard_j,
-                                twisted_graph_lagrangian)
+from fiocalc.symplectic import SymplecticMatrix, chirp_matrix, standard_j
 from fiocalc.weyl import interior_mask, symbol_callable, symbol_from_kernel, weyl_kernel
-from whole_box import _span_distance
+from whole_box import kernel_fbi_field, whole_box_wf_kernel_check
 
 
 def test_factored_fourier_kernel_is_oscillatory_plane_wave():
@@ -222,37 +216,27 @@ def test_adjoint_inverts_the_matrix():
     assert np.allclose(adj.chi.entries, np.linalg.inv(spec.chi.entries))
 
 
+def mu_fourier_kernel():
+    spec = FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=standard_j(1))
+    return fio_kernel(spec, GridSpec(1, 128, 10.0))[0]
+
+
 def test_kernel_characterization_pass_and_fail():
-    g = GridSpec(1, 128, 10.0)
     J = standard_j(1)
-    spec = FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=J)
-    K, _ = fio_kernel(spec, g)
-    field = kernel_fbi_field(K)
-    good = kernel_characterization_check(field, J, 0.0, 1.0)
-    assert good.status == "pass"
     eye = SymplecticMatrix(1, np.eye(2))
-    bad = kernel_characterization_check(field, eye, 0.0, 1.0)
+    good, bad = sweep_kernel_field(mu_fourier_kernel(), [
+        kernel_characterization_check(J, 0.0, 1.0), kernel_characterization_check(eye, 0.0, 1.0)])
+    assert good.status == "pass"
     assert bad.status == "fail"
 
 
 def test_kernel_cone_containment():
-    g = GridSpec(1, 128, 10.0)
     J = standard_j(1)
-    spec = FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=J)
-    K, _ = fio_kernel(spec, g)
-    field = kernel_fbi_field(K)
-    assert wf_kernel_check(field, J)["status"] == "pass"
     eye = SymplecticMatrix(1, np.eye(2))
-    assert wf_kernel_check(field, eye)["status"] == "fail"
-
-
-@pytest.fixture(scope="module")
-def mu_fourier_box():
-    """The interior box of the mu(J) kernel's field at n = 128, stride 2:
-    49^4 complex entries, 92 MB."""
-    spec = FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=standard_j(1))
-    K, _ = fio_kernel(spec, GridSpec(1, 128, 10.0))
-    return kernel_fbi_field(K)
+    good, bad = sweep_kernel_field(mu_fourier_kernel(), [wf_kernel_check(J),
+                                                         wf_kernel_check(eye)])
+    assert good["status"] == "pass"
+    assert bad["status"] == "fail"
 
 
 def traced_peak(func, *args):
@@ -266,52 +250,40 @@ def traced_peak(func, *args):
     return peak
 
 
-# One whole-box float array is half the box's bytes and a twisted copy of
-# the box a whole box: the profile and the cone check hold neither.  With
-# whole-box distance fields, twist and masks they peaked at 2.33 and 1.13
-# boxes.
+# The mu(J) kernel's field at n = 128, stride 2 has a 49^4 interior box,
+# 92.2 MB.  One whole-box float array is half of it: the sweep holds no box,
+# and a reader adds to the sweep's own peak (its slab, a few layers, M and
+# M K) less than a tenth of one.  Reading a box held whole, the profile and
+# the cone check peaked at 2.33 and 1.13 boxes with whole-box distance
+# fields, twist and masks.
+BOX_BYTES = 49 ** 4 * 16
 
 
-def test_kernel_profile_holds_no_whole_box_temporaries(mu_fourier_box):
-    box = mu_fourier_box.values.nbytes
-    peak = traced_peak(kernel_characterization_check, mu_fourier_box, standard_j(1), 0.0, 1.0)
-    assert peak < 0.5 * box
+def test_kernel_profile_holds_no_whole_box_temporaries():
+    K = mu_fourier_kernel()
+    bare = traced_peak(sweep_kernel_field, K, [])
+    peak = traced_peak(sweep_kernel_field, K,
+                       [kernel_characterization_check(standard_j(1), 0.0, 1.0)])
+    assert peak < 0.5 * BOX_BYTES and peak - bare < 0.1 * BOX_BYTES
 
 
-def test_cone_check_holds_no_whole_box_temporaries(mu_fourier_box):
-    box = mu_fourier_box.values.nbytes
-    assert traced_peak(wf_kernel_check, mu_fourier_box, standard_j(1)) < 0.5 * box
-
-
-def whole_box_wf_kernel_check(field, chi):
-    """wf_kernel_check over the whole box at once, its body before it read
-    the box one layer at a time: the reference it must match to the bit."""
-    lam = twisted_graph_lagrangian(chi)
-    peak = field.peak or 1.0
-    r = _span_distance(field.axes, np.zeros((len(field.axes), 0)))
-    sel = (r > CONE_R_MIN) & (np.abs(field.values) > CONE_REL_THRESHOLD * peak) \
-        & field.interior
-    if not np.any(sel):
-        return {"status": "pass", "worst_excess": 0.0, "points": 0}
-    dist = _span_distance(field.axes, lam.basis, sel)
-    allowed = CONE_COLLAR + np.sin(CONE_ANGLE) * r[sel]
-    worst = float((dist - allowed).max())
-    return {
-        "status": "pass" if worst <= 0.0 else "fail",
-        "worst_excess": worst,
-        "points": int(sel.sum()),
-    }
+def test_cone_check_holds_no_whole_box_temporaries():
+    K = mu_fourier_kernel()
+    bare = traced_peak(sweep_kernel_field, K, [])
+    peak = traced_peak(sweep_kernel_field, K, [wf_kernel_check(standard_j(1))])
+    assert peak < 0.5 * BOX_BYTES and peak - bare < 0.1 * BOX_BYTES
 
 
 @pytest.mark.parametrize("case", ["fourier", "identity", "no-points"])
-def test_layered_cone_check_is_the_whole_box_one(mu_fourier_box, case):
-    field, chi = mu_fourier_box, standard_j(1)
-    if case == "identity":
-        chi = SymplecticMatrix(1, np.eye(2))
-    if case == "no-points":  # no entry reaches the threshold of this peak
-        field = dataclasses.replace(field, peak=1e6 * field.peak)
-    got = wf_kernel_check(field, chi)
-    ref = whole_box_wf_kernel_check(field, chi)
+def test_layered_cone_check_is_the_whole_box_one(case):
+    """The streamed cone check against the whole-box one on the box held
+    whole, to the bit; a zero kernel has no point above the threshold."""
+    chi = SymplecticMatrix(1, np.eye(2)) if case == "identity" else standard_j(1)
+    K = mu_fourier_kernel()
+    if case == "no-points":
+        K = GridFunction(K.spec, np.zeros_like(K.values))
+    got, = sweep_kernel_field(K, [wf_kernel_check(chi)])
+    ref = whole_box_wf_kernel_check(kernel_fbi_field(K), chi)
     assert got == ref and type(got["points"]) is int
     assert np.float64(got["worst_excess"]).tobytes() == np.float64(ref["worst_excess"]).tobytes()
     status, points = {"fourier": ("pass", True), "identity": ("fail", True),

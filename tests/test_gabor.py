@@ -4,21 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fiocalc import fio, gabor, lagdist
+from fiocalc import acceptance, gabor, lagdist
 from fiocalc.cli import _kernel_heatmap
-from fiocalc.fio import FioSpec, fio_kernel, kernel_characterization_check
+from fiocalc.fio import FioSpec, fio_kernel, kernel_characterization_check, wf_kernel_check
 from fiocalc.gabor import (
     ALONG_CAP,
-    INTERIOR_FRAC,
-    KERNEL_STRIDE,
-    K_MAX,
-    N_SHELLS,
-    OFF_CAP,
-    OFF_RANGE,
-    REL_FLOOR,
     DecayProfile,
     Field4D,
-    InteriorBox,
     N_SECTORS,
     _complement_forms,
     _distance,
@@ -28,13 +20,13 @@ from fiocalc.gabor import (
     gabor_transform,
     gabor_transform_points,
     gaussian_window_at,
-    kernel_fbi_field,
+    sweep_field,
+    sweep_kernel_field,
     wavefront_estimate,
 )
 from fiocalc.grids import GridFunction, GridSpec, gaussian_window, hermite_grid_function
-from fiocalc.lagdist import lagrangian_membership_test
-from fiocalc.symbols import (_derivative, _shell_maxima, constant_symbol,
-                             harmonic_oscillator_symbol, shell_slope)
+from fiocalc.lagdist import kernel_membership_check, lagrangian_membership_test
+from fiocalc.symbols import constant_symbol, harmonic_oscillator_symbol
 from fiocalc.symplectic import (
     DimensionError,
     SymplecticMatrix,
@@ -44,7 +36,11 @@ from fiocalc.symplectic import (
     standard_j,
     twisted_graph_lagrangian,
 )
-from whole_box import _quadratic_twist, _span_distance, directional_derivative
+from whole_box import (_quadratic_twist, _span_distance, directional_derivative,
+                       full_field_decay_profile, full_field_derivative, interior_box,
+                       kernel_fbi_field, reference_kernel_field, steps,
+                       whole_box_interior, whole_box_wf_kernel_check)
+
 
 def delta(grid):
     vals = np.zeros(grid.n, dtype=complex)
@@ -98,37 +94,32 @@ def test_constant_concentrates_on_position_axis():
     angles = (np.asarray(rep.nondecaying) + 0.5) * 2 * np.pi / N_SECTORS
     assert np.abs(np.sin(angles)).max() < 0.45
 
+class Recorder:
+    """A reader that keeps what a sweep gives it: the box, each read's
+    layers, interior mask and running peak, and the final peak."""
 
-def reference_kernel_field(K, stride):
-    """The whole 4-D field of a kernel in one product, M K M^T with rows
-    (z1, zeta1) and columns (z2, zeta2), returned on the axes
-    (z1, z2, zeta1, zeta2): the reference the streamed box must match."""
-    spec = K.spec
-    z = spec.points()[::stride]
-    zeta = spec.dual_points(stride)
-    xl = spec.points()
-    win = np.conj(gaussian_window_at(xl[None, :] - z[:, None]))
-    mod = np.exp(-1j * np.outer(zeta, xl))
-    row_phase = np.exp(1j * np.outer(z, zeta))
-    M = (2 * np.pi) ** (-0.5) * spec.h * (win[:, None, :] * mod[None, :, :])
-    M = M * row_phase[:, :, None]
-    M = M.reshape(len(z) * len(zeta), spec.n)
-    field = M @ K.reshaped() @ M.T
-    field = field.reshape(len(z), len(zeta), len(z), len(zeta))
-    return Field4D((z, z, zeta, zeta), np.transpose(field, (0, 2, 1, 3)))
+    def start(self, box):
+        self.box, self.reads = box, []
+
+    def read(self, lo, hi, sweep, peak):
+        self.reads.append((lo, hi, np.array(sweep.layers(lo, hi)), sweep.interior.copy(), peak))
+
+    def finish(self, peak):
+        self.peak = peak
+        return self
 
 
 def test_kernel_field_shape_and_steps():
     g2 = GridSpec(2, 64, 8.0)
     K = GridFunction.sample(g2, lambda a, b: np.exp(-a ** 2 - b ** 2))
-    field = kernel_fbi_field(K, stride=4)
+    rec, = sweep_kernel_field(K, [Recorder()], stride=4)
     whole = reference_kernel_field(K, 4)
+    box, slices = _interior_box(whole.axes)
     assert whole.values.shape == (16, 16, 16, 16)
-    assert isinstance(field, InteriorBox) and field.values.flags.c_contiguous
-    assert field.values.shape == whole.values[box_slices(whole, field)].shape
-    assert field.interior.shape == field.values.shape
-    assert np.isclose(field.field_steps[0], 4 * g2.h)
-    assert field.field_steps == tuple(whole.steps())
+    assert rec.box.shape == whole.values[slices].shape == box.shape
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(rec.box.axes, box.axes))
+    assert np.isclose(rec.box.field_steps[0], 4 * g2.h)
+    assert rec.box.field_steps == tuple(steps(whole))
 
 
 def test_directional_derivative_of_separable_gaussian():
@@ -144,11 +135,13 @@ def test_directional_derivative_of_separable_gaussian():
     for i in range(len(ax)):
         where[i] = True
         d0 = directional_derivative(field, np.array([1.0, 0.0, 0.0, 0.0]), where,
-                                    field.steps())
+                                    steps(field))
         where[i] = False
         ref = -mesh[0][i] * vals[i]
         err = np.fmax(err, np.fmax.reduce(np.abs(d0 - ref.reshape(-1))))
     assert err < 1e-4
+
+
 
 
 def random_field(shape, seed=0):
@@ -222,76 +215,6 @@ def test_layer_distances_are_the_whole_box_ones(basis):
 # -- derivatives at the points a profile reads, against the full box -------
 
 
-def full_field_derivative(field, direction):
-    """The directional derivative over the whole box: the reference that
-    the flat-index stencil (gabor._stencil) must match to the bit at the
-    points of its mask."""
-    direction = np.asarray(direction, dtype=float)
-    steps = field.steps()
-    out = np.zeros_like(field.values)
-    for axis, c in enumerate(direction):
-        if abs(c) > 1e-14:
-            out = out + c * _derivative(field.values, axis, steps[axis])
-    return out
-
-
-def whole_box_interior(axes):
-    """Grid points within INTERIOR_FRAC of every axis extent, over the whole
-    grid."""
-    inside = np.ones([len(a) for a in axes], dtype=bool)
-    for a in np.ix_(*axes):
-        inside &= np.abs(a) <= INTERIOR_FRAC * np.abs(a).max()
-    return inside
-
-
-def full_field_decay_profile(field, Q, lam, vlam):
-    """decay_profile over the whole box: the whole field twisted, the interior
-    mask and the distances taken at every grid point, the peak read from the
-    twisted field, and every derivative taken by full_field_derivative and
-    only then read on the strip."""
-    field = _quadratic_twist(field, Q)
-    dist_l = _span_distance(field.axes, lam.basis)
-    dist_v = _span_distance(field.axes, vlam.basis)
-    interior = whole_box_interior(field.axes)
-    mag0 = np.abs(field.values)
-    peak = mag0.max() or 1.0
-
-    edges = np.geomspace(*OFF_RANGE, N_SHELLS + 1)
-    radii = np.sqrt(edges[:-1] * edges[1:])
-    sel = (dist_v <= OFF_CAP) & interior
-    maxima = _shell_maxima(dist_l[sel], mag0[sel], edges)
-    off_slope = shell_slope(radii, maxima)
-    off_shells = [(float(r), float(v)) for r, v in zip(radii, maxima)]
-
-    r_along = float(np.max(dist_v[interior]))
-    edges_a = np.geomspace(2.0, 0.8 * r_along, N_SHELLS + 1)
-    radii_a = np.sqrt(edges_a[:-1] * edges_a[1:])
-    strip = (dist_l <= ALONG_CAP) & interior
-    along = {}
-    for k in range(K_MAX + 1):
-        worst = None
-        for j in range(lam.basis.shape[1] if k else 1):
-            dfield = field
-            for _ in range(k):
-                dfield = Field4D(field.axes, full_field_derivative(dfield, lam.basis[:, j]))
-            mag = np.abs(dfield.values) if k else mag0
-            good = strip & np.isfinite(mag)
-            if mag[good].max(initial=0.0) <= REL_FLOOR * peak:
-                if worst is None:
-                    worst = -np.inf
-                continue
-            slope = shell_slope(radii_a, _shell_maxima(dist_v[good], mag[good], edges_a))
-            if slope is None:
-                worst = None
-                break
-            worst = slope if worst is None else max(worst, slope)
-        along[k] = worst
-
-    status = "inconclusive" if off_slope is None or None in along.values() else "pass"
-    return DecayProfile(off_slope if off_slope is not None else np.nan,
-                        along, off_shells, status)
-
-
 def layouts(shape, seed):
     """A random complex field on uneven axes, C-contiguous and in a
     transposed layout (a view of swapped axes)."""
@@ -330,7 +253,7 @@ def test_directional_derivative_is_the_full_field_one_at_the_mask(shape, layout)
     field = layouts(shape, seed=len(shape))[layout]
     for name, where in masks(shape, seed=7).items():
         for direction in DIRECTIONS[len(shape)]:
-            got = directional_derivative(field, np.array(direction), where, field.steps())
+            got = directional_derivative(field, np.array(direction), where, steps(field))
             ref = full_field_derivative(field, np.array(direction))[where]
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes(), (name, direction)
@@ -341,14 +264,13 @@ def test_directional_derivative_skips_negligible_components():
     field = layouts((6, 7, 8, 9), seed=1)["transposed"]
     where = masks((6, 7, 8, 9), seed=2)["border"]
     got = directional_derivative(field, np.array([0.0, 1e-14, 1.0, 0.0]), where,
-                                 field.steps())
+                                 steps(field))
     ref = directional_derivative(field, np.array([0.0, 0.0, 1.0, 0.0]), where,
-                                 field.steps())
+                                 steps(field))
     assert got.tobytes() == ref.tobytes()
     # nan only where axis 2 is within two layers of its edge
     i2 = np.nonzero(where)[2]
     assert np.array_equal(np.isnan(got), (i2 < 2) | (i2 >= 6))
-
 
 def bits(value):
     """A profile field with every float replaced by its bytes."""
@@ -362,12 +284,11 @@ def bits(value):
 
 
 def assert_profiles_bit_equal(cases):
-    """Every DecayProfile field of each (box, whole field, Q, lam, vlam) case
-    to the bit, decay_profile on the box against full_field_decay_profile
-    on the whole field; returns the order-1 slopes."""
+    """Every DecayProfile field of each (streamed profile, whole field, Q,
+    lam, vlam) case to the bit, against full_field_decay_profile on the
+    whole field; returns the order-1 slopes."""
     slopes = []
-    for box, whole, Q, lam, vlam in cases:
-        got = decay_profile(box, Q, lam, vlam)
+    for got, whole, Q, lam, vlam in cases:
         ref = full_field_decay_profile(whole, Q, lam, vlam)
         for f in dataclasses.fields(DecayProfile):
             assert bits(getattr(got, f.name)) == bits(getattr(ref, f.name)), f.name
@@ -375,107 +296,94 @@ def assert_profiles_bit_equal(cases):
     return slopes
 
 
-def capture_profile_inputs(monkeypatch, module):
-    seen = []
-
-    def spy(field, Q, lam, vlam):
-        seen.append((field, Q, lam, vlam))
-        return decay_profile(field, Q, lam, vlam)
-
-    monkeypatch.setattr(module, "decay_profile", spy)
-    return seen
+def profile_readers(chis):
+    """The kernel test's reader for each chi, with its (Q, lam, vlam)."""
+    readers = [kernel_characterization_check(chi, 0.0, 1.0) for chi in chis]
+    return readers, [(r.Q, r.lam, r.vlam) for r in readers]
 
 
 def test_membership_profile_is_bit_equal_to_the_full_field_loop(monkeypatch):
-    seen = capture_profile_inputs(monkeypatch, lagdist)
-    wholes = []
+    """The d = 1 membership test holds its small field whole and feeds it
+    through the same reader in one block."""
+    seen = []
 
-    def cut(field):  # the whole field the membership test cuts its box from
-        wholes.append(field)
-        return _interior_box(field)
+    def spy(field, readers):
+        seen.append((field, [(r.Q, r.lam, r.vlam) for r in readers]))
+        return sweep_field(field, readers)
 
-    monkeypatch.setattr(lagdist, "_interior_box", cut)
+    monkeypatch.setattr(lagdist, "sweep_field", spy)
     grid = GridSpec(1, 128, 10.0)
     x = grid.points()
     lam = lagrangian_with_param(np.eye(1), np.array([[1.0]]), 1)
+    reports = []
     for amplitude, m in ((np.ones_like(x), 0.0), (x, 1.0)):
         u = GridFunction(grid, amplitude * np.exp(0.5j * x ** 2))
-        assert lagrangian_membership_test(u, lam, m).status == "pass"
-    assert [len(f.axes) for f, *_ in seen] == [2, 2] and len(wholes) == 2
+        reports.append(lagrangian_membership_test(u, lam, m))
+        assert reports[-1].status == "pass"
+    assert [len(field.axes) for field, _ in seen] == [2, 2]
     # the unit chirp's derivative sits at the noise floor; x times it is fitted
-    slopes = assert_profiles_bit_equal([(box, whole, *rest)
-                                        for (box, *rest), whole in zip(seen, wholes)])
+    slopes = assert_profiles_bit_equal([(rep.profile, field, *forms)
+                                        for rep, (field, [forms]) in zip(reports, seen)])
     assert slopes[0] == -np.inf and np.isfinite(slopes[1])
 
 
-def test_kernel_profile_is_bit_equal_to_the_full_field_loop(monkeypatch):
-    seen = capture_profile_inputs(monkeypatch, fio)
+def test_kernel_profile_is_bit_equal_to_the_full_field_loop():
     grid = GridSpec(1, 64, 7.0)
     J = standard_j(1)
     K, _ = fio_kernel(FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=J), grid)
-    field = kernel_fbi_field(K)
-    kernel_characterization_check(field, J, 0.0, 1.0)
-    kernel_characterization_check(field, SymplecticMatrix(1, np.eye(2)), 0.0, 1.0)
-    assert [len(f.axes) for f, *_ in seen] == [4, 4]
-    whole = reference_kernel_field(K, KERNEL_STRIDE)
-    assert all(np.isfinite(assert_profiles_bit_equal([(box, whole, *rest)
-                                                      for box, *rest in seen])))
+    readers, forms = profile_readers([J, SymplecticMatrix(1, np.eye(2))])
+    reports = sweep_kernel_field(K, readers)
+    whole = reference_kernel_field(K, gabor.KERNEL_STRIDE)
+    assert all(np.isfinite(assert_profiles_bit_equal(
+        [(rep.profile, whole, *f) for rep, f in zip(reports, forms)])))
 
 
 @pytest.mark.parametrize("layers", [1, 2, 3, None])
 def test_profile_is_bit_equal_for_every_slab_depth(monkeypatch, layers):
-    """Slabs of 1, 2 or 3 whole z1 layers, where the stencil reads across
-    slab edges, and the whole box in one slab (None) give the profile of the
-    full-field loop to the bit."""
+    """Slabs and reads of 1, 2 or 3 whole z1 layers, where the stencil reads
+    across the edges of the reads and of the slabs, and the whole field in
+    one slab read as one (None) give the profile of the full-field loop to
+    the bit."""
     grid = GridSpec(1, 64, 7.0)
     J = standard_j(1)
     K, _ = fio_kernel(FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=J), grid)
-    box = kernel_fbi_field(K)
-    layer = box.values[0].size
-    monkeypatch.setattr(gabor, "PROFILE_SLAB", layer * (layers or len(box.values)))
-    whole = reference_kernel_field(K, KERNEL_STRIDE)
-    cases = []
-    for chi in (J, SymplecticMatrix(1, np.eye(2))):
-        lam = twisted_graph_lagrangian(chi)
-        vlam = twisted_graph_lagrangian(SymplecticMatrix(1, -chi.entries))
-        cases.append((box, whole, chi_twist_field(chi), lam, vlam))
-    assert all(np.isfinite(assert_profiles_bit_equal(cases)))
+    whole = reference_kernel_field(K, gabor.KERNEL_STRIDE)
+    box, _ = _interior_box(whole.axes)
+    layer = box.shape[1] * box.shape[2] * box.shape[3]
+    monkeypatch.setattr(gabor, "PROFILE_SLAB", layer * (layers or box.shape[0]))
+    monkeypatch.setattr(gabor, "SLAB_Z1", layers or len(whole.axes[0]))
+    readers, forms = profile_readers([J, SymplecticMatrix(1, np.eye(2))])
+    rec, *reports = sweep_kernel_field(K, [Recorder(), *readers])
+    assert max(hi - lo for lo, hi, *_ in rec.reads) == (layers or box.shape[0])
+    assert all(np.isfinite(assert_profiles_bit_equal(
+        [(rep.profile, whole, *f) for rep, f in zip(reports, forms)])))
 
 
 # -- the interior box a profile reads --------------------------------------
 
 
-def box_slices(field, view):
-    """The slice of each whole axis that the box view covers."""
-    box = []
-    for a, b in zip(field.axes, view.axes):
-        lo = int(np.flatnonzero(a == b[0])[0])
-        box.append(slice(lo, lo + len(b)))
-    return tuple(box)
-
-
 @pytest.mark.parametrize("shape", [(23, 7), (11, 7, 13, 30)])
 def test_interior_box_holds_the_interior(shape):
     field = layouts(shape, seed=len(shape))["transposed"]
-    view = _interior_box(field)
-    inside = view.interior
-    box = box_slices(field, view)
+    box, slices = _interior_box(field.axes)
+    inside = box.interior(0, box.shape[0])
     whole = whole_box_interior(field.axes)
-    assert view.peak == np.abs(field.values).max()
-    assert view.field_steps == tuple(field.steps())
-    assert np.shares_memory(view.values, field.values)
-    assert np.array_equal(view.values, field.values[box])
-    assert np.array_equal(inside, whole[box])
+    assert box.field_steps == tuple(steps(field))
+    assert all(a.tobytes() == b[s].tobytes() for a, b, s in zip(box.axes, field.axes, slices))
+    assert np.array_equal(inside, whole[slices])
+    assert all(np.array_equal(box.interior(lo, lo + 2), inside[lo:lo + 2])
+               for lo in range(box.shape[0] - 1))
     outside = whole.copy()
-    outside[box] = False
+    outside[slices] = False
     assert not outside.any()
     # the interior of the 7-point axis runs from sample 1 to sample 5, so its
     # box is clipped at both grid edges; some box edge keeps the full reach
     inner = np.flatnonzero(whole.any(axis=tuple(j for j in range(len(shape)) if j != 1)))
-    assert (inner[0], inner[-1]) == (1, 5) and box[1] == slice(0, 7)
-    assert any(s != slice(0, n) for s, n in zip(box, shape))
+    assert (inner[0], inner[-1]) == (1, 5) and slices[1] == slice(0, 7)
+    assert any(s != slice(0, n) for s, n in zip(slices, shape))
+    view = Field4D(box.axes, field.values[slices])
     for direction in DIRECTIONS[len(shape)]:
-        got = directional_derivative(view, np.array(direction), inside, field.steps())
+        got = directional_derivative(view, np.array(direction), inside, steps(field))
         ref = full_field_derivative(field, np.array(direction))[whole]
         assert got.tobytes() == ref.tobytes(), direction
         assert np.array_equal(np.isnan(got), np.isnan(ref))
@@ -493,19 +401,21 @@ def test_clipped_box_profile_is_bit_equal_to_the_whole_box_one():
     envelope = np.exp(-0.02 * sum(m ** 2 for m in mesh))
     field = Field4D(axes, envelope * (rng.standard_normal(shape)
                                       + 1j * rng.standard_normal(shape)))
-    view = _interior_box(field)
+    view = interior_box(field)
     inside = view.interior
     assert [len(a) for a in view.axes] == [7, 14, 7, 9]
-    assert view.steps()[1] != field.steps()[1]
-    assert view.field_steps == tuple(field.steps())
+    assert steps(view)[1] != steps(field)[1]
+    assert view.field_steps == tuple(steps(field))
     assert whole_box_interior(axes)[1].any()
     J = standard_j(1)
     lam = twisted_graph_lagrangian(J)
     vlam = twisted_graph_lagrangian(SymplecticMatrix(1, -J.entries))
     strip = inside & (_span_distance(view.axes, lam.basis) <= ALONG_CAP)
-    assert any(np.isnan(directional_derivative(view, v, strip, field.steps())).any()
+    assert any(np.isnan(directional_derivative(view, v, strip, steps(field))).any()
                for v in lam.basis.T)
-    slopes = assert_profiles_bit_equal([(view, field, chi_twist_field(J), lam, vlam)])
+    got, = sweep_field(field, [decay_profile(chi_twist_field(J), lam, vlam,
+                                             lambda prof: prof)])
+    slopes = assert_profiles_bit_equal([(got, field, chi_twist_field(J), lam, vlam)])
     assert np.isfinite(slopes[0])
 
 
@@ -522,20 +432,82 @@ def ho_fourier_kernel(n):
 
 @pytest.mark.parametrize("n, clipped", [(64, False), (32, True)])
 def test_streamed_box_is_the_whole_field_box(n, clipped):
+    """The layers a reader sees, in order, are the whole field's interior
+    box to the bit, with its interior mask, and the final peak is the whole
+    field's."""
     K = ho_fourier_kernel(n)
-    got = kernel_fbi_field(K, 2)
+    rec, = sweep_kernel_field(K, [Recorder()], 2)
     whole = reference_kernel_field(K, 2)
-    ref = _interior_box(whole)
-    box = box_slices(whole, got)
-    assert any(s.start == 0 or s.stop == len(a) for s, a in zip(box, whole.axes)) == clipped
-    assert got.values.flags.c_contiguous
-    assert got.values.tobytes() == np.ascontiguousarray(whole.values[box]).tobytes()
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(got.axes, ref.axes))
-    assert np.array_equal(got.interior, ref.interior)
-    assert got.field_steps == ref.field_steps
-    assert np.float64(got.peak).tobytes() == np.abs(whole.values).max().tobytes()
-    # the peak lies outside the box, so a box peak would be smaller
-    assert np.abs(got.values).max() < got.peak
+    ref = interior_box(whole)
+    _, slices = _interior_box(whole.axes)
+    assert any(s.start == 0 or s.stop == len(a) for s, a in zip(slices, whole.axes)) == clipped
+    bounds = [(lo, hi) for lo, hi, *_ in rec.reads]
+    assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+    got = np.concatenate([layers for _, _, layers, *_ in rec.reads])
+    assert got.tobytes() == np.ascontiguousarray(ref.values).tobytes()
+    assert np.array_equal(np.concatenate([mask for *_, mask, _ in rec.reads]), ref.interior)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(rec.box.axes, ref.axes))
+    assert rec.box.field_steps == ref.field_steps
+    assert np.float64(rec.peak).tobytes() == np.abs(whole.values).max().tobytes()
+    # running peaks never fall and never pass the final one; the peak lies
+    # outside the box, so a box peak would be smaller
+    running = [peak for *_, peak in rec.reads]
+    assert running == sorted(running) and running[-1] <= rec.peak
+    assert np.abs(got).max() < rec.peak
+
+
+def late_peak_kernel():
+    """The mu(J) kernel plus a bump at x = 9 whose field peaks at z1 = 9,
+    past the interior box (|z1| <= 7 and the stencil's reach), at five
+    times the mu(J) field's peak."""
+    grid = GridSpec(1, 64, 10.0)
+    K, _ = fio_kernel(FioSpec("factored", 0.0, 1.0, b=constant_symbol(2),
+                              chi=standard_j(1)), grid)
+    bump = GridFunction.sample(K.spec, lambda a, b: np.exp(-0.5 * ((a - 9.0) ** 2 + b ** 2)))
+    scale = np.abs(reference_kernel_field(K, 2).values).max() \
+        / np.abs(reference_kernel_field(bump, 2).values).max()
+    return GridFunction(K.spec, K.values + 5 * scale * bump.values)
+
+
+STREAM_KERNELS = {
+    "mu-64": lambda: fio_kernel(FioSpec("factored", 0.0, 1.0, b=constant_symbol(2),
+                                        chi=standard_j(1)), GridSpec(1, 64, 10.0))[0],
+    "ho-64": lambda: ho_fourier_kernel(64),
+    "ho-32-clipped": lambda: ho_fourier_kernel(32),
+    "late-peak": late_peak_kernel,
+}
+
+
+@pytest.mark.parametrize("kernel", list(STREAM_KERNELS))
+def test_streamed_reads_are_the_whole_box_ones(kernel):
+    """Every read the battery makes of a kernel (kernel profile, membership
+    profile and cone, against J and the identity) in one sweep, each to the
+    bit against its whole-field or whole-box reference."""
+    K = STREAM_KERNELS[kernel]()
+    chis = [standard_j(1), SymplecticMatrix(1, np.eye(2))]
+    profiles = [kernel_characterization_check(chi, 0.0, 1.0) for chi in chis] \
+        + [kernel_membership_check(chi, 0.0) for chi in chis]
+    cones = [wf_kernel_check(chi) for chi in chis]
+    rec, *results = sweep_kernel_field(K, [Recorder(), *profiles, *cones])
+    whole = reference_kernel_field(K, 2)
+    box = interior_box(whole)
+    assert_profiles_bit_equal([(rep.profile, whole, r.Q, r.lam, r.vlam)
+                               for rep, r in zip(results, profiles)])
+    for got, chi in zip(results[len(profiles):], chis):
+        ref = whole_box_wf_kernel_check(box, chi)
+        assert got == ref and type(got["points"]) is int
+        assert np.float64(got["worst_excess"]).tobytes() \
+            == np.float64(ref["worst_excess"]).tobytes()
+    if kernel == "mu-64":
+        assert [r["status"] for r in results[len(profiles):]] == ["pass", "fail"]
+    if kernel == "late-peak":
+        # the peak comes after the box, so the running peak at the box's
+        # end would admit more points than the final one does
+        running = rec.reads[-1][-1]
+        assert running < rec.peak
+        early = whole_box_wf_kernel_check(dataclasses.replace(box, peak=running), chis[0])
+        assert early["points"] > results[len(profiles)]["points"] > 0
+
 
 
 @pytest.mark.parametrize("stride", [4, 2, 1])
@@ -549,18 +521,20 @@ def test_kernel_heatmap_is_the_whole_field_one(stride):
     assert zeta.tobytes() == whole.axes[2].tobytes()
     assert heat.tobytes() == np.ascontiguousarray(ref).tobytes()
 
-
 def test_kernel_field_never_holds_the_whole_field():
-    # the whole field at n = 128, stride 2 is 64^4 complex entries, 268 MB.
-    # The build holds its 49^4 box (92.2 MB), M and M K (8.4 MB each) and,
-    # per slab, 64 SLAB_Z1 rows of 64^3 entries, their magnitudes and the
-    # box part: 131.6 MB in slabs of 2 z1 values, 148.3 MB in slabs of 4
-    K = ho_fourier_kernel(128)
+    # the whole field at n = 128, stride 2 is 64^4 complex entries (268 MB)
+    # and its interior box 49^4 (92.2 MB).  The box build alone peaked at
+    # 131.6 MB; the sweep holds M and M K (8.4 MB each), one slab of 2 z1
+    # values, a few box layers (1.9 MB each) and what its six readers keep
+    (source, grid, reads), = acceptance.kernel_reads(True)
+    readers = list({read.key: read.reader() for read in reads}.values())
+    assert len(readers) == 6
+    K = acceptance._kernel(source, grid)
     tracemalloc.start()
     try:
-        field = kernel_fbi_field(K, 2)
+        results = sweep_kernel_field(K, readers)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert field.values.shape == (49, 49, 49, 49)
-    assert peak < 140e6
+    assert len(results) == 6
+    assert peak < 70e6
