@@ -51,7 +51,6 @@ from .phases import (
     random_nondegenerate_phase,
     reduce_phase,
 )
-from .serialize import fio_spec_to_dict, json_dumps
 from .symbols import (
     constant_symbol,
     custom_symbol,
@@ -407,17 +406,6 @@ def _kernel(source: FioSpec | LagrangianDistSpec, grid: GridSpec) -> GridFunctio
     return K
 
 
-def _kernel_key(source: FioSpec | LagrangianDistSpec, grid: GridSpec) -> str:
-    """Canonical JSON of the kernel's source and grid; the kernel values are
-    not hashed."""
-    if isinstance(source, LagrangianDistSpec):
-        data = {"lagrangian": source.lam.basis, "symbol": source.symbol.to_dict(),
-                "chi_syn": source.chi_syn.entries}
-    else:
-        data = fio_spec_to_dict(source)
-    return json_dumps({"kernel": data, "grid": grid.to_dict()})
-
-
 @dataclass(frozen=True)
 class KernelRead:
     """One read that a check makes of a kernel's field: the kernel test
@@ -493,15 +481,15 @@ class KernelTable:
     """The results of the kernel reads (kernel_reads) of one battery run,
     for every check or for one.
 
-    Each kernel is swept once (gabor.sweep_kernel_field), at the first read
-    of it, with a reader for each distinct read the table serves of it, and
-    the table keeps the results, never a field.  run_suite makes one table
-    per run; a check called without one makes its own, for its reads
-    alone."""
+    Each kernel, known by its position in kernel_reads, is swept once
+    (gabor.sweep_kernel_field), at the first read of it, with a reader for
+    each distinct read the table serves of it, and the table keeps the
+    results, never a field.  run_suite makes one table per run; a check
+    called without one makes its own, for its reads alone."""
 
     def __init__(self, quick: bool, check: str | None = None):
-        self._reads = [(_kernel_key(source, grid), source, grid, read)
-                       for source, grid, reads in kernel_reads(quick)
+        self._reads = [(kernel, source, grid, read)
+                       for kernel, (source, grid, reads) in enumerate(kernel_reads(quick))
                        for read in reads if check in (None, read.check)]
         self._results = {}
 

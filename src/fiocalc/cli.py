@@ -32,7 +32,8 @@ from .fio import (
     fio_kernel,
     kernel_characterization_check,
 )
-from .gabor import _kernel_field_slabs, gabor_transform, sweep_kernel_field, wavefront_estimate
+from .gabor import (KERNEL_STRIDE, _kernel_field_slabs, gabor_transform, sweep_kernel_field,
+                    wavefront_estimate)
 from .grids import GridFunction, GridSpec, SizeGuardError, gaussian_window
 from .lagdist import lagrangian_membership_test, lagrangian_param
 from .metaplectic import mu_general
@@ -252,9 +253,7 @@ def _kernel_heatmap(K: GridFunction, stride: int) -> tuple:
     frequency, first position) with the frequency axis increasing upward."""
     z, zeta, slabs = _kernel_field_slabs(K, stride)
     j = int(np.argmin(np.abs(z)))
-    sub = np.empty((len(z), len(zeta)))  # (z1, zeta1)
-    for i, S in slabs:
-        sub[i:i + len(S)] = np.abs(S[:, :, j, :]).max(axis=2)
+    sub = np.array([np.abs(S[:, j, :]).max(axis=1) for S in slabs])  # (z1, zeta1)
     return z, zeta, sub.T[::-1]
 
 
@@ -351,7 +350,7 @@ _COMMANDS = {
 _FLAGS = {
     "grid_n": {"type": int, "default": 128},
     "grid_R": {"type": float, "default": 10.0},
-    "stride": {"type": int, "default": 2},
+    "stride": {"type": int, "default": KERNEL_STRIDE},
     "seed": {"type": int, "default": 0},
     "order": {"type": float, "default": 0.0},
     "rho": {"type": float, "default": 1.0},

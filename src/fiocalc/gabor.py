@@ -24,8 +24,6 @@ from .symplectic import (DimensionError, LagrangianSubspace, SymplecticMatrix,
 
 POINT_CHUNK = 2048  # phase-space points per block of the point evaluator
 KERNEL_STRIDE = 2  # decimation of the 4-D kernel field: (n / stride)^4 entries
-SLAB_Z1 = 2  # z1 values per slab of the kernel field, each with all other axes
-PROFILE_SLAB = 2 ** 16  # box entries per read of a sweep: whole layers, at least one
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ class InteriorBox:
     (_interior_box): the box axes, cut from the whole axes; which box points
     are interior, one boolean array per axis; and the whole field's axis
     steps, which the cut axes do not repeat to the bit.  It holds no values:
-    a sweep (_Sweep) passes them to its readers a few layers at a time."""
+    a sweep (_Sweep) passes them to its readers as they arrive."""
 
     axes: tuple
     inside: tuple
@@ -178,9 +176,9 @@ def wavefront_estimate(u: GridFunction, N_max: float) -> SectorReport:
 
 def _kernel_field_slabs(K: GridFunction, stride: int) -> tuple:
     """The axes z, zeta of T_{g tensor g} K on the grid decimated by stride
-    (K lives on a d = 2 grid) and a generator of the field in slabs (i, S)
-    of SLAB_Z1 values of z1: S[a, m, j, p] is the field at
-    (z1, z2, zeta1, zeta2) = (z[i + a], z[j], zeta[m], zeta[p]).  A slab is
+    (K lives on a d = 2 grid) and a generator of the field one z1 value at
+    a time: its i-th slab S has S[m, j, p] the field at
+    (z1, z2, zeta1, zeta2) = (z[i], z[j], zeta[m], zeta[p]).  A slab is
     whole rows of M K M^T, rows (z1, zeta1) and columns (z2, zeta2), so its
     entries equal those of the whole product to the bit; the whole field is
     never held.  Refuses with SizeGuardError past MEMORY_CAP_ENTRIES field
@@ -203,9 +201,9 @@ def _kernel_field_slabs(K: GridFunction, stride: int) -> tuple:
     MK = M @ K.reshaped()
 
     def slabs():  # holds no slab between yields
-        for i in range(0, len(z), SLAB_Z1):
-            yield i, (MK[i * len(zeta):(i + SLAB_Z1) * len(zeta)] @ M.T).reshape(
-                -1, len(zeta), len(z), len(zeta))
+        for i in range(len(z)):
+            yield (MK[i * len(zeta):(i + 1) * len(zeta)] @ M.T).reshape(
+                len(zeta), len(z), len(zeta))
 
     return z, zeta, slabs()
 
@@ -320,21 +318,21 @@ class _Sweep:
 
     The box's values arrive in blocks of whole layers (push).  Layers are
     read, by each reader in turn, once the STENCIL_REACH layers after them
-    have arrived or the box has ended, and a block is dropped once no layer
-    still to be read is within STENCIL_REACH of it, so the sweep holds a few
-    layers, never the box.  A reader has three methods: start(box) ahead of
-    the first layer; read(lo, hi, sweep, peak) for the layers lo:hi, where
-    sweep.layers returns the values of layers held, sweep.interior is
-    the interior mask on lo:hi, and sweep.shared and sweep.distance give
-    what is taken once per read for all readers; and finish(peak),
-    whose value is the reader's result.  peak is the largest |value| of the
-    field so far: in read, up to the last block pushed, and in finish, of
-    the whole field, box or not."""
+    have arrived or the box has ended, in runs no longer than the block
+    just pushed, and a block is dropped once no layer still to be read is
+    within STENCIL_REACH of it, so a sweep pushed one layer at a time holds
+    a few layers, never the box.  A reader has three methods: start(box)
+    ahead of the first layer; read(lo, hi, sweep, peak) for the layers
+    lo:hi, where sweep.layers returns the values of layers held,
+    sweep.interior is the interior mask on lo:hi, and sweep.shared and
+    sweep.distance give what is taken once per read for all readers; and
+    finish(peak), whose value is the reader's result.  peak is the largest
+    |value| of the field so far: in read, up to the last block pushed, and
+    in finish, of the whole field, box or not."""
 
     def __init__(self, box: InteriorBox, readers: list):
         self.box, self.readers = box, readers
         self.size = math.prod(box.shape[1:])  # entries per layer
-        self.depth = max(1, PROFILE_SLAB // self.size)  # layers per read
         self._w = np.ix_(*box.axes)
         self._blocks = []  # (first layer, C-contiguous values of its layers)
         self._pushed = self._read = 0
@@ -342,13 +340,16 @@ class _Sweep:
             reader.start(box)
 
     def push(self, layers: np.ndarray, peak: float) -> None:
-        """The next layers of the box, axis 0 first, and the running peak."""
+        """The next layers of the box, axis 0 first, and the running peak;
+        an empty block is ignored."""
+        if not len(layers):
+            return
         self._blocks.append((self._pushed, np.ascontiguousarray(layers)))
         self._pushed += len(layers)
         n = self.box.shape[0]
         ready = n if self._pushed == n else self._pushed - STENCIL_REACH
         while self._read < ready:
-            lo, self._read = self._read, min(self._read + self.depth, ready)
+            lo, self._read = self._read, min(self._read + len(layers), ready)
             self.interior = self.box.interior(lo, self._read)
             self._layer_axes = [self._w[0][lo:self._read], *self._w[1:]]
             self._shared = {}
@@ -393,24 +394,22 @@ def sweep_field(field: Field4D, readers: list) -> list:
 def sweep_kernel_field(K: GridFunction, readers: list, stride: int = KERNEL_STRIDE) -> list:
     """The readers' results on the field T_{g tensor g} K of a kernel on a
     d = 2 grid, axes (z1, z2, zeta1, zeta2), decimated by stride: one pass
-    over the slabs of _kernel_field_slabs, each slab's box layers going to
-    every reader as one block (_Sweep), so neither the field nor its
+    over the slabs of _kernel_field_slabs, each slab's box layer going to
+    every reader as it is pushed (_Sweep), so neither the field nor its
     interior box is held.  Refuses with SizeGuardError past
     MEMORY_CAP_ENTRIES field entries."""
     z, zeta, slabs = _kernel_field_slabs(K, stride)
     box, (s1, s2, s3, s4) = _interior_box((z, z, zeta, zeta))
     sweep = _Sweep(box, readers)
     peak = 0.0
-    for i, S in slabs:
-        peak = max(peak, *(float(np.abs(row).max()) for row in S))
-        lo, hi = max(i, s1.start), min(i + len(S), s1.stop)
-        # the slab's z1 rows in the box, reordered to (z1, z2, zeta1, zeta2);
-        # a copy, so that no slab is held while the readers run or the next
-        # slab is built
-        block = np.ascontiguousarray(S[lo - i:hi - i, s3, s2, s4].transpose(0, 2, 1, 3))
-        del S
-        if len(block):
-            sweep.push(block, peak)
+    for i, S in enumerate(slabs):
+        peak = max(peak, float(np.abs(S).max()))
+        if s1.start <= i < s1.stop:
+            # the slab's box layer, reordered to (z1, z2, zeta1, zeta2): a
+            # copy, which frees the slab before the readers run
+            S = np.ascontiguousarray(S[None, s3, s2, s4].transpose(0, 2, 1, 3))
+            sweep.push(S, peak)
+        del S  # nothing is held while the next slab is built
     return sweep.finish(peak)
 
 

@@ -250,17 +250,21 @@ def _shift(chi: SymplecticMatrix, G: np.ndarray) -> SymplecticMatrix:
     return chi @ SymplecticMatrix(d, np.block([[np.eye(d), G], [np.zeros((d, d)), np.eye(d)]]))
 
 
-def _shifted_path(shifted: SymplecticMatrix, G: np.ndarray) -> tuple:
-    """The factors of chi = (chi UG) UG^{-1}, given shifted = chi UG, with
-    UG^{-1} = J^{-1} chirp(G) J."""
-    return (FreeKernelFactor(shifted), FourierFactor(+1), ChirpFactor(G), FourierFactor(-1))
+def _free_path(free: SymplecticMatrix, G: np.ndarray | None) -> tuple:
+    """The factors of chi given free = chi UG, a free matrix: its free
+    kernel, then UG^{-1} = J^{-1} chirp(G) J unless G is None (free = chi)."""
+    if G is None:
+        return (FreeKernelFactor(free),)
+    return (FreeKernelFactor(free), FourierFactor(+1), ChirpFactor(G), FourierFactor(-1))
 
 
 def mu_factors(chi: SymplecticMatrix, spec: GridSpec) -> tuple:
     """Ordered factor list whose symplectic product is chi, for samples on
-    spec.  For d = 1 the free kernel of chi, or else of the first shift
-    chi UG in FREE_SHIFTS, that spec resolves (_resolves); when none does,
-    and for d > 1, a free kernel whose B is well conditioned."""
+    spec.  The candidates are chi, then chi UG for each G in FREE_SHIFTS,
+    each shift built when a rule first reaches it.  The path is the free
+    kernel of the first candidate that spec resolves (_resolves, d = 1
+    only), else of the first whose B is well conditioned, else of the shift
+    whose B is best conditioned."""
     d = chi.d
     if np.max(np.abs(chi.B)) < 1e-12:
         # lower block-triangular: an exact pointwise chirp times a linear
@@ -271,31 +275,33 @@ def mu_factors(chi: SymplecticMatrix, spec: GridSpec) -> tuple:
         if np.max(np.abs(chi.A - np.eye(d))) > 1e-12:
             factors.append(LinearFactor(chi.A))
         return tuple(factors)
+    shifts = {}
+
+    def candidates():  # (G, chi UG): chi itself with G None, then each shift
+        yield None, chi
+        for t in FREE_SHIFTS:
+            if t not in shifts:
+                shifts[t] = _shift(chi, t * np.eye(d))
+            yield t * np.eye(d), shifts[t]
+
     if d == 1:
-        if is_free(chi) and _resolves(chi, spec):
-            return (FreeKernelFactor(chi),)
-        for G in (t * np.eye(d) for t in FREE_SHIFTS):
-            shifted = _shift(chi, G)
-            if is_free(shifted) and _resolves(shifted, spec):
-                return _shifted_path(shifted, G)
+        for G, c in candidates():
+            if is_free(c) and _resolves(c, spec):
+                return _free_path(c, G)
     # the explicit kernel has frequencies ~ 1/sigma_min(B); only use it when
-    # B is well conditioned, otherwise the sampled kernel aliases
-    if is_free(chi) and scipy.linalg.svdvals(chi.B)[-1] > 0.25:
-        return (FreeKernelFactor(chi),)
-    # prefer the smallest shift that is well conditioned: large shifts mean
-    # large intermediate chirps, which push states against the grid box
-    best, best_sigma = None, 0.0
-    for t in FREE_SHIFTS:
-        G = t * np.eye(d)
-        sigma = scipy.linalg.svdvals(chi.A @ G + chi.B)[-1]
+    # B is well conditioned, otherwise the sampled kernel aliases.  Smaller
+    # shifts come first: large shifts mean large intermediate chirps, which
+    # push states against the grid box
+    best, best_sigma = None, 1e-8
+    for G, c in candidates():
+        sigma = scipy.linalg.svdvals(c.B)[-1]
         if sigma > 0.25:
-            best, best_sigma = G, sigma
-            break
-        if sigma > best_sigma:
-            best, best_sigma = G, sigma
-    if best is not None and best_sigma > 1e-8:
-        return _shifted_path(_shift(chi, best), best)
-    raise RuntimeError("free-factor search exhausted; input not symplectic?")
+            return _free_path(c, G)
+        if G is not None and sigma > best_sigma:
+            best, best_sigma = (c, G), sigma
+    if best is None:
+        raise RuntimeError("free-factor search exhausted; input not symplectic?")
+    return _free_path(*best)
 
 
 def mu_general(chi: SymplecticMatrix, spec: GridSpec) -> MetaplecticOperator:

@@ -12,6 +12,8 @@ from fiocalc.gabor import (
     DecayProfile,
     Field4D,
     N_SECTORS,
+    STENCIL_REACH,
+    _Sweep,
     _complement_forms,
     _distance,
     _interior_box,
@@ -338,25 +340,83 @@ def test_kernel_profile_is_bit_equal_to_the_full_field_loop():
         [(rep.profile, whole, *f) for rep, f in zip(reports, forms)])))
 
 
-@pytest.mark.parametrize("layers", [1, 2, 3, None])
-def test_profile_is_bit_equal_for_every_slab_depth(monkeypatch, layers):
-    """Slabs and reads of 1, 2 or 3 whole z1 layers, where the stencil reads
-    across the edges of the reads and of the slabs, and the whole field in
-    one slab read as one (None) give the profile of the full-field loop to
-    the bit."""
+class WindowRecorder(Recorder):
+    """A Recorder that also keeps, at each read, the layers the derivative
+    stencil reads around it: STENCIL_REACH on each side, within the box."""
+
+    def read(self, lo, hi, sweep, peak):
+        super().read(lo, hi, sweep, peak)
+        a, b = max(lo - STENCIL_REACH, 0), min(hi + STENCIL_REACH, self.box.shape[0])
+        self.reads[-1] += ((a, b, np.array(sweep.layers(a, b))),)
+
+
+def sweep_box(box, values, peak, readers, block):
+    """The readers' results on the box values pushed through a _Sweep in
+    blocks of block layers, with an empty block between every two."""
+    sweep = _Sweep(box, readers)
+    for lo in range(0, box.shape[0], block):
+        sweep.push(values[lo:lo + block], peak)
+        sweep.push(values[:0], peak)
+    return sweep.finish(peak)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, None])
+def test_profile_is_bit_equal_for_every_slab_depth(block):
+    """The whole field's interior box pushed in blocks of 1, 2 or 3 layers,
+    or whole (None): no read spans more layers than a block, the layers the
+    stencil reads across block edges are held, and the profiles are those
+    of the full-field loop to the bit."""
     grid = GridSpec(1, 64, 7.0)
     J = standard_j(1)
     K, _ = fio_kernel(FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=J), grid)
     whole = reference_kernel_field(K, gabor.KERNEL_STRIDE)
-    box, _ = _interior_box(whole.axes)
-    layer = box.shape[1] * box.shape[2] * box.shape[3]
-    monkeypatch.setattr(gabor, "PROFILE_SLAB", layer * (layers or box.shape[0]))
-    monkeypatch.setattr(gabor, "SLAB_Z1", layers or len(whole.axes[0]))
+    box, slices = _interior_box(whole.axes)
+    values = np.ascontiguousarray(whole.values[slices])
+    block = block or box.shape[0]
     readers, forms = profile_readers([J, SymplecticMatrix(1, np.eye(2))])
-    rec, *reports = sweep_kernel_field(K, [Recorder(), *readers])
-    assert max(hi - lo for lo, hi, *_ in rec.reads) == (layers or box.shape[0])
+    rec, *reports = sweep_box(box, values, float(np.abs(whole.values).max()),
+                              [WindowRecorder(), *readers], block)
+    spans = [(lo, hi) for lo, hi, *_ in rec.reads]
+    assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+    assert spans[-1][1] == box.shape[0] and max(hi - lo for lo, hi in spans) == block
+    crossing = 0
+    for *_, (a, b, held) in rec.reads:
+        assert held.tobytes() == values[a:b].tobytes()
+        crossing += a // block != (b - 1) // block
+    assert crossing > 0 if block < box.shape[0] else crossing == 0
+    if block == 3:  # reads themselves cross block edges
+        assert any(lo // block != (hi - 1) // block for lo, hi in spans)
     assert all(np.isfinite(assert_profiles_bit_equal(
         [(rep.profile, whole, *f) for rep, f in zip(reports, forms)])))
+
+
+def test_sweeps_read_as_they_are_pushed():
+    """A kernel sweep reads one layer at a time, its final flush included;
+    a field held whole is read in one read of its whole box."""
+    K = ho_fourier_kernel(32)
+    rec, = sweep_kernel_field(K, [Recorder()])
+    box, _ = _interior_box(reference_kernel_field(K, gabor.KERNEL_STRIDE).axes)
+    assert [(lo, hi) for lo, hi, *_ in rec.reads] == [(i, i + 1) for i in range(box.shape[0])]
+    grid = GridSpec(1, 128, 10.0)
+    field = gabor_transform(hermite_grid_function(grid, [3]), gaussian_window(grid))
+    rec, = sweep_field(field, [Recorder()])
+    box, _ = _interior_box(field.axes)
+    assert [(lo, hi) for lo, hi, *_ in rec.reads] == [(0, box.shape[0])]
+
+
+def test_sweep_ignores_an_empty_block():
+    """An empty push reads nothing and leaves the sweep as it was."""
+    grid = GridSpec(1, 128, 10.0)
+    field = gabor_transform(hermite_grid_function(grid, [3]), gaussian_window(grid))
+    box, slices = _interior_box(field.axes)
+    values = np.ascontiguousarray(field.values[slices])
+    sweep = _Sweep(box, [Recorder()])
+    sweep.push(values[:0], 1.0)
+    assert sweep.readers[0].reads == []
+    sweep.push(values, 1.0)
+    got, = sweep.finish(1.0)
+    assert [(lo, hi) for lo, hi, *_ in got.reads] == [(0, box.shape[0])]
+    assert got.reads[0][2].tobytes() == values.tobytes()
 
 
 # -- the interior box a profile reads --------------------------------------
@@ -524,8 +584,9 @@ def test_kernel_heatmap_is_the_whole_field_one(stride):
 def test_kernel_field_never_holds_the_whole_field():
     # the whole field at n = 128, stride 2 is 64^4 complex entries (268 MB)
     # and its interior box 49^4 (92.2 MB).  The box build alone peaked at
-    # 131.6 MB; the sweep holds M and M K (8.4 MB each), one slab of 2 z1
-    # values, a few box layers (1.9 MB each) and what its six readers keep
+    # 131.6 MB; the sweep holds M and M K (8.4 MB each), one z1 row of the
+    # field (4.2 MB), a few box layers (1.9 MB each) and what its six readers
+    # keep
     (source, grid, reads), = acceptance.kernel_reads(True)
     readers = list({read.key: read.reader() for read in reads}.values())
     assert len(readers) == 6
@@ -537,4 +598,4 @@ def test_kernel_field_never_holds_the_whole_field():
     finally:
         tracemalloc.stop()
     assert len(results) == 6
-    assert peak < 70e6
+    assert peak < 60e6

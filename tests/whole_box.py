@@ -75,12 +75,10 @@ def kernel_fbi_field(K, stride=2):
     box, (s1, s2, s3, s4) = _interior_box(axes)
     values = np.empty(box.shape, dtype=complex)
     peak = 0.0
-    for i, S in slabs:
+    for i, S in enumerate(slabs):
         peak = max(peak, float(np.abs(S).max()))
-        lo, hi = max(i, s1.start), min(i + len(S), s1.stop)
-        if lo < hi:
-            values[lo - s1.start:hi - s1.start] = \
-                S[lo - i:hi - i, s3, s2, s4].transpose(0, 2, 1, 3)
+        if s1.start <= i < s1.stop:
+            values[i - s1.start] = S[s3, s2, s4].transpose(1, 0, 2)
     return BoxField(box.axes, values, box.interior(0, box.shape[0]),
                     tuple(float(a[1] - a[0]) for a in axes), peak)
 
