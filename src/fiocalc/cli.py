@@ -409,8 +409,7 @@ def main(argv=None) -> int:
     func, _ = _COMMANDS[args.command]
     try:
         code = func(args)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError,
-            SizeGuardError) as exc:
+    except (OSError, KeyError, ValueError, SizeGuardError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except QuadratureError as exc:

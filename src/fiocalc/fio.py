@@ -18,13 +18,11 @@ import numpy as np
 from .gabor import (
     N_SECTORS,
     Field4D,
-    ProfileReport,
     _complement_forms,
     _distance,
     _mask_points,
     chi_twist_field,
     decay_profile,
-    profile_report,
     wavefront_estimate,
 )
 from .grids import (GridFunction, GridSpec, OperatorMatrix, SizeGuardError,
@@ -543,8 +541,7 @@ def kernel_characterization_check(chi: SymplecticMatrix, m: float, rho: float):
     order gabor.K_MAX."""
     lam = twisted_graph_lagrangian(chi)
     vlam = twisted_graph_lagrangian(SymplecticMatrix(chi.d, -chi.entries))
-    return decay_profile(chi_twist_field(chi), lam, vlam,
-                         lambda prof: profile_report(prof, m, rho))
+    return decay_profile(chi_twist_field(chi), lam, vlam, m, rho)
 
 
 CONE_R_MIN = 4.0  # the kernel cone is tested beyond this phase-space radius

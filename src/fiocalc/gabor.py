@@ -28,10 +28,11 @@ KERNEL_STRIDE = 2  # decimation of the 4-D kernel field: (n / stride)^4 entries
 
 @dataclass(frozen=True)
 class Field4D:
-    """Complex samples on a phase-space grid: 2 axes (x, xi) for the
-    transform of a function on R or a Weyl symbol recovered from a kernel,
-    4 axes (z1, z2, zeta1, zeta2) for the field of a kernel on R^2;
-    position axes first."""
+    """Complex samples on a phase-space grid, position axes first.  The
+    package builds it with 2 axes (x, xi): the transform of a function on R
+    or a Weyl symbol recovered from a kernel.  The 4-axis field of a kernel
+    on R^2 is swept (sweep_kernel_field), never held; only tests hold it
+    whole in a Field4D."""
 
     axes: tuple  # 1D coordinate arrays
     values: np.ndarray  # one dimension per axis
@@ -226,14 +227,6 @@ REL_FLOOR = 2e-2  # derivatives below this fraction of the peak count as decayin
 STENCIL_REACH = 2  # layers the derivative stencil reads on each side of a point
 
 
-@dataclass(frozen=True)
-class DecayProfile:
-    off_slope: float
-    along_slopes: dict  # derivative order k -> slope
-    off_shells: list
-    status: str
-
-
 def _mask_points(where: np.ndarray) -> tuple:
     """np.nonzero(where), from the flat indices: the same coordinates in the
     same (C) order, several times faster on a 4-D mask."""
@@ -325,7 +318,8 @@ class _Sweep:
     ahead of the first layer; read(lo, hi, sweep, peak) for the layers
     lo:hi, where sweep.layers returns the values of layers held,
     sweep.interior is the interior mask on lo:hi, and sweep.shared and
-    sweep.distance give what is taken once per read for all readers; and
+    sweep.distance give what is taken once per read for all readers and
+    dropped once they all have read; and
     finish(peak), whose value is the reader's result.  peak is the largest
     |value| of the field so far: in read, up to the last block pushed, and
     in finish, of the whole field, box or not."""
@@ -336,6 +330,7 @@ class _Sweep:
         self._w = np.ix_(*box.axes)
         self._blocks = []  # (first layer, C-contiguous values of its layers)
         self._pushed = self._read = 0
+        self._shared = {}
         for reader in readers:
             reader.start(box)
 
@@ -352,9 +347,9 @@ class _Sweep:
             lo, self._read = self._read, min(self._read + len(layers), ready)
             self.interior = self.box.interior(lo, self._read)
             self._layer_axes = [self._w[0][lo:self._read], *self._w[1:]]
-            self._shared = {}
             for reader in self.readers:
                 reader.read(lo, self._read, self, peak)
+            self._shared.clear()
             self._blocks = [(at, b) for at, b in self._blocks
                             if at + len(b) > self._read - STENCIL_REACH] if self._read < n else []
 
@@ -414,10 +409,11 @@ def sweep_kernel_field(K: GridFunction, readers: list, stride: int = KERNEL_STRI
 
 
 def decay_profile(Q: np.ndarray, lam: LagrangianSubspace, vlam: LagrangianSubspace,
-                  report):
+                  m: float, rho: float, projected_F: bool | None = None):
     """The reader (see _Sweep) of the off-subspace decay and along-subspace
     growth of a field twisted by e^{-i sum_jk Q_jk w_j w_k}, w the
-    coordinates on the field's axes.  Its result is report(the DecayProfile).
+    coordinates on the field's axes.  Its result is profile_report of the
+    slopes against the class of order m.
 
     Off: shell maxima of |field| binned by distance to lam, restricted to
     points near the origin of lam (distance to vlam below OFF_CAP).
@@ -432,17 +428,29 @@ def decay_profile(Q: np.ndarray, lam: LagrangianSubspace, vlam: LagrangianSubspa
     derivative stencil reads; the peak that the derivatives are compared
     with is the whole untwisted field's, and they are taken with the whole
     field's steps.  Distances, masks and shell maxima are taken on the
-    layers being read alone; the strip's distances and magnitudes are kept
-    until the end gives the along-subspace shells their outer radius.
+    layers being read alone and folded into maxima of fixed size; the
+    along-subspace shells reach out to the interior's largest distance to
+    vlam, taken at start (_outer_radius).
     """
-    return _ProfileReader(Q, lam, vlam, report)
+    return _ProfileReader(Q, lam, vlam, m, rho, projected_F)
+
+
+def _outer_radius(box: InteriorBox, forms: list) -> float:
+    """The largest _distance to the span of forms over the interior of box,
+    taken at the interior's 2^k corners: the distance is the norm of a
+    linear map, so convex, and the interior is a product of index
+    intervals."""
+    ends = [a[np.flatnonzero(k)[[0, -1]]] for a, k in zip(box.axes, box.inside)]
+    corners = [c.reshape(-1) for c in np.meshgrid(*ends, indexing="ij")]
+    return float(_distance(corners, forms).max())
 
 
 class _ProfileReader:
     """The reader of decay_profile."""
 
-    def __init__(self, Q, lam, vlam, report):
-        self.Q, self.lam, self.vlam, self.report = Q, lam, vlam, report
+    def __init__(self, Q, lam, vlam, m, rho, projected_F):
+        self.Q, self.lam, self.vlam = Q, lam, vlam
+        self.m, self.rho, self.projected_F = m, rho, projected_F
 
     def start(self, box: InteriorBox) -> None:
         self.box = box
@@ -456,11 +464,12 @@ class _ProfileReader:
         self.twist = [np.exp(-1j * S[j, k] * (w[j] * w[k])) for j, k in zip(*np.nonzero(S))]
         self.edges = np.geomspace(*OFF_RANGE, N_SHELLS + 1)
         self.maxima = np.zeros(N_SHELLS)
-        self.r_along = 0.0
-        # on the strip: the distance to vlam, then |field| and, for K_MAX = 1,
-        # |derivative| along each basis vector of lam
-        self.strip_dist = []
-        self.strip_mags = [[] for _ in range(1 + self.lam.basis.shape[1])]
+        self.edges_a = np.geomspace(2.0, 0.8 * _outer_radius(box, self.forms_v), N_SHELLS + 1)
+        # on the strip, for |field| and, for K_MAX = 1, |derivative| along
+        # each basis vector of lam: shell maxima by distance to vlam, and
+        # the largest finite value
+        self.along_maxima = np.zeros((1 + self.lam.basis.shape[1], N_SHELLS))
+        self.along_top = np.zeros(1 + self.lam.basis.shape[1])
 
     def _twisted(self, sweep: _Sweep, g: np.ndarray, cache: dict) -> np.ndarray:
         """The twisted field at the ascending flat box indices g.  Per
@@ -512,46 +521,27 @@ class _ProfileReader:
         sel = np.flatnonzero((dist_v <= OFF_CAP) & interior)
         self.maxima = np.maximum(self.maxima, _shell_maxima(dist_l[sel], np.abs(twisted[sel]),
                                                             self.edges))
-        self.r_along = max(self.r_along, float(dist_v.max(where=interior, initial=0.0)))
         strip = np.flatnonzero((dist_l <= ALONG_CAP) & interior)
-        self.strip_dist.append(dist_v[strip])
-        self.strip_mags[0].append(np.abs(twisted[strip]))
         derivatives = _stencil(read, self.box.shape, complex, first + strip, self.lam.basis.T,
                                self.box.field_steps)
-        for mags, dv in zip(self.strip_mags[1:], derivatives):
-            mags.append(np.abs(dv))
+        dist_s = dist_v[strip]
+        for j, mag in enumerate([np.abs(twisted[strip]), *map(np.abs, derivatives)]):
+            good = np.isfinite(mag)
+            self.along_top[j] = max(self.along_top[j], mag[good].max(initial=0.0))
+            self.along_maxima[j] = np.maximum(self.along_maxima[j],
+                                              _shell_maxima(dist_s[good], mag[good], self.edges_a))
 
-    def finish(self, peak: float):
+    def finish(self, peak: float) -> ProfileReport:
         peak = peak or 1.0
-        radii = np.sqrt(self.edges[:-1] * self.edges[1:])
-        off_slope = shell_slope(radii, self.maxima)
-        off_shells = [(float(r), float(v)) for r, v in zip(radii, self.maxima)]
-
-        edges_a = np.geomspace(2.0, 0.8 * self.r_along, N_SHELLS + 1)
-        radii_a = np.sqrt(edges_a[:-1] * edges_a[1:])
-        dist_s = np.concatenate(self.strip_dist)
-        along = {}
-        for k, orders in ((0, self.strip_mags[:1]), (1, self.strip_mags[1:])):
-            worst = None
-            for mag in map(np.concatenate, orders):
-                good = np.isfinite(mag)
-                if mag[good].max(initial=0.0) <= REL_FLOOR * peak:
-                    # derivative sits at the discretization noise floor: the
-                    # finite differences cannot resolve anything this small,
-                    # so it decays faster than measurable
-                    if worst is None:
-                        worst = -np.inf
-                    continue
-                slope = shell_slope(radii_a, _shell_maxima(dist_s[good], mag[good], edges_a))
-                if slope is None:
-                    worst = None
-                    break
-                worst = slope if worst is None else max(worst, slope)
-            along[k] = worst
-
-        status = "inconclusive" if off_slope is None or None in along.values() else "pass"
-        return self.report(DecayProfile(off_slope if off_slope is not None else np.nan,
-                                        along, off_shells, status))
+        off_slope = shell_slope(np.sqrt(self.edges[:-1] * self.edges[1:]), self.maxima)
+        radii_a = np.sqrt(self.edges_a[:-1] * self.edges_a[1:])
+        # a derivative at the discretization noise floor decays faster than
+        # measurable: the finite differences cannot resolve anything this
+        # small; a slope with too few shells to fit is None
+        slopes = [-np.inf if top <= REL_FLOOR * peak else shell_slope(radii_a, maxima)
+                  for top, maxima in zip(self.along_top, self.along_maxima)]
+        along = {k: None if None in s else max(s) for k, s in ((0, slopes[:1]), (1, slopes[1:]))}
+        return profile_report(off_slope, along, self.m, self.rho, self.projected_F)
 
 
 # Profile thresholds, shared by the kernel characterization and the
@@ -566,13 +556,15 @@ MARGIN = 0.5
 
 @dataclass(frozen=True)
 class ProfileReport:
-    """A decay profile judged against the bounds of a class of order m.
+    """The slopes of a decay profile judged against the bounds of a class
+    of order m; off_slope is nan where too few shells held points to fit.
 
     projected_F is set by the subspace-membership test only (whether the
     parametrizing F had to be projected onto Y) and is left out of the JSON
     form otherwise."""
 
-    profile: DecayProfile
+    off_slope: float
+    along_slopes: dict  # derivative order k -> slope
     off_bound: float
     along_bounds: dict
     status: str
@@ -580,9 +572,9 @@ class ProfileReport:
 
     def to_dict(self) -> dict:
         out = {
-            "off_slope": self.profile.off_slope,
+            "off_slope": self.off_slope,
             "off_bound": self.off_bound,
-            "along_slopes": {str(k): v for k, v in self.profile.along_slopes.items()},
+            "along_slopes": {str(k): v for k, v in self.along_slopes.items()},
             "along_bounds": {str(k): v for k, v in self.along_bounds.items()},
             "status": self.status,
         }
@@ -591,17 +583,19 @@ class ProfileReport:
         return out
 
 
-def profile_report(prof: DecayProfile, m: float, rho: float,
+def profile_report(off_slope: float | None, along_slopes: dict, m: float, rho: float,
                    projected_F: bool | None = None) -> ProfileReport:
-    """Pass iff the off-subspace slope is at most -N_MAX and the slope of
+    """Inconclusive if a slope is None (too few shells held points to fit);
+    else pass iff the off-subspace slope is at most -N_MAX and the slope of
     the order-k derivatives along the subspace is at most m - rho k + MARGIN
-    for every k <= K_MAX; an inconclusive profile stays inconclusive."""
+    for every k <= K_MAX."""
     along_bounds = {k: m - rho * k + MARGIN for k in range(K_MAX + 1)}
-    if prof.status == "inconclusive":
+    if off_slope is None or None in along_slopes.values():
         status = "inconclusive"
     else:
-        ok = prof.off_slope <= -N_MAX and all(
-            prof.along_slopes[k] <= along_bounds[k] for k in range(K_MAX + 1)
+        ok = off_slope <= -N_MAX and all(
+            along_slopes[k] <= along_bounds[k] for k in range(K_MAX + 1)
         )
         status = "pass" if ok else "fail"
-    return ProfileReport(prof, -N_MAX, along_bounds, status, projected_F)
+    return ProfileReport(np.nan if off_slope is None else off_slope, along_slopes,
+                         -N_MAX, along_bounds, status, projected_F)

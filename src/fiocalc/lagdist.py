@@ -21,7 +21,6 @@ from .gabor import (
     ProfileReport,
     decay_profile,
     gabor_transform,
-    profile_report,
     sweep_field,
     sweep_kernel_field,
 )
@@ -156,8 +155,7 @@ def _membership_reader(lam: LagrangianSubspace, m: float, rho: float):
     projected = bool(np.max(np.abs(F_proj - F), initial=0.0) > 1e-12)
     # Y-perp x Y is transversal to {(X, FX + Z)} once F kills Y-perp
     vlam = _product_subspace(orthogonal_complement(Y), Y)
-    return decay_profile(_lambda_twist(Y, F_proj), lam, vlam,
-                         lambda prof: profile_report(prof, m, rho, projected_F=projected))
+    return decay_profile(_lambda_twist(Y, F_proj), lam, vlam, m, rho, projected)
 
 
 def lagrangian_membership_test(u: GridFunction, lam: LagrangianSubspace,

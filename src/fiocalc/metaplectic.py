@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .gabor import gabor_transform, gabor_transform_points
 from .grids import (GridFunction, GridSpec, OperatorMatrix, SizeGuardError,
-                    gaussian_window)
+                    gaussian_window, hermite_values)
 from .symplectic import (
     DimensionError,
     SymplecticMatrix,
@@ -342,8 +343,6 @@ def egorov_residual(chi: SymplecticMatrix, a, spec: GridSpec) -> float:
     raw matrix norm would measure discretization junk instead of the
     covariance identity.
     """
-    from .grids import hermite_values
-
     box = min(spec.R, np.pi * spec.n / (2 * spec.R))
     stretch = np.linalg.norm(chi.entries, 2)
     n_modes = max(8, int(((EGOROV_MARGIN * box / stretch) ** 2 - 1) / 2))
@@ -368,8 +367,6 @@ def fbi_covariance_residual(chi: SymplecticMatrix, u: GridFunction) -> float:
 
     The right-hand side is evaluated at off-grid points by exact quadrature.
     """
-    from .gabor import gabor_transform, gabor_transform_points
-
     spec = u.spec
     op = mu_general(chi, spec)
     mu_u = op.apply(u)

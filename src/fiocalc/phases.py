@@ -17,6 +17,7 @@ from .symplectic import (
     DimensionError,
     LagrangianSubspace,
     SymplecticMatrix,
+    free_phase_matrix,
 )
 
 SYM_TOL = 1e-12
@@ -198,8 +199,6 @@ def chi_from_phase(phi: QuadraticPhase) -> SymplecticMatrix:
 
 def phase_from_free_matrix(chi: SymplecticMatrix) -> QuadraticPhase:
     """Canonical fiberless phase of a free matrix: phi(X) = <X, FX>/2."""
-    from .symplectic import free_phase_matrix
-
     return QuadraticPhase.from_matrices(chi.d, free_phase_matrix(chi))
 
 

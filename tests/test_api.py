@@ -28,7 +28,6 @@ ALLOWED: dict = {}
 # each with the reason
 UNREAD_ALLOWED = {
     "_Parser.error": "argparse calls it on a usage error",
-    "DecayProfile.off_shells": "ROADMAP item 11 plans to emit it in the profile JSON",
 }
 
 

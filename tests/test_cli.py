@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fiocalc import cli, grids
-from fiocalc.gabor import gabor_transform
+from fiocalc.gabor import gabor_transform, profile_report
 from fiocalc.grids import GridFunction, GridSpec, gaussian_window, hermite_grid_function
 from fiocalc.lagdist import _membership_reader, lagrangian_param
 from fiocalc.phases import (lagrangian_of_phase, phase_from_free_matrix, phase_to_dict,
@@ -245,7 +245,9 @@ def test_kernel_commands_read_the_whole_box_reports(tmp_path, command):
     got = read_json(str(out / name))
     del got["config"]
     whole = reference_kernel_field(grid_function_from_csv(str(kernel)), 2)
-    ref = reader.report(full_field_decay_profile(whole, reader.Q, reader.lam, reader.vlam))
+    prof = full_field_decay_profile(whole, reader.Q, reader.lam, reader.vlam)
+    ref = profile_report(prof.off_slope, prof.along_slopes, reader.m, reader.rho,
+                         reader.projected_F)
     assert got == json.loads(json_dumps(ref.to_dict()))
     assert ref.status == "pass"
 

@@ -9,19 +9,21 @@ from fiocalc.cli import _kernel_heatmap
 from fiocalc.fio import FioSpec, fio_kernel, kernel_characterization_check, wf_kernel_check
 from fiocalc.gabor import (
     ALONG_CAP,
-    DecayProfile,
     Field4D,
     N_SECTORS,
     STENCIL_REACH,
+    ProfileReport,
     _Sweep,
     _complement_forms,
     _distance,
     _interior_box,
+    _outer_radius,
     chi_twist_field,
     decay_profile,
     gabor_transform,
     gabor_transform_points,
     gaussian_window_at,
+    profile_report,
     sweep_field,
     sweep_kernel_field,
     wavefront_estimate,
@@ -286,22 +288,27 @@ def bits(value):
 
 
 def assert_profiles_bit_equal(cases):
-    """Every DecayProfile field of each (streamed profile, whole field, Q,
-    lam, vlam) case to the bit, against full_field_decay_profile on the
-    whole field; returns the order-1 slopes."""
+    """For each (profile reader, its report, whole field) case: every
+    ProfileReport field to the bit against profile_report of the slopes of
+    full_field_decay_profile on the whole field, with the reader's twist,
+    subspaces and class, and the reader's off-subspace shell maxima against
+    the reference's; returns the order-1 slopes."""
     slopes = []
-    for got, whole, Q, lam, vlam in cases:
-        ref = full_field_decay_profile(whole, Q, lam, vlam)
-        for f in dataclasses.fields(DecayProfile):
-            assert bits(getattr(got, f.name)) == bits(getattr(ref, f.name)), f.name
+    for reader, got, whole in cases:
+        ref = full_field_decay_profile(whole, reader.Q, reader.lam, reader.vlam)
+        want = profile_report(ref.off_slope, ref.along_slopes, reader.m, reader.rho,
+                              reader.projected_F)
+        for f in dataclasses.fields(ProfileReport):
+            assert bits(getattr(got, f.name)) == bits(getattr(want, f.name)), f.name
+        assert reader.maxima.tobytes() == ref.off_maxima.tobytes()
+        assert (got.status == "inconclusive") == ref.inconclusive
         slopes.append(got.along_slopes[1])
     return slopes
 
 
 def profile_readers(chis):
-    """The kernel test's reader for each chi, with its (Q, lam, vlam)."""
-    readers = [kernel_characterization_check(chi, 0.0, 1.0) for chi in chis]
-    return readers, [(r.Q, r.lam, r.vlam) for r in readers]
+    """The kernel test's reader for each chi."""
+    return [kernel_characterization_check(chi, 0.0, 1.0) for chi in chis]
 
 
 def test_membership_profile_is_bit_equal_to_the_full_field_loop(monkeypatch):
@@ -310,7 +317,7 @@ def test_membership_profile_is_bit_equal_to_the_full_field_loop(monkeypatch):
     seen = []
 
     def spy(field, readers):
-        seen.append((field, [(r.Q, r.lam, r.vlam) for r in readers]))
+        seen.append((field, readers))
         return sweep_field(field, readers)
 
     monkeypatch.setattr(lagdist, "sweep_field", spy)
@@ -324,8 +331,8 @@ def test_membership_profile_is_bit_equal_to_the_full_field_loop(monkeypatch):
         assert reports[-1].status == "pass"
     assert [len(field.axes) for field, _ in seen] == [2, 2]
     # the unit chirp's derivative sits at the noise floor; x times it is fitted
-    slopes = assert_profiles_bit_equal([(rep.profile, field, *forms)
-                                        for rep, (field, [forms]) in zip(reports, seen)])
+    slopes = assert_profiles_bit_equal([(reader, rep, field)
+                                        for rep, (field, [reader]) in zip(reports, seen)])
     assert slopes[0] == -np.inf and np.isfinite(slopes[1])
 
 
@@ -333,11 +340,11 @@ def test_kernel_profile_is_bit_equal_to_the_full_field_loop():
     grid = GridSpec(1, 64, 7.0)
     J = standard_j(1)
     K, _ = fio_kernel(FioSpec("factored", 0.0, 1.0, b=constant_symbol(2), chi=J), grid)
-    readers, forms = profile_readers([J, SymplecticMatrix(1, np.eye(2))])
+    readers = profile_readers([J, SymplecticMatrix(1, np.eye(2))])
     reports = sweep_kernel_field(K, readers)
     whole = reference_kernel_field(K, gabor.KERNEL_STRIDE)
     assert all(np.isfinite(assert_profiles_bit_equal(
-        [(rep.profile, whole, *f) for rep, f in zip(reports, forms)])))
+        [(r, rep, whole) for r, rep in zip(readers, reports)])))
 
 
 class WindowRecorder(Recorder):
@@ -373,7 +380,7 @@ def test_profile_is_bit_equal_for_every_slab_depth(block):
     box, slices = _interior_box(whole.axes)
     values = np.ascontiguousarray(whole.values[slices])
     block = block or box.shape[0]
-    readers, forms = profile_readers([J, SymplecticMatrix(1, np.eye(2))])
+    readers = profile_readers([J, SymplecticMatrix(1, np.eye(2))])
     rec, *reports = sweep_box(box, values, float(np.abs(whole.values).max()),
                               [WindowRecorder(), *readers], block)
     spans = [(lo, hi) for lo, hi, *_ in rec.reads]
@@ -387,7 +394,7 @@ def test_profile_is_bit_equal_for_every_slab_depth(block):
     if block == 3:  # reads themselves cross block edges
         assert any(lo // block != (hi - 1) // block for lo, hi in spans)
     assert all(np.isfinite(assert_profiles_bit_equal(
-        [(rep.profile, whole, *f) for rep, f in zip(reports, forms)])))
+        [(r, rep, whole) for r, rep in zip(readers, reports)])))
 
 
 def test_sweeps_read_as_they_are_pushed():
@@ -417,6 +424,81 @@ def test_sweep_ignores_an_empty_block():
     got, = sweep.finish(1.0)
     assert [(lo, hi) for lo, hi, *_ in got.reads] == [(0, box.shape[0])]
     assert got.reads[0][2].tobytes() == values.tobytes()
+
+
+class SharedRecorder:
+    """A reader that keeps, at each read, the keys of the values the
+    sweep shares among its readers."""
+
+    def start(self, box):
+        self.keys = []
+
+    def read(self, lo, hi, sweep, peak):
+        self.keys.append(set(sweep._shared))
+
+    def finish(self, peak):
+        return self
+
+
+def test_sweep_holds_no_shared_value_after_a_push():
+    """The distances a read shares among its readers are dropped once every
+    reader has read them, before push returns."""
+    K = ho_fourier_kernel(32)
+    whole = reference_kernel_field(K, gabor.KERNEL_STRIDE)
+    box, slices = _interior_box(whole.axes)
+    values = np.ascontiguousarray(whole.values[slices])
+    readers = profile_readers([standard_j(1), SymplecticMatrix(1, np.eye(2))])
+    sweep = _Sweep(box, [*readers, SharedRecorder()])
+    peak = float(np.abs(whole.values).max())
+    for lo in range(box.shape[0]):
+        sweep.push(values[lo:lo + 1], peak)
+        assert sweep._shared == {}
+    *_, rec = sweep.finish(peak)
+    # both readers' subspaces, lam and vlam each, were shared at every read
+    assert len(rec.keys) == box.shape[0] and all(len(k) == 4 for k in rec.keys)
+
+
+def interior_max_distance(box, forms):
+    """The largest _distance to the span of forms over every interior point
+    of box, taken one layer at a time."""
+    w = np.ix_(*box.axes)
+    layers = (_distance([w[0][i:i + 1], *w[1:]], forms)[box.interior(i, i + 1)]
+              for i in range(box.shape[0]))
+    return max(float(dist.max(initial=0.0)) for dist in layers)
+
+
+def test_outer_radius_is_the_interior_maximum(monkeypatch):
+    """The along-subspace shells' outer radius, taken at the interior's
+    corners, is the largest distance to vlam over every interior point, to
+    the bit: for the vlam of every profile read of the full battery's
+    kernels and of the d = 1 membership test."""
+    cases = {}
+    for _, grid, reads in acceptance.kernel_reads(False):
+        spec = GridSpec(2, grid.n, grid.R)  # the grid of the kernel
+        z, zeta = spec.points()[::gabor.KERNEL_STRIDE], spec.dual_points(gabor.KERNEL_STRIDE)
+        box, _ = _interior_box((z, z, zeta, zeta))
+        for read in reads:
+            if read.kind != "cone":
+                vlam = read.reader().vlam
+                cases[z.tobytes(), zeta.tobytes(), vlam.basis.tobytes()] = box, vlam
+    seen = []
+
+    def spy(field, readers):
+        seen.append((field, readers))
+        return sweep_field(field, readers)
+
+    monkeypatch.setattr(lagdist, "sweep_field", spy)
+    grid = GridSpec(1, 128, 10.0)
+    x = grid.points()
+    lam = lagrangian_with_param(np.eye(1), np.array([[1.0]]), 1)
+    lagrangian_membership_test(GridFunction(grid, np.exp(0.5j * x ** 2)), lam, 0.0)
+    (field, [reader]), = seen
+    cases["d = 1"] = _interior_box(field.axes)[0], reader.vlam
+    assert len(cases) == 7
+    for box, vlam in cases.values():
+        forms = _complement_forms(vlam.basis)
+        assert np.float64(_outer_radius(box, forms)).tobytes() \
+            == np.float64(interior_max_distance(box, forms)).tobytes()
 
 
 # -- the interior box a profile reads --------------------------------------
@@ -473,9 +555,9 @@ def test_clipped_box_profile_is_bit_equal_to_the_whole_box_one():
     strip = inside & (_span_distance(view.axes, lam.basis) <= ALONG_CAP)
     assert any(np.isnan(directional_derivative(view, v, strip, steps(field))).any()
                for v in lam.basis.T)
-    got, = sweep_field(field, [decay_profile(chi_twist_field(J), lam, vlam,
-                                             lambda prof: prof)])
-    slopes = assert_profiles_bit_equal([(got, field, chi_twist_field(J), lam, vlam)])
+    reader = decay_profile(chi_twist_field(J), lam, vlam, 0.0, 1.0)
+    got, = sweep_field(field, [reader])
+    slopes = assert_profiles_bit_equal([(reader, got, field)])
     assert np.isfinite(slopes[0])
 
 
@@ -551,8 +633,7 @@ def test_streamed_reads_are_the_whole_box_ones(kernel):
     rec, *results = sweep_kernel_field(K, [Recorder(), *profiles, *cones])
     whole = reference_kernel_field(K, 2)
     box = interior_box(whole)
-    assert_profiles_bit_equal([(rep.profile, whole, r.Q, r.lam, r.vlam)
-                               for rep, r in zip(results, profiles)])
+    assert_profiles_bit_equal([(r, rep, whole) for r, rep in zip(profiles, results)])
     for got, chi in zip(results[len(profiles):], chis):
         ref = whole_box_wf_kernel_check(box, chi)
         assert got == ref and type(got["points"]) is int
@@ -585,8 +666,9 @@ def test_kernel_field_never_holds_the_whole_field():
     # the whole field at n = 128, stride 2 is 64^4 complex entries (268 MB)
     # and its interior box 49^4 (92.2 MB).  The box build alone peaked at
     # 131.6 MB; the sweep holds M and M K (8.4 MB each), one z1 row of the
-    # field (4.2 MB), a few box layers (1.9 MB each) and what its six readers
-    # keep
+    # field (4.2 MB), a few box layers (1.9 MB each) and what its six
+    # readers take on the layer being read; the readers keep shell maxima
+    # of fixed size, no strip
     (source, grid, reads), = acceptance.kernel_reads(True)
     readers = list({read.key: read.reader() for read in reads}.values())
     assert len(readers) == 6
@@ -598,4 +680,4 @@ def test_kernel_field_never_holds_the_whole_field():
     finally:
         tracemalloc.stop()
     assert len(results) == 6
-    assert peak < 60e6
+    assert peak < 50e6

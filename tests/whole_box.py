@@ -17,7 +17,7 @@ import numpy as np
 
 from fiocalc.fio import (CONE_ANGLE, CONE_COLLAR, CONE_R_MIN, CONE_REL_THRESHOLD)
 from fiocalc.gabor import (ALONG_CAP, INTERIOR_FRAC, K_MAX, N_SHELLS, OFF_CAP, OFF_RANGE,
-                           REL_FLOOR, DecayProfile, Field4D, _interior_box,
+                           REL_FLOOR, Field4D, _interior_box,
                            _kernel_field_slabs, _stencil, gaussian_window_at)
 from fiocalc.symbols import _derivative, _shell_maxima, shell_slope
 from fiocalc.symplectic import orthogonal_complement, twisted_graph_lagrangian
@@ -140,11 +140,24 @@ def whole_box_interior(axes):
     return inside
 
 
+@dataclass(frozen=True)
+class WholeProfile:
+    """full_field_decay_profile's result: the slopes (None where too few
+    shells held points to fit), the off-subspace shell maxima, and whether
+    the profile is inconclusive."""
+
+    off_slope: float | None
+    along_slopes: dict
+    off_maxima: np.ndarray
+    inconclusive: bool
+
+
 def full_field_decay_profile(field, Q, lam, vlam):
     """The decay profile over a whole field: the whole field twisted, the
     interior mask and the distances taken at every grid point, the peak read
-    from the twisted field, and every derivative taken by
-    full_field_derivative and only then read on the strip."""
+    from the twisted field, every derivative taken by full_field_derivative
+    and only then read on the strip, and the along-subspace shells' outer
+    radius the largest distance to vlam over every interior point."""
     field = _quadratic_twist(field, Q)
     dist_l = _span_distance(field.axes, lam.basis)
     dist_v = _span_distance(field.axes, vlam.basis)
@@ -157,7 +170,6 @@ def full_field_decay_profile(field, Q, lam, vlam):
     sel = (dist_v <= OFF_CAP) & interior
     maxima = _shell_maxima(dist_l[sel], mag0[sel], edges)
     off_slope = shell_slope(radii, maxima)
-    off_shells = [(float(r), float(v)) for r, v in zip(radii, maxima)]
 
     r_along = float(np.max(dist_v[interior]))
     edges_a = np.geomspace(2.0, 0.8 * r_along, N_SHELLS + 1)
@@ -183,9 +195,8 @@ def full_field_decay_profile(field, Q, lam, vlam):
             worst = slope if worst is None else max(worst, slope)
         along[k] = worst
 
-    status = "inconclusive" if off_slope is None or None in along.values() else "pass"
-    return DecayProfile(off_slope if off_slope is not None else np.nan,
-                        along, off_shells, status)
+    return WholeProfile(off_slope, along, maxima,
+                        off_slope is None or None in along.values())
 
 
 def whole_box_wf_kernel_check(field, chi):
