@@ -39,6 +39,8 @@ class GridSpec:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
         if self.R <= 0:
             raise ValueError(f"R must be positive, got {self.R}")
+        if not np.isfinite(self.h * self.dual_h):  # nan <= 0 is False; 2R or pi/R can overflow
+            raise ValueError(f"R must be finite, with finite steps 2R/n and pi/R, got {self.R}")
 
     @property
     def h(self) -> float:

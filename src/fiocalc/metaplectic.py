@@ -47,23 +47,30 @@ def _phase_contract(w: np.ndarray, axis: np.ndarray, values: np.ndarray) -> np.n
     output row per row of w (rows, d).  The phase splits into
     prod_j e^{i w_j(out) in_j}: the last input axis is contracted by one matrix
     product with a rows x n exponential block, each other axis is folded in by
-    a batched product.  Rows are chunked so that no intermediate passes
-    PHASE_CHUNK n^d entries; SizeGuardError past MEMORY_CAP_ENTRIES."""
+    a batched product.  A block takes one exponential per distinct phase value
+    of its column, so product-grid rows cost n^2 per axis, not rows x n.  Rows
+    are chunked so that no intermediate passes PHASE_CHUNK n^d entries;
+    SizeGuardError past MEMORY_CAP_ENTRIES."""
     n, (rows, d) = len(axis), w.shape
     tail = values.shape[1:]
     cols = math.prod(tail)
     chunk = max(1, min(rows, PHASE_CHUNK * n ** (d - 1), PHASE_CHUNK * n // cols))
     SizeGuardError.check(chunk * n)
     SizeGuardError.check(chunk * n ** (d - 1) * cols)
+
+    def block(wj):
+        u, inv = np.unique(wj, return_inverse=True)
+        return np.exp(1j * (u[:, None] * axis))[inv]
+
     # rows: the last input axis; columns: the other input axes, then the tail
     values = np.moveaxis(values.reshape((-1, n) + tail), 1, 0).reshape(n, -1)
     out = np.empty((rows,) + tail, dtype=complex)
     for start in range(0, rows, chunk):
         wc = w[start : start + chunk]
-        acc = np.exp(1j * (wc[:, -1:] * axis)) @ values
+        acc = block(wc[:, -1]) @ values
         for j in reversed(range(d - 1)):
             acc = acc.reshape(len(wc), n ** j, n, cols)
-            acc = (np.exp(1j * (wc[:, j, None] * axis))[:, None, None, :] @ acc)[:, :, 0]
+            acc = (block(wc[:, j])[:, None, None, :] @ acc)[:, :, 0]
         out[start : start + chunk] = acc.reshape((len(wc),) + tail)
     return out
 

@@ -4,12 +4,13 @@ manifest over an output directory.
 
 All writers emit byte-identical output for identical input: floats are
 rendered with repr (shortest round-trip form), JSON keys are sorted, and
-newlines are always LF.
+newlines are always LF.  Field CSVs format coordinates once per axis value.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 
@@ -26,15 +27,19 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+def _samples(values) -> list:
+    """'re,im' of each complex value, in C order."""
+    vals = np.asarray(values, dtype=complex).reshape(-1)
+    return [f"{re!r},{im!r}" for re, im in zip(vals.real.tolist(), vals.imag.tolist())]
+
+
 # -- grid functions ---------------------------------------------------------
 
 
 def grid_function_to_csv(f: GridFunction, path: str) -> None:
     """Header line d,n,R then one row index,re,im per sample."""
     lines = [f"{f.spec.d},{f.spec.n},{_fmt(f.spec.R)}"]
-    vals = np.asarray(f.values, dtype=complex).reshape(-1)
-    for i, v in enumerate(vals):
-        lines.append(f"{i},{_fmt(v.real)},{_fmt(v.imag)}")
+    lines += [f"{i},{s}" for i, s in enumerate(_samples(f.values))]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -74,18 +79,11 @@ def grid_function_from_csv(path: str) -> GridFunction:
 def field_to_csv(field, path: str) -> None:
     """Coordinate columns (one per axis of a Field4D, position axes first)
     then re,im; rows iterate over the grid in C order."""
-    axes = field.axes
-    k = len(axes)
+    k = len(field.axes)
     names = [f"x{i}" for i in range(k // 2)] + [f"xi{i}" for i in range(k - k // 2)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = [m.reshape(-1) for m in mesh]
-    vals = np.asarray(field.values, dtype=complex).reshape(-1)
+    coords = itertools.product(*[[_fmt(v) for v in a] for a in field.axes])
     lines = [",".join(names + ["re", "im"])]
-    for row in range(vals.size):
-        parts = [_fmt(c[row]) for c in coords]
-        parts.append(_fmt(vals[row].real))
-        parts.append(_fmt(vals[row].imag))
-        lines.append(",".join(parts))
+    lines += [f"{','.join(c)},{s}" for c, s in zip(coords, _samples(field.values))]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

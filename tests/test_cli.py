@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -522,6 +526,16 @@ def test_usage_errors_are_input_errors(argv, code):
     assert exc.value.code == code
 
 
+def test_the_package_runs_as_a_module_from_a_source_checkout():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    run = subprocess.run([sys.executable, "-m", "fiocalc", "--help"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("usage: fiocalc")
+
+
 @pytest.mark.parametrize("command, chi_d, grid_d", [
     ("mu-apply", 2, 1),
     ("mu-apply", 1, 2),
@@ -579,4 +593,29 @@ def test_grid_past_the_memory_cap_is_refused_before_allocating(
     out = tmp_path / "out"
     assert cli.main([command, *paths, "--grid-n", "1048576", "--out", str(out)]) == 3
     assert "GiB" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+# 1e308: the step 2R/n overflows; 1e-320: the dual step pi/R does
+@pytest.mark.parametrize("R", ["nan", "inf", "1e308", "1e-320"])
+@pytest.mark.parametrize("command", ["fio-kernel", "compose", "adjoint", "weyl-quantize",
+                                     "mu-apply", "wf"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # refused before any numerics
+def test_a_non_finite_grid_is_an_input_error_that_names_R(tmp_path, capsys, command, R):
+    spec = tmp_path / "spec.json"
+    write_json(fio_spec_to_dict(OSCILLATORY_N0 if command == "adjoint" else FACTORED),
+               str(spec))
+    symbol = tmp_path / "symbol.json"
+    write_json(constant_symbol(2).to_dict(), str(symbol))
+    chi = tmp_path / "chi.json"
+    write_chi(chi, standard_j(1))
+    data = tmp_path / "data.csv"
+    data.write_text(f"1,8,{R}\n" + "".join(f"{i},1.0,0.0\n" for i in range(8)))
+    inputs = {"fio-kernel": [spec], "compose": [spec, spec], "adjoint": [spec],
+              "weyl-quantize": [symbol], "mu-apply": [chi, data], "wf": [data]}[command]
+    grid = [] if command in ("mu-apply", "wf") else ["--grid-n", "16", "--grid-R", R]
+    out = tmp_path / "out"
+    assert cli.main([command, *map(str, inputs), *grid, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"R must be finite, with finite steps 2R/n and pi/R, got {float(R)}" in err, err
     assert not (out / "manifest.json").exists()

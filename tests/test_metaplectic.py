@@ -103,6 +103,48 @@ def test_phase_contraction_matches_the_dense_sum(monkeypatch, d, tail, chunk):
     assert np.abs(out.reshape(37, -1) - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
+def per_row_phase_contract(w, axis, values):
+    """_phase_contract with one exponential per (row, axis point): the same
+    chunks, blocks and products, but no exponential shared between rows with
+    equal phase values."""
+    n, (rows, d) = len(axis), w.shape
+    tail = values.shape[1:]
+    cols = int(np.prod(tail))
+    chunk = max(1, min(rows, metaplectic.PHASE_CHUNK * n ** (d - 1),
+                       metaplectic.PHASE_CHUNK * n // cols))
+    values = np.moveaxis(values.reshape((-1, n) + tail), 1, 0).reshape(n, -1)
+    out = np.empty((rows,) + tail, dtype=complex)
+    for start in range(0, rows, chunk):
+        wc = w[start : start + chunk]
+        acc = np.exp(1j * (wc[:, -1:] * axis)) @ values
+        for j in reversed(range(d - 1)):
+            acc = acc.reshape(len(wc), n ** j, n, cols)
+            acc = (np.exp(1j * (wc[:, j, None] * axis))[:, None, None, :] @ acc)[:, :, 0]
+        out[start : start + chunk] = acc.reshape((len(wc),) + tail)
+    return out
+
+
+@pytest.mark.parametrize("rows", ["product-grid", "one-repeated-column", "general"])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("tail", [(), (4,)])
+@pytest.mark.parametrize("chunk", [None, 2], ids=["one-chunk", "many-chunks"])
+def test_phase_contraction_is_bit_equal_to_one_exponential_per_row(monkeypatch, rows, d,
+                                                                  tail, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(metaplectic, "PHASE_CHUNK", chunk)
+    g = GridSpec(1, 8, 3.0)
+    rng = np.random.default_rng(d)
+    if rows == "product-grid":  # the LinearFactor forward transform's rows
+        w = -_mesh_points(g.dual_points(), d)
+    else:
+        w = rng.normal(size=(g.n**d, d))
+        if rows == "one-repeated-column":
+            w[:, 0] = rng.choice(w[:5, 0], size=len(w))
+    values = rng.normal(size=(g.n**d,) + tail) + 1j * rng.normal(size=(g.n**d,) + tail)
+    out = _phase_contract(w, g.points(), values)
+    assert out.tobytes() == per_row_phase_contract(w, g.points(), values).tobytes()
+
+
 @pytest.mark.parametrize("tail", [(), (128,)])
 def test_phase_contraction_in_one_dimension_is_the_dense_block_product(tail):
     # d = 1 keeps the bits of one exponentiated block per PHASE_CHUNK rows

@@ -1,5 +1,6 @@
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -67,6 +68,58 @@ def test_field_csv_lists_coordinates(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].endswith("re,im")
     assert len(lines) == 5
+
+
+# a value for each repr form: signed zero, integral, exponent, subnormal,
+# largest finite, inf and nan
+REPR_FORMS = np.array([-0.0, 3.0, 1e16, 1e-5, 5e-324, 1.7976931348623157e308, np.inf, np.nan])
+CONFIG = {"command": "test", "R": 10.0, "seed": 1}
+
+
+def repr_form_values(size, seed):
+    """Every form as a real part, then again as an imaginary part, in a
+    shuffled order."""
+    values = np.empty(size, dtype=complex)  # re + 1j * im would turn inf into nan
+    values.real = np.resize(REPR_FORMS, size)
+    values.imag = np.random.default_rng(seed).permutation(values.real)
+    return values
+
+
+def per_value_csv(header, prefixes, values):
+    """The CSV text with repr called on each part of every value, each row
+    after its prefix, then the config comment line."""
+    lines = [header]
+    for prefix, v in zip(prefixes, values.reshape(-1), strict=True):
+        lines.append(f"{prefix},{repr(float(v.real))},{repr(float(v.imag))}")
+    return "\n".join(lines) + "\n# config " + json.dumps(CONFIG, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_grid_function_csv_is_the_per_value_repr(tmp_path, d):
+    # GridFunction refuses inf and nan; the writer reads only spec and values
+    g = GridSpec(d, 8, 10.0)
+    f = SimpleNamespace(spec=g, values=repr_form_values(g.size(), d))
+    path = tmp_path / "u.csv"
+    grid_function_to_csv(f, str(path))
+    append_config_comment(str(path), CONFIG)
+    rows = [str(i) for i in range(g.size())]
+    assert path.read_text() == per_value_csv(f"{d},8,10.0", rows, f.values)
+
+
+@pytest.mark.parametrize("shape", [(8, 3), (2, 3, 2, 3)])
+def test_field_csv_is_the_per_value_repr(tmp_path, shape):
+    rng = np.random.default_rng(len(shape))
+    axes = tuple(rng.permutation(REPR_FORMS)[:k] for k in shape)
+    field = Field4D(axes, repr_form_values(np.prod(shape), len(shape)).reshape(shape))
+    path = tmp_path / "f.csv"
+    field_to_csv(field, str(path))
+    append_config_comment(str(path), CONFIG)
+    k = len(shape)
+    names = [f"x{i}" for i in range(k // 2)] + [f"xi{i}" for i in range(k - k // 2)]
+    coords = [m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")]
+    rows = [",".join(repr(float(c[row])) for c in coords) for row in range(field.values.size)]
+    assert path.read_text() == per_value_csv(",".join(names + ["re", "im"]), rows,
+                                             field.values)
 
 
 def test_pgm_round_trip_and_scale(tmp_path):
