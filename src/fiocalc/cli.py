@@ -2,11 +2,11 @@
 
 Loads JSON specs and CSV grid data, dispatches to the library modules, and
 writes CSV/PGM/JSON artifacts plus a short human-readable summary.  Each
-command accepts only the options its handler reads (_OPTIONS) besides --out;
-any other flag is a usage error.  Every artifact embeds the run
-configuration (the command, its inputs and the values of exactly those
-options), and the output directory gets a manifest.json listing every file
-with its SHA-256.
+command accepts only the options its handler reads besides --out; any
+other flag, or a numeric flag out of its range, is a usage error.  Every
+artifact embeds the run configuration (the command, its inputs and the
+values of exactly those options), and the output directory gets a
+manifest.json listing every file with its SHA-256.
 
 Exit codes: 0 pass, 1 fail, 2 inconclusive (including a theta quadrature
 that did not converge, for an amplitude without a closed-form theta
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -67,8 +68,8 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT_ERROR = 3
 
-_STATUS_EXIT = {"pass": EXIT_PASS, "fail": EXIT_FAIL,
-                "inconclusive": EXIT_INCONCLUSIVE}
+_STATUS_EXIT = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "not-in-class": EXIT_FAIL,
+                "inconclusive": EXIT_INCONCLUSIVE, "grid-too-coarse": EXIT_INCONCLUSIVE}
 
 
 def _load_chi(path: str):
@@ -95,32 +96,29 @@ def _load_lagrangian(path: str):
 
 def _config(args) -> dict:
     """The command, its inputs and the value of every option it reads."""
-    cfg = {"command": args.command, "inputs": list(args.inputs)}
-    cfg.update((key, getattr(args, key)) for key in _OPTIONS[args.command])
-    return cfg
+    _func, (_nargs, *options) = _COMMANDS[args.command]
+    return {"command": args.command, "inputs": list(args.inputs),
+            **{key: getattr(args, key) for key in options}}
 
 
-def _outdir(args) -> str:
+def _path(args, name: str) -> str:
     os.makedirs(args.out, exist_ok=True)
-    return args.out
+    return os.path.join(args.out, name)
 
 
 def _emit_json(args, name: str, payload: dict) -> None:
-    payload = dict(payload)
-    payload["config"] = _config(args)
-    write_json(payload, os.path.join(_outdir(args), name))
+    write_json({**payload, "config": _config(args)}, _path(args, name))
 
 
 def _emit_csv(args, name: str, write, obj) -> None:
     """write(obj, path) into the output directory, then the config comment."""
-    path = os.path.join(_outdir(args), name)
+    path = _path(args, name)
     write(obj, path)
     append_config_comment(path, _config(args))
 
 
 def _emit_pgm(args, name: str, values: np.ndarray) -> None:
-    path = os.path.join(_outdir(args), name)
-    field_to_pgm(values, path,
+    field_to_pgm(values, _path(args, name),
                  comment="config " + json.dumps(_config(args), sort_keys=True))
 
 
@@ -218,7 +216,7 @@ def cmd_factorize(args) -> int:
     _emit_json(args, "factorize.json", rep.to_dict())
     _emit_csv(args, "symbol.csv", field_to_csv, rep.symbol)
     print(f"factorization: {rep.status} (residual {rep.residual:.3e})")
-    return EXIT_PASS if rep.status == "pass" else EXIT_FAIL
+    return _STATUS_EXIT[rep.status]
 
 
 def cmd_compose(args) -> int:
@@ -230,7 +228,7 @@ def cmd_compose(args) -> int:
         "rho": rep.spec.rho, "residual": rep.residual, "status": rep.status,
     })
     print(f"composition: {rep.status} (residual {rep.residual:.3e})")
-    return EXIT_PASS if rep.status == "pass" else EXIT_INCONCLUSIVE
+    return _STATUS_EXIT[rep.status]
 
 
 def cmd_adjoint(args) -> int:
@@ -303,7 +301,7 @@ def cmd_wf(args) -> int:
         "slopes": [None if not np.isfinite(s) else float(s) for s in rep.slopes],
     })
     print(f"nondecaying sectors: {rep.nondecaying}")
-    return EXIT_PASS if rep.status == "pass" else EXIT_INCONCLUSIVE
+    return _STATUS_EXIT[rep.status]
 
 
 def cmd_lag_test(args) -> int:
@@ -329,50 +327,46 @@ def cmd_suite(args) -> int:
     return _STATUS_EXIT[status]
 
 
+def _number(kind, lo=-math.inf, hi=math.inf):
+    """argparse type: kind(text), refused unless finite and in [lo, hi];
+    argparse names the flag in either refusal."""
+    def parse(text):
+        value = kind(text)
+        if not (lo <= value <= hi and abs(value) < math.inf):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite value in [{lo}, {hi}]")
+        return value
+    parse.__name__ = kind.__name__  # worded "invalid int value" when kind refuses
+    return parse
+
+
+# each command's handler, then its number of inputs and the options the
+# handler reads, which are all the command accepts and records in its config
 _COMMANDS = {
-    "reduce-phase": (cmd_reduce_phase, 1),
-    "check-phase": (cmd_check_phase, 1),
-    "lagrangian-of": (cmd_lagrangian_of, 1),
-    "mu-apply": (cmd_mu_apply, 2),
-    "weyl-quantize": (cmd_weyl_quantize, 1),
-    "fio-kernel": (cmd_fio_kernel, 1),
-    "factorize": (cmd_factorize, 2),
-    "compose": (cmd_compose, 2),
-    "adjoint": (cmd_adjoint, 1),
-    "fbi-map": (cmd_fbi_map, 1),
-    "char-check": (cmd_char_check, 2),
-    "wf": (cmd_wf, 1),
-    "lag-test": (cmd_lag_test, 2),
-    "suite": (cmd_suite, 0),
+    "reduce-phase": (cmd_reduce_phase, (1,)),
+    "check-phase": (cmd_check_phase, (1,)),
+    "lagrangian-of": (cmd_lagrangian_of, (1,)),
+    "mu-apply": (cmd_mu_apply, (2,)),
+    "weyl-quantize": (cmd_weyl_quantize, (1, "grid_n", "grid_R")),
+    "fio-kernel": (cmd_fio_kernel, (1, "grid_n", "grid_R")),
+    "factorize": (cmd_factorize, (2, "order", "rho")),
+    "compose": (cmd_compose, (2, "grid_n", "grid_R")),
+    "adjoint": (cmd_adjoint, (1, "grid_n", "grid_R")),
+    "fbi-map": (cmd_fbi_map, (1, "stride")),
+    "char-check": (cmd_char_check, (2, "stride", "order", "rho")),
+    "wf": (cmd_wf, (1,)),
+    "lag-test": (cmd_lag_test, (2, "order", "rho")),
+    "suite": (cmd_suite, (0, "seed", "quick")),
 }
 
 # every option a handler reads: argparse keywords, keyed by its dest
 _FLAGS = {
     "grid_n": {"type": int, "default": 128},
     "grid_R": {"type": float, "default": 10.0},
-    "stride": {"type": int, "default": KERNEL_STRIDE},
-    "seed": {"type": int, "default": 0},
-    "order": {"type": float, "default": 0.0},
-    "rho": {"type": float, "default": 1.0},
+    "stride": {"type": _number(int, 1), "default": KERNEL_STRIDE},
+    "seed": {"type": _number(int, 0), "default": 0},
+    "order": {"type": _number(float), "default": 0.0},
+    "rho": {"type": _number(float, 0.0, 1.0), "default": 1.0},
     "quick": {"action": "store_true"},
-}
-
-# the options each command reads, and so accepts and records in its config
-_OPTIONS = {
-    "reduce-phase": (),
-    "check-phase": (),
-    "lagrangian-of": (),
-    "mu-apply": (),
-    "weyl-quantize": ("grid_n", "grid_R"),
-    "fio-kernel": ("grid_n", "grid_R"),
-    "factorize": ("order", "rho"),
-    "compose": ("grid_n", "grid_R"),
-    "adjoint": ("grid_n", "grid_R"),
-    "fbi-map": ("stride",),
-    "char-check": ("stride", "order", "rho"),
-    "wf": (),
-    "lag-test": ("order", "rho"),
-    "suite": ("seed", "quick"),
 }
 
 
@@ -392,13 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "metaplectic operators, Weyl quantization, phase-space "
                     "kernel checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_func, nargs) in _COMMANDS.items():
+    for name, (_func, (nargs, *options)) in _COMMANDS.items():
         p = sub.add_parser(name)
         if nargs:
             p.add_argument("inputs", nargs=nargs, metavar="INPUT")
         else:
             p.set_defaults(inputs=[])
-        for key in _OPTIONS[name]:
+        for key in options:
             p.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key])
         p.add_argument("--out", default="fiocalc-out")
     return parser

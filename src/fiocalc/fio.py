@@ -29,7 +29,8 @@ from .grids import (GridFunction, GridSpec, OperatorMatrix, SizeGuardError,
                     hermite_grid_function)
 from .metaplectic import mu_general
 from .phases import QuadraticPhase, chi_from_phase
-from .symbols import ShubinSymbol, _eval_terms, custom_symbol, shubin_decay_test
+from .symbols import (ShubinSymbol, _diff_terms, _eval_terms, _gaussian_mean_terms,
+                      _transform_terms, custom_symbol, shubin_decay_test)
 from .symplectic import (
     SymplecticMatrix,
     symplectic_inverse,
@@ -165,27 +166,6 @@ def _theta_quadrature(phase: QuadraticPhase, amplitude, X: np.ndarray) -> tuple:
         f"theta quadrature did not converge after {QUAD_MAX_DOUBLINGS} doublings "
         f"(last relative change {quad.convergence if quad else float('nan'):.2e})"
     )
-
-
-def _gaussian_mean_terms(terms, M: np.ndarray, offset: int):
-    """Terms of e^{sum_ij M_ij d_i d_j} p, the derivatives d_i taken along
-    axis offset + i; a finite sum for a polynomial p, since each power of
-    the operator lowers the degree by two."""
-    out = {}
-    power = list(terms)
-    k = 0
-    while power:
-        for c, e in power:
-            out[e] = out.get(e, 0.0) + c
-        k += 1
-        nxt = {}
-        for i in range(len(M)):
-            for j in range(len(M)):
-                twice = _diff_terms(_diff_terms(power, offset + i), offset + j)
-                for c, e in twice:
-                    nxt[e] = nxt.get(e, 0.0) + M[i, j] * c / k
-        power = [(c, e) for e, c in nxt.items() if c != 0.0]
-    return [(c, e) for e, c in out.items() if c != 0.0]
 
 
 def _gaussian_theta_integral(phase: QuadraticPhase, amplitude: ShubinSymbol,
@@ -373,30 +353,6 @@ def _poly_terms(sym):
     return sym.terms()
 
 
-def _transform_terms(terms, M: np.ndarray):
-    """Terms of z -> p(M z) for a polynomial p given by terms."""
-    out = {}
-    for c, (p, q) in terms:
-        for i in range(p + 1):
-            for j in range(q + 1):
-                coeff = (c * comb(p, i) * comb(q, j)
-                         * M[0, 0] ** i * M[0, 1] ** (p - i)
-                         * M[1, 0] ** j * M[1, 1] ** (q - j))
-                key = (i + j, (p - i) + (q - j))
-                out[key] = out.get(key, 0.0) + coeff
-    return [(c, e) for e, c in out.items() if c != 0.0]
-
-
-def _diff_terms(terms, axis: int):
-    out = []
-    for c, e in terms:
-        if e[axis] > 0:
-            e2 = list(e)
-            e2[axis] -= 1
-            out.append((c * e[axis], tuple(e2)))
-    return out
-
-
 # 4th-order central difference stencils for the 1st and 2nd derivative
 _FD = {
     1: ([-2, -1, 1, 2], [1.0 / 12, -8.0 / 12, 8.0 / 12, -1.0 / 12]),
@@ -426,10 +382,8 @@ def _moyal_partial(sym, terms):
 
     def partial(i, j, z):
         t = terms
-        for _ in range(i):
-            t = _diff_terms(t, 0)
-        for _ in range(j):
-            t = _diff_terms(t, 1)
+        for axis in [0] * i + [1] * j:
+            t = _diff_terms(t, axis)
         return _eval_terms(t, z)
 
     return partial

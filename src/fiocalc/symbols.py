@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import numbers
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
@@ -134,6 +135,48 @@ def _eval_terms(terms, z: np.ndarray) -> np.ndarray:
             term = term * z[..., axis] ** k
         out = out + term
     return out
+
+
+def _collect(pairs):
+    """The pairs (c, e) summed per exponent e, each sum from 0.0 in the order
+    given, in the order the exponents first appear; zero sums are dropped."""
+    out = {}
+    for c, e in pairs:
+        out[e] = out.get(e, 0.0) + c
+    return [(c, e) for e, c in out.items() if c != 0.0]
+
+
+def _diff_terms(terms, axis: int):
+    out = []
+    for c, e in terms:
+        if e[axis] > 0:
+            e2 = list(e)
+            e2[axis] -= 1
+            out.append((c * e[axis], tuple(e2)))
+    return out
+
+
+def _transform_terms(terms, M: np.ndarray):
+    """Terms of z -> p(M z) for a polynomial p given by terms."""
+    return _collect((c * comb(p, i) * comb(q, j)
+                     * M[0, 0] ** i * M[0, 1] ** (p - i)
+                     * M[1, 0] ** j * M[1, 1] ** (q - j), (i + j, (p - i) + (q - j)))
+                    for c, (p, q) in terms for i in range(p + 1) for j in range(q + 1))
+
+
+def _gaussian_mean_terms(terms, M: np.ndarray, offset: int):
+    """Terms of e^{sum_ij M_ij d_i d_j} p, the derivatives d_i taken along
+    axis offset + i; a finite sum for a polynomial p, since each power of
+    the operator lowers the degree by two."""
+    seen = []
+    power = list(terms)
+    k = 0
+    while power:
+        seen += power
+        k += 1
+        power = _collect((M[i, j] * c / k, e) for i in range(len(M)) for j in range(len(M))
+                         for c, e in _diff_terms(_diff_terms(power, offset + i), offset + j))
+    return _collect(seen)
 
 
 def constant_symbol(dim: int, c=1.0) -> ShubinSymbol:

@@ -14,7 +14,6 @@ import numpy as np
 
 from .gabor import Field4D
 from .grids import GridSpec, OperatorMatrix, SizeGuardError
-from .symbols import ShubinSymbol
 
 
 def _check_d1(spec: GridSpec):
@@ -57,25 +56,10 @@ _HALF_WEIGHTS = np.array([
 ])
 
 
-def _diagonal_midpoints(K: np.ndarray, k: np.ndarray, t: int) -> np.ndarray:
-    """K(x_k + t h/2, x_k - t h/2) for odd t, interpolated from on-grid
-    entries along the line of constant difference t; out-of-range samples
-    count as zero (kernel decay or interior-only use)."""
-    n = K.shape[0]
-    q = (t - 1) // 2
-    out = np.zeros(len(k), dtype=complex)
-    for node, w in zip(_HALF_NODES.astype(int), _HALF_WEIGHTS):
-        p = k + q + node
-        valid = (p >= 0) & (p < n) & (p - t >= 0) & (p - t < n)
-        vals = np.zeros(len(k), dtype=complex)
-        vals[valid] = K[p[valid], p[valid] - t]
-        out += w * vals
-    return out
-
-
 def interior_mask(symbol: Field4D) -> np.ndarray:
-    """|x| and |xi| within half the box: where a symbol recovered from a
-    kernel is unaffected by the truncation of the grid."""
+    """|x| and |xi| both at most half the position extent max |x| (the dual
+    axis reaches further, to pi / h): where a symbol recovered from a kernel
+    is unaffected by the truncation of the grid."""
     x, xi = symbol.axes
     bound = 0.5 * np.abs(x).max()
     return (np.abs(x)[:, None] <= bound) & (np.abs(xi)[None, :] <= bound)
@@ -113,24 +97,23 @@ def symbol_from_kernel(K: OperatorMatrix) -> Field4D:
     _check_d1(spec)
     n, h = spec.n, spec.h
     xi = spec.dual_points()
-    kidx = np.arange(n)
     # symmetric difference window with half weight at both Nyquist endpoints,
     # so the discrete orthogonality sum over t is exact for every dual mode
     tvals = np.arange(-n // 2, n // 2 + 1)
     wts = np.ones(len(tvals))
     wts[0] = wts[-1] = 0.5
-    S = np.zeros((n, len(tvals)), dtype=complex)
-    Kmat = K.entries
-    for col, t in enumerate(tvals):
-        if t % 2 == 0:
-            q = t // 2
-            p = kidx + q
-            valid = (p >= 0) & (p < n) & (p - t >= 0) & (p - t < n)
-            vals = np.zeros(n, dtype=complex)
-            vals[valid] = Kmat[p[valid], p[valid] - t]
-            S[:, col] = vals
-        else:
-            S[:, col] = _diagonal_midpoints(Kmat, kidx, t)
+
+    def diagonal(p, t):  # K[p, p - t] elementwise, zero off the grid
+        valid = (p >= 0) & (p < n) & (p - t >= 0) & (p - t < n)
+        return np.where(valid, K.entries[p.clip(0, n - 1), (p - t).clip(0, n - 1)], 0)
+
+    # column t holds K(x_k + t h/2, x_k - t h/2): on the grid for even t, and
+    # for odd t interpolated from the nodes along the line of difference t
+    odd = tvals % 2 == 1
+    p = np.arange(n)[:, None] + tvals // 2
+    S = np.where(odd, 0, diagonal(p, tvals))
+    for node, w in zip(_HALF_NODES.astype(int), _HALF_WEIGHTS):
+        S[:, odd] += w * diagonal(p[:, odd] + node, tvals[odd])
     E = np.exp(-1j * h * np.outer(tvals, xi))
     values = h * ((S * wts) @ E)
     return Field4D((spec.points(), xi), values)
@@ -149,8 +132,6 @@ def _pullback(a, M: np.ndarray):
 
 
 def symbol_callable(sym) -> callable:
-    if isinstance(sym, ShubinSymbol):
-        return sym
     if isinstance(sym, Field4D):
         return _interpolant(sym)
     return sym

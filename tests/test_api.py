@@ -1,6 +1,7 @@
 """Dead-code guards: every function, class and method in src/fiocalc has a
 caller outside the tests, every class member is read, and every CLI option
-is read by its command.
+is read by its command; and README's command table lists what the CLI
+declares.
 
 A name counts as used where src/ (apart from the package's __init__
 re-exports) or benchmarks/ loads it in code: an ast.Name or ast.Attribute
@@ -136,3 +137,23 @@ def test_every_command_takes_exactly_the_options_its_handler_reads():
         if reads != registered:
             mismatched.append(f"{name}: reads {sorted(reads)}, takes {sorted(registered)}")
     assert not mismatched, "; ".join(mismatched)
+
+
+def test_the_readme_command_table_matches_the_commands():
+    """Each row of README's "Command line" table lists its command's
+    inputs (comma-separated, or none) and options (or none) as _COMMANDS
+    declares them, and the rows are exactly the commands, in order."""
+    text = (ROOT / "README.md").read_text()
+    table = text.split("| Command | Inputs | Options |\n| --- | --- | --- |\n")[1]
+    rows = {}
+    for line in table.splitlines():
+        if not line.startswith("|"):
+            break
+        command, inputs, options = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[command.strip("`")] = (
+            0 if inputs == "none" else len(inputs.split(",")),
+            [] if options == "none" else [opt.strip().strip("`") for opt in options.split(",")])
+    declared = {name: (nargs, ["--" + key.replace("_", "-") for key in options])
+                for name, (_func, (nargs, *options)) in cli._COMMANDS.items()}
+    assert list(rows) == list(declared)
+    assert rows == declared

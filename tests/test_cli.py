@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -377,6 +378,42 @@ def test_every_artifact_embeds_the_configuration(tmp_path):
     assert "# config" in text and '"grid_n": 64' in text
     rec = read_json(str(out / "fio_kernel.json"))
     assert rec["config"]["grid_n"] == 64
+
+
+def test_the_config_records_exactly_the_options_a_command_takes():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, (_func, (nargs, *_options)) in cli._COMMANDS.items():
+        inputs = [f"in{i}.json" for i in range(nargs)]
+        args = parser.parse_args([name, *inputs])
+        takes = [a.dest for a in sub.choices[name]._actions
+                 if a.dest not in ("help", "inputs", "out")]
+        expected = {"command": name, "inputs": inputs,
+                    **{key: getattr(args, key) for key in takes}}
+        assert cli._config(args) == expected and list(cli._config(args)) == list(expected)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["factorize", "k.csv", "chi.json", "--order", "nan"], "--order"),
+    (["factorize", "k.csv", "chi.json", "--rho", "nan"], "--rho"),
+    (["factorize", "k.csv", "chi.json", "--rho", "7"], "--rho"),
+    (["char-check", "k.csv", "chi.json", "--order", "nan"], "--order"),
+    (["char-check", "k.csv", "chi.json", "--order", "inf"], "--order"),
+    (["char-check", "k.csv", "chi.json", "--rho", "-3"], "--rho"),
+    (["char-check", "k.csv", "chi.json", "--stride", "0"], "--stride"),
+    (["fbi-map", "u.csv", "--stride", "1.5"], "--stride"),
+    (["lag-test", "u.csv", "lag.json", "--rho", "-0.5"], "--rho"),
+    (["suite", "--seed", "-8"], "--seed"),
+], ids=["factorize-order-nan", "factorize-rho-nan", "factorize-rho-7", "char-check-order-nan",
+        "char-check-order-inf", "char-check-rho-negative", "char-check-stride-0",
+        "fbi-map-stride-fraction", "lag-test-rho-negative", "suite-seed-negative"])
+def test_numeric_flags_out_of_range_are_usage_errors(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(out)])
+    assert exc.value.code == 3
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

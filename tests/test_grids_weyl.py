@@ -4,6 +4,7 @@ import pytest
 from fiocalc.grids import (
     GridFunction,
     GridSpec,
+    OperatorMatrix,
     gaussian_window,
     hermite_grid_function,
     hermite_values,
@@ -13,6 +14,8 @@ from fiocalc.fio import FioSpec, fio_factorize, fio_kernel
 from fiocalc.symbols import harmonic_oscillator_symbol
 from fiocalc.symplectic import standard_j
 from fiocalc.weyl import (
+    _HALF_NODES,
+    _HALF_WEIGHTS,
     SizeGuardError,
     _interpolant,
     interior_mask,
@@ -80,6 +83,47 @@ def test_symbol_recovery_round_trip():
     ref = np.exp(-0.3 * (X ** 2 + XI ** 2))
     mask = interior_mask(s)
     assert np.abs(s.values - ref)[mask].max() < 1e-6
+
+
+def column_loop_symbol(K):
+    """symbol_from_kernel one difference column t at a time: the diagonal
+    entries for even t, the 8-node midpoint sum, zero off the grid, for
+    odd t."""
+    n, h = K.spec.n, K.spec.h
+    xi = K.spec.dual_points()
+    k = np.arange(n)
+    tvals = np.arange(-n // 2, n // 2 + 1)
+    wts = np.ones(len(tvals))
+    wts[0] = wts[-1] = 0.5
+
+    def diagonal(p, t):
+        valid = (p >= 0) & (p < n) & (p - t >= 0) & (p - t < n)
+        vals = np.zeros(n, dtype=complex)
+        vals[valid] = K.entries[p[valid], p[valid] - t]
+        return vals
+
+    S = np.zeros((n, len(tvals)), dtype=complex)
+    for col, t in enumerate(tvals):
+        if t % 2 == 0:
+            S[:, col] = diagonal(k + t // 2, t)
+        else:
+            for node, w in zip(_HALF_NODES.astype(int), _HALF_WEIGHTS):
+                S[:, col] += w * diagonal(k + (t - 1) // 2 + node, t)
+    return h * ((S * wts) @ np.exp(-1j * h * np.outer(tvals, xi)))
+
+
+@pytest.mark.parametrize("n", [8, 16, 128, 256, "weyl"])
+def test_symbol_from_kernel_matches_the_column_loop_to_the_bit(n):
+    if n == "weyl":
+        g = GridSpec(1, 128, 10.0)
+        K = weyl_kernel(lambda z: (1 + z[..., 0]) * np.exp(-0.2 * np.sum(z ** 2, axis=-1)
+                                                          + 0.7j * z[..., 1]), g)
+    else:
+        rng = np.random.default_rng(n)
+        g = GridSpec(1, n, 6.0)
+        K = OperatorMatrix(g, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    got = symbol_from_kernel(K)
+    assert got.values.tobytes() == column_loop_symbol(K).tobytes()
 
 
 def test_sampled_symbol_is_quantized_as_its_pointwise_spline():
