@@ -9,10 +9,14 @@ fixed seed.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import inspect
+import multiprocessing
 import os
-import threading
 import time
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -599,6 +603,112 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@functools.cache
+def _blas_thread_setters() -> tuple:
+    """The thread-count setters of the OpenBLAS that numpy's and scipy's
+    wheels bundle, as ctypes functions, for each library found: resolved
+    once per process."""
+    setters = []
+    for package, symbol in ((np, "scipy_openblas_set_num_threads64_"),
+                            (scipy, "scipy_openblas_set_num_threads")):
+        libs = os.path.dirname(package.__file__) + ".libs"
+        for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+            try:
+                setter = getattr(ctypes.CDLL(path), symbol)
+            except (OSError, AttributeError):
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setters.append(setter)
+    return tuple(setters)
+
+
+def _one_blas_thread() -> bool:
+    """Run numpy's and scipy's BLAS on one thread from now on in this
+    process; False where neither bundled OpenBLAS was found.  Artifacts are
+    byte-identical only at a fixed BLAS thread count: a second thread
+    changes the order of some floating-point sums."""
+    setters = _blas_thread_setters()
+    for setter in setters:
+        setter(1)
+    return bool(setters)
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an exception raised in run_suite's side worker."""
+
+
+class _SideWorker:
+    """The side checks of run_suite (calls, (index, call) pairs), run in
+    their order in one forked process that runs BLAS on one thread, so that
+    they do not share the chain's interpreter lock.  Each check's
+    (index, result, seconds), or (index, exception, traceback text) once one
+    raises, comes back through a pipe.  The stop event, set by either
+    process, stops the worker before its next check; a check that raises
+    sets it.  fork, not spawn: the calls are closures over the caller's
+    checks, which spawn would have to pickle."""
+
+    def __init__(self, calls: list):
+        ctx = multiprocessing.get_context("fork")
+        self.stop = ctx.Event()
+        self._recv, send = ctx.Pipe(duplex=False)
+        self._process = ctx.Process(target=self._run, args=(calls, send),
+                                    name="fiocalc-suite", daemon=True)
+        self._process.start()
+        send.close()  # the worker holds the only write end: its exit ends the pipe
+        self._open = True
+        self._indices = [i for i, _ in calls]
+
+    def _run(self, calls: list, send) -> None:
+        _one_blas_thread()
+        with send:
+            for i, call in calls:
+                if self.stop.is_set():
+                    return
+                t0 = time.time()
+                try:
+                    res = call()
+                except BaseException as exc:  # re-raised by run_suite
+                    self.stop.set()
+                    send.send((i, exc, traceback.format_exc()))
+                    return
+                send.send((i, res, time.time() - t0))
+
+    def take(self, done: list, errors: dict, wait: bool = False) -> None:
+        """Store what the worker has sent: done[i] = (result, seconds), or
+        errors[i] = the exception, with the worker's traceback as its cause.
+        With wait, until the worker has ended and the pipe is drained."""
+        while self._open and (wait or self._recv.poll()):
+            try:
+                i, res, extra = self._recv.recv()
+            except EOFError:  # the worker has ended: stop the chain if it crashed
+                self._open = False
+                if self._missing(done, errors):
+                    self.stop.set()
+                break
+            if isinstance(extra, str):
+                res.__cause__ = _WorkerTraceback(extra)
+                errors[i] = res
+            else:
+                done[i] = (res, extra)
+
+    def close(self, done: list, errors: dict) -> None:
+        """Wait for the worker to end, storing what it sent.  A worker that
+        ended otherwise than by returning (os._exit, a signal) leaves an
+        error at the first of its checks with neither result nor exception."""
+        self.take(done, errors, wait=True)
+        self._recv.close()
+        self._process.join()
+        code, missing = self._process.exitcode, self._missing(done, errors)
+        if code and missing:
+            errors[missing[0]] = RuntimeError(
+                f"the side-check worker exited with code {code} before check "
+                f"{missing[0]} ended")
+
+    def _missing(self, done: list, errors: dict) -> list:
+        """The worker's checks with neither a result nor an exception."""
+        return [i for i in self._indices if done[i] is None and i not in errors]
+
+
 def run_suite(seed: int, quick: bool, progress) -> list:
     """Run every check of ALL_CHECKS, read at the call, and return their
     results in its order.  progress(result, seconds) is called on the calling
@@ -606,33 +716,24 @@ def run_suite(seed: int, quick: bool, progress) -> list:
     before it have ended.  The checks that take a kernel table (the chain)
     share one, which ends with the run.
 
-    With at least 2 usable CPUs the chain runs in its order on the calling
-    thread while the other checks run in theirs on one worker thread.  The
-    two sides share no state and each check seeds its own generator, so the
-    results are those of the serial run.  An exception on either side stops
-    both before their next check and is re-raised (the earliest check's)
-    once the worker has ended."""
+    With at least 2 usable CPUs and the fork start method, the chain runs in
+    its order on the calling thread while the other checks run in theirs in
+    one worker process (_SideWorker).  The two sides share no state, each
+    check seeds its own generator and the worker runs BLAS on one thread, so
+    the results are those of the serial run at one BLAS thread.  An
+    exception on either side stops both before their next check and is
+    re-raised (the earliest check's) once the worker has ended; so is an
+    error for a worker that exits before its checks end."""
     checks = ALL_CHECKS
     table = KernelTable(quick)
     in_chain = ["table" in inspect.signature(check).parameters for check in checks]
     done = [None] * len(checks)  # (result, seconds) of each finished check
     errors = {}  # check index -> exception
-    stop = threading.Event()
     reported = 0
 
-    def run(indices):
-        for i in indices:
-            if stop.is_set():
-                return
-            t0 = time.time()
-            try:
-                res = checks[i](seed=seed, quick=quick,
-                                **({"table": table} if in_chain[i] else {}))
-            except BaseException as exc:  # re-raised by run_suite
-                errors[i] = exc
-                stop.set()
-                return
-            done[i] = (res, time.time() - t0)
+    def call(i):
+        return lambda: checks[i](seed=seed, quick=quick,
+                                 **({"table": table} if in_chain[i] else {}))
 
     def report():
         nonlocal reported
@@ -642,20 +743,31 @@ def run_suite(seed: int, quick: bool, progress) -> list:
 
     side = [i for i, c in enumerate(in_chain) if not c]
     worker = None
-    if _usable_cpus() >= 2 and 0 < len(side) < len(checks):
-        worker = threading.Thread(target=run, args=(side,), name="fiocalc-suite")
-        worker.start()
+    if _usable_cpus() >= 2 and 0 < len(side) < len(checks) \
+            and "fork" in multiprocessing.get_all_start_methods():
+        worker = _SideWorker([(i, call(i)) for i in side])
+    ended = False  # the loop ended, not progress raising or an interrupt
     try:
         for i in range(len(checks)):
-            if worker is None or in_chain[i]:
-                run([i])
-                report()
-    except BaseException:  # progress raised or the run was interrupted
-        stop.set()
-        raise
+            if worker is not None:
+                if not in_chain[i]:
+                    continue
+                worker.take(done, errors)
+                if worker.stop.is_set():
+                    break
+            t0 = time.time()
+            try:
+                done[i] = (call(i)(), time.time() - t0)
+            except BaseException as exc:  # re-raised below
+                errors[i] = exc
+                break
+            report()
+        ended = True
     finally:
         if worker is not None:
-            worker.join()
+            if errors or not ended:
+                worker.stop.set()
+            worker.close(done, errors)
     report()
     if errors:
         raise errors[min(errors)]

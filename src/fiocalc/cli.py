@@ -249,9 +249,10 @@ def _kernel_heatmap(K: GridFunction, stride: int) -> tuple:
     sample nearest zero, then maximize over the second frequency axis.
     Returns the position and frequency axes and the map, indexed (first
     frequency, first position) with the frequency axis increasing upward."""
-    z, zeta, slabs = _kernel_field_slabs(K, stride)
+    z, zeta, slab, _ = _kernel_field_slabs(K, stride)
     j = int(np.argmin(np.abs(z)))
-    sub = np.array([np.abs(S[:, j, :]).max(axis=1) for S in slabs])  # (z1, zeta1)
+    sub = np.array([np.abs(slab(i)[:, j, :]).max(axis=1)
+                    for i in range(len(z))])  # (z1, zeta1)
     return z, zeta, sub.T[::-1]
 
 
@@ -401,6 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     func, _ = _COMMANDS[args.command]
+    if not acceptance._one_blas_thread():
+        print("note: no bundled OpenBLAS found, so BLAS keeps its own thread count "
+              "and artifacts may differ between thread counts", file=sys.stderr)
     try:
         code = func(args)
     except (OSError, KeyError, ValueError, SizeGuardError) as exc:

@@ -177,13 +177,29 @@ def wavefront_estimate(u: GridFunction, N_max: float) -> SectorReport:
 
 def _kernel_field_slabs(K: GridFunction, stride: int) -> tuple:
     """The axes z, zeta of T_{g tensor g} K on the grid decimated by stride
-    (K lives on a d = 2 grid) and a generator of the field one z1 value at
-    a time: its i-th slab S has S[m, j, p] the field at
-    (z1, z2, zeta1, zeta2) = (z[i], z[j], zeta[m], zeta[p]).  A slab is
-    whole rows of M K M^T, rows (z1, zeta1) and columns (z2, zeta2), so its
-    entries equal those of the whole product to the bit; the whole field is
-    never held.  Refuses with SizeGuardError past MEMORY_CAP_ENTRIES field
-    entries."""
+    (K lives on a d = 2 grid), the field one z1 value at a time and a bound
+    on each z1 value's largest |entry|: slab(i) is the slab S with
+    S[m, j, p] the field at (z1, z2, zeta1, zeta2) = (z[i], z[j], zeta[m],
+    zeta[p]), and bounds[i] is at least the largest |entry| of slab(i) as
+    computed.  A slab is whole rows of M K M^T, rows (z1, zeta1) and columns
+    (z2, zeta2), so its entries equal those of the whole product to the bit;
+    the whole field is never held.  Refuses with SizeGuardError past
+    MEMORY_CAP_ENTRIES field entries.
+
+    The bound is Cauchy-Schwarz, max_r |(MK)_r| max_k |M_k| (1 + gamma),
+    over the slab's rows r of M K and every row k of M, with
+    gamma = 4 n eps, n = K.spec.n the length of each dot product.  An entry
+    is a complex dot product of length n, which floating point computes in
+    any order to within sqrt(2) gamma_{n+2} sum_l |a_l| |b_l| of the exact
+    value, gamma_k = k u / (1 - k u) and u = eps / 2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sections 3.1 and 3.6).  Each
+    computed norm, of 2n squares, is off by at most about (n + 1) u
+    relative, and |entry| and the product of the bound's three factors by a
+    few u more; the sum, about (1.71 n + 6.5) eps, is below 4 n eps for every
+    n >= 8, which GridSpec requires.  The norms of M K are taken on M K
+    divided by its largest |entry|, which costs 2 u of that sum, so that no
+    square overflows whatever the scale of K: only a row far below the
+    largest can underflow, and the peak passes such a row."""
     spec = K.spec
     if spec.d != 2:
         raise ValueError("kernel field needs a d = 2 grid function")
@@ -201,12 +217,16 @@ def _kernel_field_slabs(K: GridFunction, stride: int) -> tuple:
     M = M.reshape(len(z) * len(zeta), spec.n)
     MK = M @ K.reshaped()
 
-    def slabs():  # holds no slab between yields
-        for i in range(len(z)):
-            yield (MK[i * len(zeta):(i + 1) * len(zeta)] @ M.T).reshape(
-                len(zeta), len(z), len(zeta))
+    def slab(i: int) -> np.ndarray:
+        return (MK[i * len(zeta):(i + 1) * len(zeta)] @ M.T).reshape(
+            len(zeta), len(z), len(zeta))
 
-    return z, zeta, slabs()
+    top = float(np.abs(MK).max()) or 1.0
+    rows = np.linalg.norm(MK / top, axis=1) * top
+    gamma = 4 * spec.n * np.finfo(float).eps
+    bounds = rows.reshape(len(z), len(zeta)).max(axis=1) \
+        * (np.linalg.norm(M, axis=1).max() * (1 + gamma))
+    return z, zeta, slab, bounds
 
 
 def chi_twist_field(chi: SymplecticMatrix) -> np.ndarray:
@@ -389,22 +409,29 @@ def sweep_field(field: Field4D, readers: list) -> list:
 def sweep_kernel_field(K: GridFunction, readers: list, stride: int = KERNEL_STRIDE) -> list:
     """The readers' results on the field T_{g tensor g} K of a kernel on a
     d = 2 grid, axes (z1, z2, zeta1, zeta2), decimated by stride: one pass
-    over the slabs of _kernel_field_slabs, each slab's box layer going to
-    every reader as it is pushed (_Sweep), so neither the field nor its
-    interior box is held.  Refuses with SizeGuardError past
+    over the slabs of _kernel_field_slabs in the interior box, each slab's
+    box layer going to every reader as it is pushed (_Sweep), so neither the
+    field nor its interior box is held.  The slabs outside the box count
+    for the peak alone: they are built afterwards, largest bound first, and
+    only where the bound is not below the running peak, so the peak is the
+    whole field's to the bit.  Refuses with SizeGuardError past
     MEMORY_CAP_ENTRIES field entries."""
-    z, zeta, slabs = _kernel_field_slabs(K, stride)
+    z, zeta, slab, bounds = _kernel_field_slabs(K, stride)
     box, (s1, s2, s3, s4) = _interior_box((z, z, zeta, zeta))
     sweep = _Sweep(box, readers)
     peak = 0.0
-    for i, S in enumerate(slabs):
+    for i in range(s1.start, s1.stop):
+        S = slab(i)
         peak = max(peak, float(np.abs(S).max()))
-        if s1.start <= i < s1.stop:
-            # the slab's box layer, reordered to (z1, z2, zeta1, zeta2): a
-            # copy, which frees the slab before the readers run
-            S = np.ascontiguousarray(S[None, s3, s2, s4].transpose(0, 2, 1, 3))
-            sweep.push(S, peak)
+        # the slab's box layer, reordered to (z1, z2, zeta1, zeta2): a copy,
+        # which frees the slab before the readers run
+        S = np.ascontiguousarray(S[None, s3, s2, s4].transpose(0, 2, 1, 3))
+        sweep.push(S, peak)
         del S  # nothing is held while the next slab is built
+    outside = [i for i in range(len(z)) if not s1.start <= i < s1.stop]
+    for i in sorted(outside, key=lambda i: -bounds[i]):
+        if not bounds[i] < peak:  # a nan bound is not below
+            peak = max(peak, float(np.abs(slab(i)).max()))
     return sweep.finish(peak)
 
 

@@ -8,7 +8,10 @@ every check at full size plus the determinism contract for the CLI suite.
 
 import filecmp
 import functools
+import json
+import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -112,84 +115,120 @@ def test_full_suite_builds_each_field_once_at_a_time(monkeypatch):
     assert sweeps == [8, 2, 2, 2]
 
 
-def thread_recorder(checks):
-    """Each check wrapped to record (check name, thread id) on each call,
-    keeping its signature as the benchmark tracer's wrappers do."""
-    calls = []
+class CallLog:
+    """Records that any process appends to one file, one os.write of one
+    line each (O_APPEND, so lines from two processes do not interleave),
+    read back in the order written."""
 
+    def __init__(self, path):
+        self.path = str(path)
+        open(self.path, "w").close()
+
+    def append(self, *record):
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, (json.dumps(record) + "\n").encode())
+        finally:
+            os.close(fd)
+
+    def records(self):
+        with open(self.path) as fh:
+            return [tuple(json.loads(line)) for line in fh]
+
+
+def process_recorder(checks, log):
+    """Each check wrapped to record (check name, pid) in log on each call,
+    keeping its signature as the benchmark tracer's wrappers do."""
     def wrap(check):
         @functools.wraps(check)
         def recorded(*args, **kwargs):
-            calls.append((check.__name__, threading.get_ident()))
+            log.append(check.__name__, os.getpid())
             return check(*args, **kwargs)
         return recorded
 
-    return tuple(wrap(check) for check in checks), calls
+    return tuple(wrap(check) for check in checks)
 
 
 def run_recorded_suite(monkeypatch, cpus, checks=None):
     """The quick suite at seed 3 with cpus usable CPUs: its results, the
-    progress calls as (result name, thread id), and the threads it left
-    running."""
+    progress calls as (result name, pid, thread id), and the threads and
+    child processes it left running."""
     monkeypatch.setattr(acceptance, "_usable_cpus", lambda: cpus)
     if checks is not None:
         monkeypatch.setattr(acceptance, "ALL_CHECKS", checks)
     progress = []
     before = threading.active_count()
     results = acceptance.run_suite(
-        3, True, lambda res, _dt: progress.append((res.name, threading.get_ident())))
-    return results, progress, threading.active_count() - before
+        3, True, lambda res, _dt: progress.append(
+            (res.name, os.getpid(), threading.get_ident())))
+    return results, progress, threading.active_count() - before, \
+        multiprocessing.active_children()
 
 
-def test_concurrent_battery_is_the_serial_one(monkeypatch):
-    """With 2 CPUs the kernel-table checks run on the calling thread and
-    the other nine on one worker; results and progress are the serial
-    run's, progress is called on the calling thread only, and no thread
-    is left."""
-    serial, serial_progress, serial_left = run_recorded_suite(monkeypatch, 1)
-    checks, calls = thread_recorder(acceptance.ALL_CHECKS)
-    concurrent, progress, left = run_recorded_suite(monkeypatch, 2, checks)
+def test_concurrent_battery_is_the_serial_one(monkeypatch, tmp_path):
+    """With 2 CPUs the kernel-table checks run in the calling process and
+    the other nine in one worker process, which runs BLAS on one thread
+    whatever the caller's count: results and progress are the serial run's
+    at one BLAS thread, progress is called on the calling thread only, and
+    no thread or process is left."""
+    assert acceptance._one_blas_thread()
+    serial, serial_progress, serial_left, serial_children = run_recorded_suite(monkeypatch, 1)
+    log = CallLog(tmp_path / "calls")
+    checks = process_recorder(acceptance.ALL_CHECKS, log)
+    for set_threads in acceptance._blas_thread_setters():
+        set_threads(2)
+    try:
+        concurrent, progress, left, children = run_recorded_suite(monkeypatch, 2, checks)
+    finally:
+        acceptance._one_blas_thread()
     assert [json_dumps(r.to_dict()) for r in concurrent] \
         == [json_dumps(r.to_dict()) for r in serial]
     names = [r.name for r in serial]
-    me = threading.get_ident()
-    assert serial_progress == progress == [(name, me) for name in names]
+    me = (os.getpid(), threading.get_ident())
+    assert serial_progress == progress == [(name, *me) for name in names]
     assert serial_left == left == 0
-    chain = [name for name, tid in calls if tid == me]
+    assert serial_children == children == []
+    calls = log.records()
+    chain = [name for name, pid in calls if pid == os.getpid()]
     assert chain == ["check_kernel_characterization", "check_wavefront_sets",
                      "check_lagrangian_equivalence"]
-    side = {tid for _name, tid in calls if tid != me}
+    side = {pid for _name, pid in calls if pid != os.getpid()}
     assert len(side) == 1 and len(calls) == len(names)
 
 
-def test_suite_runs_the_checks_held_at_call_time(monkeypatch):
+def test_suite_runs_the_checks_held_at_call_time(monkeypatch, tmp_path):
     """The benchmark tracer replaces ALL_CHECKS with wrapped checks:
     run_suite calls each wrapper once, and the wrapped kernel-table checks
     still share one table, so the quick suite sweeps one field."""
     sweeps = count_kernel_sweeps(monkeypatch)
-    checks, calls = thread_recorder(acceptance.ALL_CHECKS)
-    results, _, _ = run_recorded_suite(monkeypatch, 2, checks)
-    assert sorted(name for name, _ in calls) == sorted(c.__name__ for c in checks)
+    log = CallLog(tmp_path / "calls")
+    checks = process_recorder(acceptance.ALL_CHECKS, log)
+    results, _, _, children = run_recorded_suite(monkeypatch, 2, checks)
+    assert sorted(name for name, _ in log.records()) == sorted(c.__name__ for c in checks)
     assert [r.status for r in results] == ["pass"] * len(checks)
     assert sweeps == [6]
+    assert children == []
 
 
 def fake_check(name, log, events, table=False, role=None):
     """A check that logs its start.  A "runner" then waits until the other
     side's "raiser" has raised, and 0.2 s more, by when the raise has
     stopped its side; a raiser waits until the runner is running, then
-    raises RuntimeError(name)."""
+    raises RuntimeError(name); an "exiter" ends its process with
+    os._exit(1)."""
     def check():
-        log.append(("start", name))
+        log.append("start", name)
         if role == "runner":
             events["running"].set()
             assert events["raised"].wait(10.0)
             time.sleep(0.2)
         if role == "raiser":
             assert events["running"].wait(10.0)
-            log.append(("raise", name))
+            log.append("raise", name)
             events["raised"].set()
             raise RuntimeError(name)
+        if role == "exiter":
+            os._exit(1)
         return acceptance.CheckResult(name, "pass", {})
 
     def chain_check(seed, quick, table):
@@ -202,13 +241,15 @@ def fake_check(name, log, events, table=False, role=None):
 
 
 @pytest.mark.parametrize("raiser", ["w2", "c1"], ids=["worker-raises", "chain-raises"])
-def test_an_exception_on_either_side_propagates_and_stops_both(monkeypatch, raiser):
+def test_an_exception_on_either_side_propagates_and_stops_both(monkeypatch, tmp_path,
+                                                               raiser):
     """One side raises while the other runs a check: the exception reaches
     the caller once that check has ended, no check starts after the raise,
     progress reports only the checks before the raising one, and no thread
-    is left."""
-    log = []
-    events = {"running": threading.Event(), "raised": threading.Event()}
+    or process is left."""
+    log = CallLog(tmp_path / "log")
+    ctx = multiprocessing.get_context("fork")
+    events = {"running": ctx.Event(), "raised": ctx.Event()}
     runner = "c1" if raiser == "w2" else "w1"
 
     def check(name, table=False):
@@ -224,9 +265,30 @@ def test_an_exception_on_either_side_propagates_and_stops_both(monkeypatch, rais
     with pytest.raises(RuntimeError, match=f"^{raiser}$"):
         acceptance.run_suite(3, True, lambda res, _dt: progress.append(res.name))
     assert threading.active_count() == before
-    raised_at = log.index(("raise", raiser))
-    assert all(kind == "raise" for kind, _ in log[raised_at:])
-    assert {name for _, name in log} == ({"w1", "w2", "c1"} if raiser == "w2" else {"w1", "c1"})
+    assert multiprocessing.active_children() == []
+    records = log.records()
+    raised_at = records.index(("raise", raiser))
+    assert all(kind == "raise" for kind, _ in records[raised_at:])
+    assert {name for _, name in records} == ({"w1", "w2", "c1"} if raiser == "w2"
+                                             else {"w1", "c1"})
+    assert progress == ["w1"]
+
+
+def test_a_worker_that_exits_makes_the_suite_raise(monkeypatch, tmp_path):
+    """A side check that ends the worker process with os._exit(1): run_suite
+    raises, naming the check it did not finish, rather than waiting for it;
+    progress reports the checks before it, and no process is left."""
+    log = CallLog(tmp_path / "log")
+    checks = (fake_check("w1", log, None), fake_check("w2", log, None, role="exiter"),
+              fake_check("w3", log, None), fake_check("c1", log, None, table=True),
+              fake_check("c2", log, None, table=True))
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(acceptance, "ALL_CHECKS", checks)
+    progress = []
+    with pytest.raises(RuntimeError, match="exited with code 1 before check 1 ended"):
+        acceptance.run_suite(3, True, lambda res, _dt: progress.append(res.name))
+    assert multiprocessing.active_children() == []
+    assert ("start", "w3") not in log.records()
     assert progress == ["w1"]
 
 
@@ -273,3 +335,19 @@ def test_suite_runs_are_byte_identical(tmp_path):
         same = filecmp.cmp(str(first / rel), str(second / rel), shallow=False)
         assert same, f"{rel} differs between identical runs"
 
+
+def test_suite_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """fiocalc runs BLAS on one thread whatever OPENBLAS_NUM_THREADS asks
+    for, so the quick suite's manifest is the same at 1 and 2 threads."""
+    src = os.path.dirname(os.path.dirname(acceptance.__file__))
+    manifests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "fiocalc", "suite", "--quick", "--seed", "3",
+                               "--out", str(out)], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]

@@ -83,6 +83,12 @@ def oscillatory_spec_text(**amplitude_params):
     return json.dumps(data)
 
 
+def csv_text(rows):
+    """A grid-function CSV on the d = 1, n = 8 grid with one row of value 1
+    at each of the row indices rows."""
+    return "1,8,4.0\n" + "".join(f"{i},1.0,0.0\n" for i in rows)
+
+
 SHORT_CENTER = ('{"dim": 2, "order": 0, "rho": 1, "kind": "gaussian_modulated",'
                 ' "params": {"center": [3.0]}}')
 
@@ -119,11 +125,18 @@ SHORT_CENTER = ('{"dim": 2, "order": 0, "rho": 1, "kind": "gaussian_modulated",'
     (["weyl-quantize", "{bad}", "--grid-n", "16"], "symbol.json", SHORT_CENTER),
     (["fio-kernel", "{bad}", "--grid-n", "16"], "spec.json",
      oscillatory_spec_text(center=[3.0])),
+    (["fbi-map", "{bad}"], "u.csv", csv_text([*range(8), 3])),
+    (["fbi-map", "{bad}"], "u.csv", csv_text([*range(7), 8])),
+    (["fbi-map", "{bad}"], "u.csv", csv_text(range(7))),
+    (["fbi-map", "{bad}"], "u.csv", csv_text(range(8)) + "8,1.0\n"),
+    (["fbi-map", "{bad}"], "u.csv", csv_text(range(7)) + "7,one,0.0\n"),
 ], ids=["phase-list", "spec-list", "subspace-list", "symbol-list", "chi-number",
         "chi-entry-number", "phase-list-d", "csv-short-header", "symbol-kind-list",
         "spec-form-list", "symbol-exponent-too-long", "symbol-exponent-fraction",
         "symbol-exponent-negative", "amplitude-exponent-fraction", "symbol-width-zero",
-        "amplitude-width-zero", "symbol-center-short", "amplitude-center-short"])
+        "amplitude-width-zero", "symbol-center-short", "amplitude-center-short",
+        "csv-duplicate-row", "csv-row-out-of-range", "csv-missing-rows", "csv-two-fields",
+        "csv-non-numeric"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # refused before any numerics
 def test_malformed_inputs_are_input_errors(tmp_path, capsys, argv, name, text):
     bad = tmp_path / name

@@ -598,6 +598,57 @@ def test_streamed_box_is_the_whole_field_box(n, clipped):
     assert np.abs(got).max() < rec.peak
 
 
+def slab_spy(monkeypatch):
+    """The z1 rows whose slabs a kernel sweep builds, in the order built."""
+    built = []
+    original = gabor._kernel_field_slabs
+
+    def spy(K, stride):
+        z, zeta, slab, bounds = original(K, stride)
+
+        def counted(i):
+            built.append(i)
+            return slab(i)
+        return z, zeta, counted, bounds
+
+    monkeypatch.setattr(gabor, "_kernel_field_slabs", spy)
+    return built
+
+
+EDGE_KERNELS = {
+    "mu-quick": lambda: acceptance._kernel(*acceptance.kernel_reads(True)[0][:2]),
+    "ho-64": lambda: ho_fourier_kernel(64),
+}
+
+
+@pytest.mark.parametrize("kernel", list(EDGE_KERNELS))
+def test_sweep_skips_only_slabs_below_the_peak(kernel, monkeypatch):
+    """A sweep builds the box's z1 rows in order, then only the rows
+    outside the box whose Cauchy-Schwarz bound reaches the running peak:
+    the quick suite's mu(J) sweep builds 49 of its 64 slabs.  Every row's
+    largest |entry| is at most its bound, every skipped row's is below the
+    final peak, and that peak is the whole field's to the bit; HO mu(J)
+    peaks outside its box, so it builds slabs there."""
+    K = EDGE_KERNELS[kernel]()
+    z, zeta, slab, bounds = gabor._kernel_field_slabs(K, 2)
+    maxima = np.array([np.abs(slab(i)).max() for i in range(len(z))])
+    built = slab_spy(monkeypatch)
+    rec, = sweep_kernel_field(K, [Recorder()], 2)
+    _, (s1, *_) = _interior_box((z, z, zeta, zeta))
+    rows = list(range(s1.start, s1.stop))
+    assert built[:len(rows)] == rows and len(set(built)) == len(built)
+    skipped = sorted(set(range(len(z))) - set(built))
+    assert np.all(maxima <= bounds)
+    assert np.all(bounds[skipped] < rec.peak)
+    assert np.float64(rec.peak).tobytes() == maxima.max().tobytes()
+    if kernel == "mu-quick":
+        assert (len(built), len(z)) == (49, 64) and len(skipped) == 15
+    else:
+        assert np.float64(rec.peak).tobytes() \
+            == np.abs(reference_kernel_field(K, 2).values).max().tobytes()
+        assert int(np.argmax(maxima)) not in rows and len(built) > len(rows)
+
+
 def late_peak_kernel():
     """The mu(J) kernel plus a bump at x = 9 whose field peaks at z1 = 9,
     past the interior box (|z1| <= 7 and the stencil's reach), at five

@@ -70,12 +70,13 @@ def kernel_fbi_field(K, stride=2):
     """The kernel field held on its interior box, built from the slabs of
     gabor._kernel_field_slabs: the box the sweep streams, for the tests that
     need it whole without the 4-D field (268 MB at n = 128, stride 2)."""
-    z, zeta, slabs = _kernel_field_slabs(K, stride)
+    z, zeta, slab, _ = _kernel_field_slabs(K, stride)
     axes = (z, z, zeta, zeta)
     box, (s1, s2, s3, s4) = _interior_box(axes)
     values = np.empty(box.shape, dtype=complex)
     peak = 0.0
-    for i, S in enumerate(slabs):
+    for i in range(len(z)):
+        S = slab(i)
         peak = max(peak, float(np.abs(S).max()))
         if s1.start <= i < s1.stop:
             values[i - s1.start] = S[s3, s2, s4].transpose(1, 0, 2)
