@@ -75,6 +75,8 @@ _STATUS_EXIT = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "not-in-class": EXIT_FAIL,
 def _load_chi(path: str):
     data = read_json(path)
     if isinstance(data, dict):
+        if "chi" not in data:
+            raise ValueError(f"{path}: a chi object needs the key 'chi'")
         data = data["chi"]
     return symplectic_from_list(data)
 
@@ -89,8 +91,8 @@ def _load_lagrangian(path: str):
         Y = np.asarray(data["Y"], dtype=float)
         F = np.asarray(data["F"], dtype=float)
         n = int(data["n"])
-    except TypeError as exc:
-        raise ValueError(f"malformed subspace: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: a subspace needs numeric n, Y and F: {exc}") from exc
     return lagrangian_with_param(Y, F, n)
 
 

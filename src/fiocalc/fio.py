@@ -11,7 +11,8 @@ the module converts between them numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import comb, factorial
+from functools import partial, reduce
+from math import comb, factorial, inf
 
 import numpy as np
 
@@ -29,21 +30,15 @@ from .grids import (GridFunction, GridSpec, OperatorMatrix, SizeGuardError,
                     hermite_grid_function)
 from .metaplectic import mu_general
 from .phases import QuadraticPhase, chi_from_phase
-from .symbols import (ShubinSymbol, _diff_terms, _eval_terms, _gaussian_mean_terms,
-                      _transform_terms, custom_symbol, shubin_decay_test)
+from .symbols import (ShubinSymbol, _diff_terms, _eval_terms, _gaussian_diff_terms,
+                      _gaussian_mean_terms, _transform_terms, custom_symbol, shubin_decay_test)
 from .symplectic import (
     SymplecticMatrix,
     symplectic_inverse,
     twisted_graph_lagrangian,
 )
-from .weyl import (
-    _pullback,
-    interior_mask,
-    symbol_callable,
-    symbol_from_kernel,
-    weyl_kernel,
-    weyl_product,
-)
+from .weyl import (_pullback, _spline_partial, _splines, interior_mask, symbol_callable,
+                   symbol_from_kernel, weyl_kernel, weyl_product)
 
 
 @dataclass(frozen=True)
@@ -340,68 +335,62 @@ def _as_factored(spec: FioSpec, grid: GridSpec) -> FioSpec:
         return spec
     K, _ = fio_kernel(spec, grid)
     rep = fio_factorize(K, spec.chi, spec.order, spec.rho)
-    return FioSpec("factored", spec.order, spec.rho,
-                   b=symbol_callable(rep.symbol), chi=spec.chi)
+    return FioSpec("factored", spec.order, spec.rho, b=rep.symbol, chi=spec.chi)
 
 
-def _poly_terms(sym):
-    """Term list (coeff, (p, q)) of a polynomial phase-space symbol, or None
-    when the symbol is not polynomial."""
-    if not isinstance(sym, ShubinSymbol) or sym.dim != 2 \
-            or sym.kind == "gaussian_modulated":
+def _term_partial(terms, diff):
+    """(i, j, z) -> the terms differentiated by diff i times along axis 0 and
+    j times along axis 1, evaluated at z."""
+    return lambda i, j, z: _eval_terms(reduce(diff, [0] * i + [1] * j, terms), z)
+
+
+def _chain(du, M):
+    """The oracle of z -> f(M z) from the oracle du of f (M None: the
+    identity): by the chain rule d_x^i d_xi^j is z_0^i z_1^j at M^T z with
+    z_k read as the derivative along u_k."""
+    if M is None:
+        return du
+    return lambda i, j, z: sum(c * du(a, b, z @ M.T)
+                               for c, (a, b) in _transform_terms([(1.0, (i, j))], M.T))
+
+
+def _moyal_partial(sym, M):
+    """Exact derivative oracle (i, j, z) -> d_x^i d_xi^j of z -> sym(M z),
+    M None for the identity, with the polynomial degree of sym (inf if it is
+    not polynomial) and the highest total order the oracle takes; None for a
+    callable or a custom symbol.  Polynomial kinds differentiate their terms,
+    transformed by M first; a gaussian_modulated symbol stays in its family
+    (symbols._gaussian_diff_terms); a sampled symbol has the partials of its
+    quintic splines, below their degree."""
+    if isinstance(sym, Field4D):
+        splines = _splines(sym)
+        return _chain(partial(_spline_partial, splines), M), inf, min(splines[0].degrees) - 1
+    if not isinstance(sym, ShubinSymbol) or sym.kind == "custom":
         return None
-    return sym.terms()
+    if sym.kind != "gaussian_modulated":
+        terms = sym.terms() if M is None else _transform_terms(sym.terms(), M)
+        return _term_partial(terms, _diff_terms), max((sum(e) for _, e in terms), default=0), inf
+    center = np.asarray(sym.params.get("center", np.zeros(2)), dtype=float)
+    w2 = float(sym.params.get("width", 1.0)) ** 2
+    p = _term_partial(sym.terms(), partial(_gaussian_diff_terms, center=center, w2=w2))
+    return _chain(lambda a, b, u: p(a, b, u) * np.exp(-np.sum((u - center) ** 2, axis=-1) / w2),
+                  M), inf, inf
 
 
-# 4th-order central difference stencils for the 1st and 2nd derivative
-_FD = {
-    1: ([-2, -1, 1, 2], [1.0 / 12, -8.0 / 12, 8.0 / 12, -1.0 / 12]),
-    2: ([-2, -1, 0, 1, 2], [-1.0 / 12, 16.0 / 12, -30.0 / 12, 16.0 / 12, -1.0 / 12]),
-}
-FD_STEP = 0.05  # step of those differences for a non-polynomial symbol
-
-
-def _fd_partial(func, i: int, j: int, z: np.ndarray) -> np.ndarray:
-    """Numerical partial d_x^i d_xi^j func(z) for i, j <= 2 (4th order)."""
-    out = np.zeros(z.shape[:-1], dtype=complex)
-    offs_i, wts_i = _FD.get(i, ([0], [1.0]))
-    offs_j, wts_j = _FD.get(j, ([0], [1.0]))
-    for oi, wi in zip(offs_i, wts_i):
-        for oj, wj in zip(offs_j, wts_j):
-            pt = z + np.array([oi * FD_STEP, oj * FD_STEP])
-            out = out + wi * wj * np.asarray(func(pt), dtype=complex)
-    return out / FD_STEP ** (i + j) if (i or j) else out
-
-
-def _moyal_partial(sym, terms):
-    """Derivative oracle (i, j, z) -> d_x^i d_xi^j sym(z): analytic when the
-    symbol has polynomial terms, 4th-order central differences otherwise."""
-    if terms is None:
-        func = symbol_callable(sym)
-        return lambda i, j, z: _fd_partial(func, i, j, z)
-
-    def partial(i, j, z):
-        t = terms
-        for axis in [0] * i + [1] * j:
-            t = _diff_terms(t, axis)
-        return _eval_terms(t, z)
-
-    return partial
-
-
-def _weyl_product_callable(b1, terms1, b2, terms2):
-    """Callable for b1 # b2 when at least one factor is polynomial, so the
-    Moyal series (i/2)^k/k! (d_x d_eta - d_xi d_y)^k terminates at the
-    smallest polynomial degree.  The central differences of a non-polynomial
-    factor reach second derivatives only, so a lone polynomial factor may
-    have degree at most 2.  Returns None when neither factor qualifies."""
-    degs = [max((sum(e) for _, e in t), default=0)
-            for t in (terms1, terms2) if t is not None]
-    if not degs or (len(degs) == 1 and degs[0] > 2):
+def _weyl_product_callable(b1, b2, M):
+    """Callable for b1 # (z -> b2(M z)) by the Moyal series
+    (i/2)^k/k! (d_x d_eta - d_xi d_y)^k over exact partials, which ends at
+    the smaller polynomial degree of the factors.  None, for the
+    kernel-matrix path, when a factor has no oracle, when neither is
+    polynomial, or when the degree passes the other factor's highest order
+    (4 for a sampled symbol)."""
+    oracles = [_moyal_partial(b1, None), _moyal_partial(b2, M)]
+    if None in oracles:
         return None
-    deg = min(degs)
-    p1 = _moyal_partial(b1, terms1)
-    p2 = _moyal_partial(b2, terms2)
+    (p1, deg1, order1), (p2, deg2, order2) = oracles
+    deg = min(deg1, deg2)
+    if deg == inf or deg > min(order1, order2):
+        return None
 
     def product(z):
         z = np.asarray(z, dtype=float)
@@ -409,9 +398,7 @@ def _weyl_product_callable(b1, terms1, b2, terms2):
         for k in range(deg + 1):
             ck = (0.5j) ** k / factorial(k)
             for j in range(k + 1):
-                a = p1(k - j, j, z)
-                b = p2(j, k - j, z)
-                out = out + ck * comb(k, j) * (-1) ** j * a * b
+                out = out + ck * comb(k, j) * (-1) ** j * p1(k - j, j, z) * p2(j, k - j, z)
         return out
 
     return product
@@ -420,22 +407,20 @@ def _weyl_product_callable(b1, terms1, b2, terms2):
 def fio_compose(s1: FioSpec, s2: FioSpec, grid: GridSpec) -> CompositionReport:
     """Composition at the spec level: (b1 # (b2 o chi1^{-1}), chi1 chi2).
 
-    The Weyl product is evaluated through the finite Moyal sum whenever one
-    factor is polynomial (then the series terminates exactly); otherwise it
-    falls back to the symbol of the composed kernel matrices.  The residual
-    compares the operator of the returned spec against the matrix product
-    of the input operators, up to one unit scalar (the metaplectic phase
+    When one factor is polynomial the Weyl product is the finite Moyal sum
+    over exact partials of both factors (_weyl_product_callable).  The
+    symbol of the composed kernel matrices is taken instead for a callable
+    or custom factor, for two non-polynomial factors, and for a sampled
+    factor against a polynomial of degree above 4.  The residual compares
+    the operator of the returned spec against the matrix product of the
+    input operators, up to one unit scalar (the metaplectic phase
     ambiguity)."""
     f1 = _as_factored(s1, grid)
     f2 = _as_factored(s2, grid)
-    chi1_inv = symplectic_inverse(f1.chi)
-    b2_pulled = _pullback(symbol_callable(f2.b), chi1_inv.entries)
-    t1 = _poly_terms(f1.b)
-    t2 = _poly_terms(f2.b)
-    if t2 is not None:
-        t2 = _transform_terms(t2, chi1_inv.entries)
-    b_new = _weyl_product_callable(f1.b, t1, b2_pulled, t2)
+    chi1_inv = symplectic_inverse(f1.chi).entries
+    b_new = _weyl_product_callable(f1.b, f2.b, chi1_inv)
     if b_new is None:
+        b2_pulled = _pullback(symbol_callable(f2.b), chi1_inv)
         b_new = symbol_callable(weyl_product(symbol_callable(f1.b), b2_pulled, grid))
     chi_new = f1.chi @ f2.chi
     new = FioSpec("factored", f1.order + f2.order, min(f1.rho, f2.rho),

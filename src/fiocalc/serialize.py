@@ -46,28 +46,33 @@ def grid_function_to_csv(f: GridFunction, path: str) -> None:
 
 def grid_function_from_csv(path: str) -> GridFunction:
     """Read a grid function written by grid_function_to_csv.  Every row index
-    in 0..n^d - 1 must appear exactly once; anything else is a ValueError."""
+    in 0..n^d - 1 must appear exactly once; anything else is a ValueError
+    that names the path, and the line of an error found on one."""
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != 3:
-            raise ValueError(f"{path}: header {','.join(header)!r} is not d,n,R")
-        d, n, R = int(header[0]), int(header[1]), float(header[2])
-        spec = GridSpec(d, n, R)
-        SizeGuardError.check(n**d)
-        vals = np.zeros(n**d, dtype=complex)
-        seen = np.zeros(n**d, dtype=bool)
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            idx, re, im = line.split(",")
-            i = int(idx)
-            if not 0 <= i < vals.size:
-                raise ValueError(f"{path}: row index {i} outside 0..{vals.size - 1}")
-            if seen[i]:
-                raise ValueError(f"{path}: duplicate row index {i}")
-            seen[i] = True
-            vals[i] = float(re) + 1j * float(im)
+        lineno = 1
+        try:
+            header = fh.readline().strip().split(",")
+            if len(header) != 3:
+                raise ValueError(f"header {','.join(header)!r} is not d,n,R")
+            d, n, R = int(header[0]), int(header[1]), float(header[2])
+            spec = GridSpec(d, n, R)
+            SizeGuardError.check(n**d)
+            vals = np.zeros(n**d, dtype=complex)
+            seen = np.zeros(n**d, dtype=bool)
+            for lineno, line in enumerate(fh, 2):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                idx, re, im = line.split(",")
+                i = int(idx)
+                if not 0 <= i < vals.size:
+                    raise ValueError(f"row index {i} outside 0..{vals.size - 1}")
+                if seen[i]:
+                    raise ValueError(f"duplicate row index {i}")
+                seen[i] = True
+                vals[i] = float(re) + 1j * float(im)
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from exc
     if not seen.all():
         raise ValueError(f"{path}: {int((~seen).sum())} of {vals.size} rows missing")
     return GridFunction(spec, vals)

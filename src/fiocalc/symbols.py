@@ -156,6 +156,15 @@ def _diff_terms(terms, axis: int):
     return out
 
 
+def _gaussian_diff_terms(terms, axis: int, center, w2: float):
+    """Terms q with d_axis (p e^{-|u - c|^2 / w2}) = q e^{-|u - c|^2 / w2} for
+    the p of terms: q = d_axis p - 2 (u_axis - c_axis) p / w2."""
+    return _collect([*_diff_terms(terms, axis),
+                     *((-2.0 * c / w2, e[:axis] + (e[axis] + 1,) + e[axis + 1:])
+                       for c, e in terms),
+                     *((2.0 * center[axis] * c / w2, e) for c, e in terms)])
+
+
 def _transform_terms(terms, M: np.ndarray):
     """Terms of z -> p(M z) for a polynomial p given by terms."""
     return _collect((c * comb(p, i) * comb(q, j)

@@ -10,6 +10,8 @@ polynomial interpolation along lines parallel to the diagonal.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .gabor import Field4D
@@ -75,19 +77,14 @@ def _splines(symbol: Field4D) -> tuple:
             RectBivariateSpline(x, xi, symbol.values.imag, kx=5, ky=5))
 
 
-def _interpolant(symbol: Field4D):
-    """The splines of _splines, as a symbol callable on R^2."""
-    re, im = _splines(symbol)
-
-    def func(z):
-        z = np.asarray(z, dtype=float)
-        shape = z.shape[:-1]
-        flat = z.reshape(-1, 2)
-        out = re(flat[:, 0], flat[:, 1], grid=False) \
-            + 1j * im(flat[:, 0], flat[:, 1], grid=False)
-        return out.reshape(shape)
-
-    return func
+def _spline_partial(splines, i: int, j: int, z) -> np.ndarray:
+    """d_x^i d_xi^j of the splines of _splines at points z of shape (..., 2);
+    each order must stay below the spline degree."""
+    z = np.asarray(z, dtype=float)
+    x, xi = z.reshape(-1, 2).T
+    re, im = splines
+    out = re(x, xi, dx=i, dy=j, grid=False) + 1j * im(x, xi, dx=i, dy=j, grid=False)
+    return out.reshape(z.shape[:-1])
 
 
 def symbol_from_kernel(K: OperatorMatrix) -> Field4D:
@@ -133,5 +130,5 @@ def _pullback(a, M: np.ndarray):
 
 def symbol_callable(sym) -> callable:
     if isinstance(sym, Field4D):
-        return _interpolant(sym)
+        return partial(_spline_partial, _splines(sym), 0, 0)
     return sym

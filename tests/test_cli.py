@@ -166,22 +166,35 @@ def custom_spec_text(form):
     return json.dumps(data)
 
 
-@pytest.mark.parametrize("command, text, names", [
-    ("weyl-quantize", SHORT_CENTER, ("gaussian center", "2 entries")),
-    ("weyl-quantize", '{"dim": 2, "order": 0, "rho": 1, "kind": "polynomial", "params": {}}',
+WEYL = ["weyl-quantize", "{bad}", "--grid-n", "16"]
+FIO_KERNEL = ["fio-kernel", "{bad}", "--grid-n", "16"]
+
+
+@pytest.mark.parametrize("argv, text, names", [
+    (WEYL, SHORT_CENTER, ("gaussian center", "2 entries")),
+    (WEYL, '{"dim": 2, "order": 0, "rho": 1, "kind": "polynomial", "params": {}}',
      ("polynomial", "'terms'")),
-    ("weyl-quantize", CUSTOM, ("'custom'", "no JSON form")),
-    ("fio-kernel", custom_spec_text("factored"), ("'custom'", "no JSON form")),
-    ("fio-kernel", custom_spec_text("oscillatory"), ("'custom'", "no JSON form")),
+    (WEYL, CUSTOM, ("'custom'", "no JSON form")),
+    (FIO_KERNEL, custom_spec_text("factored"), ("'custom'", "no JSON form")),
+    (FIO_KERNEL, custom_spec_text("oscillatory"), ("'custom'", "no JSON form")),
+    (["fbi-map", "{bad}"], csv_text(range(7)) + "7,1.0\n", ("{bad}", "line 9")),
+    (["fbi-map", "{bad}"], "x,8,4.0\n", ("{bad}", "line 1", "'x'")),
+    (["fbi-map", "{bad}"], csv_text(range(7)) + "7,one,0.0\n", ("{bad}", "line 9", "'one'")),
+    (["fbi-map", "{bad}"], csv_text([0, 1, 1]), ("{bad}", "line 4", "duplicate row index 1")),
+    (["mu-apply", "{bad}", "{psi}"], '{"matrix": [[0, 1], [-1, 0]]}', ("{bad}", "'chi'")),
+    (["lag-test", "{psi}", "{bad}"], '{"n": 1, "Y": [[1.0]]}', ("{bad}", "'F'")),
 ], ids=["center-short", "polynomial-without-terms", "symbol-custom", "factored-b-custom",
-        "amplitude-custom"])
-def test_symbol_input_errors_name_the_field(tmp_path, capsys, command, text, names):
-    bad = tmp_path / "symbol.json"
+        "amplitude-custom", "csv-two-fields", "csv-header-not-numeric", "csv-non-numeric",
+        "csv-duplicate-row", "chi-without-chi", "subspace-without-f"])
+def test_symbol_input_errors_name_the_field(tmp_path, capsys, argv, text, names):
+    bad = tmp_path / "input"
     bad.write_text(text)
+    write_psi0(tmp_path / "psi0.csv")
     out = tmp_path / "out"
-    assert cli.main([command, str(bad), "--grid-n", "16", "--out", str(out)]) == 3
+    args = [a.format(bad=bad, psi=tmp_path / "psi0.csv") for a in argv]
+    assert cli.main([*args, "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert all(name in err for name in names), err
+    assert all(name.format(bad=bad) in err for name in names), err
 
 
 def run_check_phase(tmp_path, name, phase):

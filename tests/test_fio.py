@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fiocalc import fio
 from fiocalc.fio import (
     FioSpec,
     QuadratureError,
@@ -16,7 +17,7 @@ from fiocalc.fio import (
     wf_kernel_check,
     wf_propagation_check,
 )
-from fiocalc.gabor import sweep_kernel_field
+from fiocalc.gabor import Field4D, sweep_kernel_field
 from fiocalc.grids import GridFunction, GridSpec, gaussian_window
 from fiocalc.phases import QuadraticPhase, phase_from_free_matrix, pseudodifferential_phase
 from fiocalc.serialize import fio_spec_from_dict, fio_spec_to_dict
@@ -28,7 +29,8 @@ from fiocalc.symbols import (
     polynomial_symbol,
 )
 from fiocalc.symplectic import SymplecticMatrix, chirp_matrix, standard_j
-from fiocalc.weyl import interior_mask, symbol_callable, symbol_from_kernel, weyl_kernel
+from fiocalc.weyl import (interior_mask, symbol_callable, symbol_from_kernel, weyl_kernel,
+                          weyl_product)
 from whole_box import kernel_fbi_field, whole_box_wf_kernel_check
 
 
@@ -191,6 +193,84 @@ def test_composition_with_sampled_left_symbol():
     s2 = FioSpec("factored", 1.0, 1.0, b=polynomial_symbol(2, [(1.0, (1, 0))]), chi=J)
     rep = fio_compose(s1, s2, g)
     assert rep.status == "pass" and rep.residual < 1e-4
+
+
+CUBIC = polynomial_symbol(2, [(1.0, (3, 0)), (0.5, (1, 2))])  # x^3 + x xi^2 / 2
+
+
+def test_composition_of_a_cubic_with_a_shifted_gaussian():
+    # one polynomial factor of degree 3 against a non-polynomial one: the Moyal
+    # sum reaches third partials of the pulled-back Gaussian
+    g = GridSpec(1, 128, 10.0)
+    s1 = FioSpec("factored", 3.0, 1.0, b=CUBIC, chi=standard_j(1))
+    s2 = FioSpec("factored", 0.0, 1.0, b=gaussian_symbol(2, center=(0.5, -0.3), width=1.3),
+                 chi=chirp_matrix(np.array([[0.8]])))
+    rep = fio_compose(s1, s2, g)
+    assert rep.status == "pass" and rep.residual < 1e-5
+
+
+def test_composition_of_a_sampled_gaussian_with_a_cubic():
+    g = GridSpec(1, 128, 10.0)
+    J = standard_j(1)
+    sampled = symbol_from_kernel(weyl_kernel(gaussian_symbol(2), g))
+    rep = fio_compose(FioSpec("factored", 0.0, 1.0, b=sampled, chi=J),
+                      FioSpec("factored", 3.0, 1.0, b=CUBIC, chi=J), g)
+    assert rep.status == "pass"
+
+
+def test_sampled_factor_against_a_quintic_takes_the_kernel_matrix_path(monkeypatch):
+    # a quintic spline has partials up to order 4 only, so x^5 needs the
+    # symbol of the composed kernel matrices
+    g = GridSpec(1, 64, 8.0)
+    J = standard_j(1)
+    calls = []
+    monkeypatch.setattr(fio, "weyl_product",
+                        lambda *args: calls.append(args) or weyl_product(*args))
+    sampled = symbol_from_kernel(weyl_kernel(gaussian_symbol(2), g))
+    fio_compose(FioSpec("factored", 0.0, 1.0, b=sampled, chi=J),
+                FioSpec("factored", 5.0, 1.0, b=polynomial_symbol(2, [(1.0, (5, 0))]), chi=J),
+                g)
+    assert len(calls) == 1
+
+
+def test_gaussian_oracle_is_exact():
+    sympy = pytest.importorskip("sympy")
+    center, width = (0.5, -0.3), 1.3
+    terms = [(1.0, (1, 0)), (0.5 - 0.25j, (0, 2)), (0.3, (0, 0))]
+    M = np.array([[1.2, 0.5], [0.3, 1.15 / 1.2]])  # det 1, so symplectic in d = 1
+    oracle, degree, order = fio._moyal_partial(gaussian_symbol(2, center, width, terms), M)
+    assert degree == order == np.inf
+    x, xi = sympy.symbols("x xi", real=True)
+    u = [M[0, 0] * x + M[0, 1] * xi, M[1, 0] * x + M[1, 1] * xi]
+    p = sum(complex(c) * u[0] ** e[0] * u[1] ** e[1] for c, e in terms)
+    f = p * sympy.exp(-((u[0] - center[0]) ** 2 + (u[1] - center[1]) ** 2) / width ** 2)
+    pts = np.linspace(-3.0, 3.0, 13)
+    Z = np.stack(np.meshgrid(pts, pts, indexing="ij"), axis=-1)
+    for i in range(4):
+        for j in range(4 - i):
+            partial = sympy.lambdify((x, xi), sympy.diff(f, x, i, xi, j), "numpy")
+            ref = np.broadcast_to(partial(Z[..., 0], Z[..., 1]), Z.shape[:-1]).astype(complex)
+            assert np.abs(oracle(i, j, Z) - ref).max() <= 1e-12 * np.abs(ref).max(), (i, j)
+
+
+def test_spline_oracle_is_exact_on_a_quartic():
+    # a quintic spline through samples of a quartic is the quartic, so its
+    # partials up to the order the oracle takes are the quartic's
+    P = np.polynomial.polynomial
+    g = GridSpec(1, 128, 10.0)
+    C = np.zeros((5, 5), dtype=complex)  # C[p, q] multiplies x^p xi^q
+    C[4, 0], C[3, 1], C[2, 2], C[1, 3], C[0, 4] = 1.0, -0.5j, 0.3, 0.2, -0.25
+    C[1, 1], C[0, 0] = 3.0, 1.0
+    X, XI = np.meshgrid(g.points(), g.dual_points(), indexing="ij")
+    sampled = Field4D((g.points(), g.dual_points()), P.polyval2d(X, XI, C))
+    oracle, degree, order = fio._moyal_partial(sampled, None)
+    assert degree == np.inf and order == 4
+    mask = interior_mask(sampled)
+    Z = np.stack([X[mask], XI[mask]], axis=-1)
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            ref = P.polyval2d(X[mask], XI[mask], P.polyder(P.polyder(C, i, axis=0), j, axis=1))
+            assert np.abs(oracle(i, j, Z) - ref).max() <= 1e-7 * np.abs(ref).max(), (i, j)
 
 
 def test_adjoint_kernel_is_conjugate_transpose():

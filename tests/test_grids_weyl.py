@@ -17,8 +17,8 @@ from fiocalc.weyl import (
     _HALF_NODES,
     _HALF_WEIGHTS,
     SizeGuardError,
-    _interpolant,
     interior_mask,
+    symbol_callable,
     symbol_from_kernel,
     weyl_kernel,
 )
@@ -135,7 +135,7 @@ def test_sampled_symbol_is_quantized_as_its_pointwise_spline():
     b = fio_factorize(fio_kernel(spec, g)[0], standard_j(1), 2.0).symbol
     assert np.abs(b.values.imag).max() > 0
     got = weyl_kernel(b, g).entries
-    assert got.tobytes() == weyl_kernel(_interpolant(b), g).entries.tobytes()
+    assert got.tobytes() == weyl_kernel(symbol_callable(b), g).entries.tobytes()
 
 
 def test_size_guard_refuses_oversized_kernels():
